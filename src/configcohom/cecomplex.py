@@ -11,14 +11,24 @@ generators commute, odd generators anticommute and square to zero.
 
 Signs.  Every monomial is stored in canonical order (V-factors first,
 then W-factors, each block sorted by generator position) with
-coefficient +1.  The differential of a canonical word f_1 ... f_L is
-the Leibniz sum over positions j:
+coefficient +1.  The differential is the Leibniz sum over the
+W-factors; replacing one factor w_t by a term v_a v_b of d(w_t) gives
+a word that is re-sorted to canonical order.  Both signs are read off
+prefix parity counts of the odd factors, without building the word:
 
-    (-1)^(deg f_1 + ... + deg f_{j-1}) f_1 ... (d f_j) ... f_L,
+  * Koszul sign (sliding d past the factors left of w_t): the number
+    of odd V-factors plus the number of odd W-factors before w_t;
+  * normalization sign (moving v_a, then v_b, back into the V-block):
+    for each odd one among them, the odd W-factors before w_t plus the
+    odd V-factors of larger index, plus one more when both are odd and
+    a > b.
 
-and each resulting word is renormalized to canonical order, picking up
-(-1)^(number of inversions among its odd factors); words with a
-repeated odd factor die.  All coefficients are exact rationals.
+A word dies when an odd generator repeats.  An even W-generator with
+exponent e contributes e equal terms.  Coefficients are cleared of
+denominators once per ring: blocks hold D * d as Python ints, where D
+is the lcm of the denominators of the boundary table (1 for every
+built-in CP^m), so ranks and the d o d = 0 check are exact integer
+computations.
 
 For the built-in CP^m rings there is a reduction: the ideal generated
 by (v_top^2, w_top) — top meaning the degree-2m V-generator and the
@@ -29,9 +39,9 @@ cohomology.  homotopy_check verifies (dh + hd) = id on the ideal
 exactly; reduce_complex builds the quotient basis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 
 class AssemblyError(RuntimeError):
@@ -99,19 +109,9 @@ class BigradedBasis:
     k: int
     mode: str
     slices: dict
-    _pos: dict = field(default_factory=dict, repr=False, compare=False)
 
     def slice(self, degree, weight):
         return self.slices.get((degree, weight), ())
-
-    def positions(self, degree, weight):
-        """Monomial -> column index within the slice (cached)."""
-        key = (degree, weight)
-        pos = self._pos.get(key)
-        if pos is None:
-            pos = {mon: i for i, mon in enumerate(self.slices.get(key, ()))}
-            self._pos[key] = pos
-        return pos
 
     def total_dimension(self):
         return sum(len(mons) for mons in self.slices.values())
@@ -132,11 +132,13 @@ class DifferentialBlock:
     """One matrix of the differential, from slice source to slice target.
 
     Columns index the source slice, rows the target slice, both in
-    canonical monomial order.
+    canonical monomial order.  matrix holds scale * d with int entries,
+    scale being the ring's denominator D.
     """
     source: tuple
     target: tuple
     matrix: object
+    scale: int = 1
 
 
 def _sym_exponents(parities, total):
@@ -206,79 +208,106 @@ def enumerate_basis(G, k):
     )
 
 
-def _word(G, mon):
-    """Canonical factor sequence of a monomial: list of (space, index).
+class _Differential:
+    """D * d on the exponent vectors of monomials of k points.
 
-    space 0 means V, 1 means W; within each space factors appear in
-    generator order, repeated per exponent.
+    A monomial is coded as the integer with its exponents (V-slots,
+    then W-slots) as mixed-radix digits in base k + 1, so the target of
+    a term is the source code plus a fixed delta.  tables[t] holds one
+    tuple per term coeff * v_a v_b of d(w_t):
+
+        (dead, shift_a, shift_b, swap, D * coeff, delta)
+
+    dead masks the odd ones of v_a, v_b (the word dies when the source
+    already holds one); shift_x is x + 1 for odd v_x, else 0, so that
+    vmask >> shift_x keeps the odd V-factors of larger index; swap is 1
+    when both are odd and a > b.
     """
-    word = []
-    for idx, e in enumerate(mon.v_exps):
-        word.extend([(0, idx)] * e)
-    for idx, e in enumerate(mon.w_exps):
-        word.extend([(1, idx)] * e)
-    return word
 
+    def __init__(self, G, k):
+        self.scale = lcm(*(q.denominator for terms in G.boundary_on_w
+                           for _, q in terms))
+        self.radix = k + 1
+        self.n_v = len(G.v_gens)
+        self.powers = tuple(self.radix ** j
+                            for j in range(self.n_v + len(G.w_gens)))
+        self.odd_v = tuple(a for a, p in enumerate(G.v_parities) if p)
+        self.w_parities = G.w_parities
+        par = G.v_parities
+        tables = []
+        for t, terms in enumerate(G.boundary_on_w):
+            table = []
+            for (a, b), q in terms:
+                if a == b and par[a]:
+                    continue  # v_a^2 = 0 for odd v_a
+                table.append((
+                    (par[a] << a) | (par[b] << b),
+                    a + 1 if par[a] else 0,
+                    b + 1 if par[b] else 0,
+                    1 if par[a] and par[b] and a > b else 0,
+                    int(q * self.scale),
+                    self.powers[a] + self.powers[b] - self.powers[self.n_v + t],
+                ))
+            tables.append(tuple(table))
+        self.tables = tuple(tables)
 
-def _factor_degree(G, factor):
-    space, idx = factor
-    return G.v_degrees[idx] if space == 0 else G.w_degrees[idx]
+    def code(self, mon):
+        """The monomial's mixed-radix code."""
+        return sum(e * p for e, p in zip(mon.v_exps + mon.w_exps, self.powers))
 
+    def monomial(self, G, code):
+        """The Monomial with the given code."""
+        exps = []
+        for _ in self.powers:
+            code, e = divmod(code, self.radix)
+            exps.append(e)
+        return make_monomial(G, exps[:self.n_v], exps[self.n_v:])
 
-def _normalize_word(G, word):
-    """Canonical form of an arbitrary word.
+    def apply(self, mon, code):
+        """D * d(mon) as a dict target code -> int (sums may be 0).
 
-    Returns (sign, Monomial), or None when an odd factor repeats.  The
-    sign is (-1)^(inversions among the odd factors) — even factors
-    commute freely, so only the relative order of odd ones matters.
-    """
-    odd_seq = []
-    v_exps = [0] * len(G.v_gens)
-    w_exps = [0] * len(G.w_gens)
-    for factor in word:
-        space, idx = factor
-        if _factor_degree(G, factor) % 2:
-            odd_seq.append(factor)
-        if space == 0:
-            v_exps[idx] += 1
-        else:
-            w_exps[idx] += 1
-    if len(set(odd_seq)) != len(odd_seq):
-        return None
-    inversions = 0
-    for i in range(len(odd_seq)):
-        for j in range(i + 1, len(odd_seq)):
-            if odd_seq[i] > odd_seq[j]:
-                inversions += 1
-    sign = -1 if inversions % 2 else 1
-    return sign, make_monomial(G, v_exps, w_exps)
+        code is the monomial's own code.
+        """
+        vmask = 0
+        for a in self.odd_v:
+            if mon.v_exps[a]:
+                vmask |= 1 << a
+        odd_v = vmask.bit_count()
+        odd_w = 0  # odd W-factors before the current one
+        acc = {}
+        for t, e in enumerate(mon.w_exps):
+            if not e:
+                continue
+            koszul = odd_v + odd_w
+            for dead, shift_a, shift_b, swap, q, delta in self.tables[t]:
+                if vmask & dead:
+                    continue
+                s = koszul + swap
+                if shift_a:
+                    s += odd_w + (vmask >> shift_a).bit_count()
+                if shift_b:
+                    s += odd_w + (vmask >> shift_b).bit_count()
+                key = code + delta
+                acc[key] = acc.get(key, 0) + (-e * q if s & 1 else e * q)
+            odd_w += self.w_parities[t]  # odd exponents are at most 1
+        return acc
 
 
 def differential_of_monomial(G, mon):
     """d(mon) as a sorted list of (Monomial, Fraction) with exact signs.
 
     V-factors are cycles; each W-factor is replaced in turn by its
-    quadratic boundary, with the Koszul prefix sign for sliding d past
-    the factors to its left and the normalization sign for re-sorting
-    the resulting word.
+    quadratic boundary, with the Koszul and normalization signs of the
+    module docstring.
     """
-    acc = {}
-    word = _word(G, mon)
-    prefix_parity = 0
-    for pos, factor in enumerate(word):
-        space, idx = factor
-        if space == 1:
-            koszul = -1 if prefix_parity else 1
-            head, tail = word[:pos], word[pos + 1:]
-            for (a, b), coeff in G.boundary_on_w[idx]:
-                normalized = _normalize_word(G, head + [(0, a), (0, b)] + tail)
-                if normalized is None:
-                    continue
-                sign, out = normalized
-                q = coeff * koszul * sign
-                acc[out] = acc.get(out, Fraction(0)) + q
-        prefix_parity ^= _factor_degree(G, factor) % 2
-    terms = [(m, q) for m, q in acc.items() if q]
+    d = _Differential(G, mon.v_length + 2 * mon.weight)
+    return _terms(G, d, mon)
+
+
+def _terms(G, d, mon):
+    """differential_of_monomial through an already built kernel d."""
+    terms = [(d.monomial(G, code), Fraction(q, d.scale))
+             for code, q in d.apply(mon, d.code(mon)).items() if q]
     terms.sort(key=lambda t: t[0].key())
     return terms
 
@@ -326,35 +355,42 @@ def assemble_blocks(G, basis):
     from .linalg import SparseExactMatrix
 
     reduced = basis.mode == "reduced"
+    d = _Differential(G, basis.k)
+    codes = {key: [d.code(mon) for mon in mons]
+             for key, mons in basis.slices.items()}
     blocks = []
     for (i, w) in sorted(basis.slices):
         if w == 0:
             continue
         source = basis.slices[(i, w)]
         target_key = (i + 1, w - 1)
-        target_pos = basis.positions(i + 1, w - 1)
+        target_pos = {code: row for row, code in enumerate(codes.get(target_key, ()))}
         entries = []
-        for col, mon in enumerate(source):
-            for out, q in differential_of_monomial(G, mon):
-                row = target_pos.get(out)
+        for col, (mon, code) in enumerate(zip(source, codes[(i, w)])):
+            for out_code, q in d.apply(mon, code).items():
+                if not q:
+                    continue
+                row = target_pos.get(out_code)
                 if row is not None:
                     entries.append((row, col, q))
-                elif reduced and in_reduction_ideal(G, out):
                     continue
-                else:
-                    raise AssemblyError(
-                        "d(%s) produced %s outside slice %r"
-                        % (mon.label(G), out.label(G), target_key))
-        matrix = SparseExactMatrix(len(basis.slice(i + 1, w - 1)), len(source), entries)
-        blocks.append(DifferentialBlock(source=(i, w), target=target_key, matrix=matrix))
+                out = d.monomial(G, out_code)
+                if reduced and in_reduction_ideal(G, out):
+                    continue
+                raise AssemblyError(
+                    "d(%s) produced %s outside slice %r"
+                    % (mon.label(G), out.label(G), target_key))
+        matrix = SparseExactMatrix(len(basis.slice(*target_key)), len(source), entries)
+        blocks.append(DifferentialBlock(source=(i, w), target=target_key,
+                                        matrix=matrix, scale=d.scale))
     return blocks
 
 
-def _apply_d(G, vec):
+def _apply_d(G, d, vec):
     """Extend the differential linearly to a dict Monomial -> Fraction."""
     out = {}
     for mon, c in vec.items():
-        for tm, q in differential_of_monomial(G, mon):
+        for tm, q in _terms(G, d, mon):
             out[tm] = out.get(tm, Fraction(0)) + c * q
     return {m: q for m, q in out.items() if q}
 
@@ -364,7 +400,8 @@ def _apply_h(G, vec, v_top, w_top):
 
     h kills anything containing w_top and sends v_top^2 * A to
     w_top * A, i.e. the canonical form of the word (w_top, factors of
-    A) with its normalization sign.
+    A), whose sign counts the odd factors of A that w_top passes: the
+    odd V-factors and the odd W-factors before it.
     """
     out = {}
     for mon, c in vec.items():
@@ -372,10 +409,14 @@ def _apply_h(G, vec, v_top, w_top):
             continue
         if mon.v_exps[v_top] < 2:
             raise ValueError("h applied outside the ideal: %s" % mon.label(G))
-        stripped = list(mon.v_exps)
-        stripped[v_top] -= 2
-        rest = make_monomial(G, stripped, mon.w_exps)
-        sign, image = _normalize_word(G, [(1, w_top)] + _word(G, rest))
+        v_exps = list(mon.v_exps)
+        v_exps[v_top] -= 2
+        w_exps = list(mon.w_exps)
+        w_exps[w_top] = 1
+        passed = sum(e for e, p in zip(mon.v_exps, G.v_parities) if p) \
+            + sum(e for e, p in zip(mon.w_exps[:w_top], G.w_parities) if p)
+        sign = -1 if G.w_parities[w_top] and passed % 2 else 1
+        image = make_monomial(G, v_exps, w_exps)
         out[image] = out.get(image, Fraction(0)) + c * sign
     return {m: q for m, q in out.items() if q}
 
@@ -388,13 +429,14 @@ def homotopy_check(G, k):
     """
     v_top, w_top = _top_indices(G)
     basis = enumerate_basis(G, k)
+    d = _Differential(G, k)
     for mons in basis.slices.values():
         for mon in mons:
             if not in_reduction_ideal(G, mon):
                 continue
             one = {mon: Fraction(1)}
-            lhs = _apply_d(G, _apply_h(G, one, v_top, w_top))
-            for out, q in _apply_h(G, _apply_d(G, one), v_top, w_top).items():
+            lhs = _apply_d(G, d, _apply_h(G, one, v_top, w_top))
+            for out, q in _apply_h(G, _apply_d(G, d, one), v_top, w_top).items():
                 lhs[out] = lhs.get(out, Fraction(0)) + q
             lhs = {m: q for m, q in lhs.items() if q}
             if lhs != one:
@@ -417,7 +459,8 @@ def dump_complex(G, basis, blocks):
         "blocks": [
             {"source": list(b.source), "target": list(b.target),
              "shape": [b.matrix.n_rows, b.matrix.n_cols],
-             "entries": [[r, c, format_rational(q)] for r, c, q in b.matrix.entries]}
+             "entries": [[r, c, format_rational(Fraction(q, b.scale))]
+                         for r, c, q in b.matrix.entries]}
             for b in blocks
         ],
     }

@@ -8,17 +8,20 @@ Four subcommands:
     ring-check  validate a ring presentation JSON file
 
 Exit codes: 0 success, 1 a verified claim failed, 2 input error,
-3 monomial cap exceeded.  Output is deterministic byte-for-byte for a
-given configuration, independent of --jobs.
+3 monomial cap exceeded, 4 internal error (a failed consistency check
+inside the engine, or a worker process that died).  Output is
+deterministic byte-for-byte for a given configuration, independent of
+--jobs.
 """
 
 import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from .cecomplex import count_monomials
+from .cecomplex import AssemblyError, count_monomials
 from .extremal import (UnderDeterminedError, detect_quasi_polynomial,
                        hilbert_ray, verify_vanishing_ranges)
 from .generators import build_generators
@@ -57,6 +60,13 @@ def _default_jobs():
         return 1
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
+    return n
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="configcohom",
@@ -66,7 +76,7 @@ def build_parser():
     def common(p, ring=False):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
-        p.add_argument("--jobs", type=int, default=None,
+        p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
         p.add_argument("--max-monomials", type=int, default=DEFAULT_MAX_MONOMIALS,
                        help="refuse complexes larger than this (default %d)"
@@ -313,6 +323,9 @@ def run(cfg):
             OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
+    except (AssemblyError, BrokenProcessPool) as exc:
+        sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
+        return 4
 
 
 def main(argv=None):

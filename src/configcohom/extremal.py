@@ -20,6 +20,7 @@ The offset-0 ray is sampled and reported as data, with no claim
 attached.
 """
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,6 +94,11 @@ def _dims_for_k(args):
     return k, betti(make_cpm(m), k, mode).dims
 
 
+def worker_count(jobs, n_tasks):
+    """Processes to start for n_tasks tasks: at most jobs, tasks and CPUs."""
+    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+
+
 def _betti_dims_range(m, ks, mode, jobs):
     """dims per k over a list of k, optionally fanned out to processes.
 
@@ -100,9 +106,10 @@ def _betti_dims_range(m, ks, mode, jobs):
     byte-identical for any job count.
     """
     tasks = [(m, k, mode) for k in ks]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = worker_count(jobs, len(tasks))
+    if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return dict(pool.map(_dims_for_k, tasks))
 
 

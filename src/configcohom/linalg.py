@@ -1,26 +1,32 @@
 """Exact sparse linear algebra over the rationals.
 
-The differential blocks produced by the complex are sparse integer-ish
-matrices (entries are small rationals, mostly 1 and 2), and all we ever
-need from them is rank, kernel dimension, and occasionally an explicit
-kernel basis for diagnostics.  Rank is computed by fraction-free
-elimination on denominator-cleared integer rows: the pivot row is
-cross-multiplied into the others and each result is re-normalized by
-its content (gcd), so entries stay small and no floating point is ever
-involved.  Pivots are chosen sparsity-first (fewest entries in the
-pivot row, then fewest occupants of the pivot column, Markowitz style)
-with deterministic tie-breaking, so repeated runs take identical paths.
+The differential blocks produced by the complex are sparse integer
+matrices (the complex clears denominators once per ring; entries are
+small, mostly 1 and 2), and all we ever need from them is rank, kernel
+dimension, and occasionally an explicit kernel basis for diagnostics.
+Entries are Python ints, or Fractions where a caller passes them.
+Rank is computed by fraction-free elimination on integer rows
+(denominators cleared row by row): the pivot row is cross-multiplied
+into the others and each result is re-normalized by its content (gcd),
+so entries stay small and no floating point is ever involved.  Pivots
+are chosen sparsity-first (fewest entries in the pivot row, ties to
+the lowest row index, then the pivot row's least-used column, Markowitz
+style), so repeated runs take identical paths.  A heap of live rows by
+length and a column -> rows index make each step touch only the rows
+that hold the pivot column.
 """
 
+import heapq
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class SparseExactMatrix:
     """Immutable coordinate-format matrix with exact rational entries.
 
-    entries is a tuple of (row, col, Fraction) with no duplicates and
-    no explicit zeros, sorted by (row, col).
+    entries is a tuple of (row, col, value) with no duplicates and no
+    explicit zeros, sorted by (row, col); int values stay ints, any
+    other value is stored as a Fraction.
     """
 
     __slots__ = ("n_rows", "n_cols", "entries")
@@ -28,19 +34,19 @@ class SparseExactMatrix:
     def __init__(self, n_rows, n_cols, entries):
         if n_rows < 0 or n_cols < 0:
             raise ValueError("negative matrix dimensions")
-        seen = set()
         clean = []
         for r, c, q in entries:
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError("entry (%r, %r) outside a %dx%d matrix" % (r, c, n_rows, n_cols))
-            if (r, c) in seen:
-                raise ValueError("duplicate entry at (%d, %d)" % (r, c))
-            seen.add((r, c))
-            q = Fraction(q)
+            if type(q) is not int:
+                q = Fraction(q)
             if q == 0:
                 raise ValueError("explicit zero stored at (%d, %d)" % (r, c))
             clean.append((r, c, q))
-        clean.sort(key=lambda e: (e[0], e[1]))
+        clean.sort()
+        for (r, c, _), (r2, c2, _) in zip(clean, clean[1:]):
+            if r == r2 and c == c2:
+                raise ValueError("duplicate entry at (%d, %d)" % (r, c))
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "entries", tuple(clean))
@@ -60,7 +66,7 @@ class SparseExactMatrix:
                 raise ValueError("ragged rows")
             for c, q in enumerate(row):
                 if q:
-                    entries.append((r, c, Fraction(q)))
+                    entries.append((r, c, q))
         return cls(n_rows, n_cols, entries)
 
     @classmethod
@@ -75,9 +81,10 @@ class SparseExactMatrix:
         return not self.entries
 
     def to_dense(self):
+        """List of rows of Fractions, whatever the stored entry type."""
         rows = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
         for r, c, q in self.entries:
-            rows[r][c] = q
+            rows[r][c] = Fraction(q)
         return rows
 
     def transpose(self):
@@ -99,7 +106,7 @@ class SparseExactMatrix:
         for k, c, a in other.entries:
             for r, b in by_col.get(k, ()):
                 key = (r, c)
-                acc[key] = acc.get(key, Fraction(0)) + b * a
+                acc[key] = acc.get(key, 0) + b * a
         entries = [(r, c, q) for (r, c), q in acc.items() if q]
         return SparseExactMatrix(self.n_rows, other.n_cols, entries)
 
@@ -124,60 +131,69 @@ def _integer_rows(A):
     rows = {}
     for r, c, q in A.entries:
         rows.setdefault(r, {})[c] = q
+    all_ints = all(type(q) is int for _, _, q in A.entries)
     out = []
-    for r in sorted(rows):
-        row = rows[r]
-        den = 1
-        for q in row.values():
-            den = den * q.denominator // gcd(den, q.denominator)
-        ints = {c: int(q * den) for c, q in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        out.append({c: v // g for c, v in ints.items()})
+    for row in rows.values():  # entries are sorted, so rows are too
+        if not all_ints:
+            den = lcm(*(q.denominator for q in row.values()))
+            row = {c: int(q * den) for c, q in row.items()}
+        g = gcd(*row.values())
+        out.append({c: v // g for c, v in row.items()} if g != 1 else row)
     return out
 
 
 def rank(A):
     """Rank of A, by fraction-free sparse Gaussian elimination."""
-    live = _integer_rows(A)
-    col_count = {}
-    for row in live:
+    rows = _integer_rows(A)
+    col_rows = {}
+    for j, row in enumerate(rows):
         for c in row:
-            col_count[c] = col_count.get(c, 0) + 1
+            col_rows.setdefault(c, set()).add(j)
+    # (length, index) of every live row; entries whose row has died or
+    # changed length since are stale and skipped when popped
+    heap = [(len(row), j) for j, row in enumerate(rows)]
+    heapq.heapify(heap)
     rnk = 0
-    while live:
-        # Markowitz-flavored pivot: shortest row, then its least-used
-        # column.  Ties break on position so the path is deterministic.
-        pi = min(range(len(live)), key=lambda i: (len(live[i]), i))
-        prow = live.pop(pi)
-        pc = min(prow, key=lambda c: (col_count[c], c))
+    while heap:
+        n, pi = heapq.heappop(heap)
+        prow = rows[pi]
+        if prow is None or len(prow) != n:
+            continue
+        # Markowitz-flavored pivot: the shortest row (the heap breaks
+        # ties on row index), then its least-used column, ties broken on
+        # column index, so the path is deterministic.
+        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
         p = prow[pc]
+        rows[pi] = None
         rnk += 1
         for c in prow:
-            col_count[c] -= 1
-        nxt = []
-        for row in live:
-            a = row.get(pc)
-            if a is None:
-                nxt.append(row)
-                continue
-            for c in row:
-                col_count[c] -= 1
-            new = {}
-            for c in set(row) | set(prow):
-                v = p * row.get(c, 0) - a * prow.get(c, 0)
-                if v:
-                    new[c] = v
-            if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                new = {c: v // g for c, v in new.items()}
-                for c in new:
-                    col_count[c] = col_count.get(c, 0) + 1
-                nxt.append(new)
-        live = nxt
+            col_rows[c].discard(pi)
+        for j in tuple(col_rows[pc]):
+            row = rows[j]
+            a = row[pc]
+            g = gcd(p, a)
+            mp, ma = p // g, a // g
+            if mp != 1:
+                for c in row:
+                    row[c] *= mp
+            for c, v in prow.items():
+                old = row.get(c)
+                new = (old or 0) - ma * v
+                if new:
+                    if old is None:
+                        col_rows[c].add(j)
+                    row[c] = new
+                else:
+                    del row[c]
+                    col_rows[c].discard(j)
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    for c in row:
+                        row[c] //= g
+                heapq.heappush(heap, (len(row), j))
+            else:
+                rows[j] = None
     return rnk
 
 

@@ -2,10 +2,11 @@
 
 Nothing here imports the package's linear algebra or complex builder:
 the rank routine is a plain dense Gaussian elimination over Fraction,
-and the two small configuration-space complexes of CP^1 are written
-out by hand (monomial bases listed degree by degree, differentials
-entered as explicit matrices).  Agreement between these and the
-engine is what the tests are for.
+the differential of a monomial is the textbook word-based Leibniz rule
+over Fraction, and the two small configuration-space complexes of CP^1
+are written out by hand (monomial bases listed degree by degree,
+differentials entered as explicit matrices).  Agreement between these
+and the engine is what the tests are for.
 """
 
 from fractions import Fraction
@@ -38,6 +39,60 @@ def dense_rank(rows):
         if r == n_rows:
             break
     return r
+
+
+def _word(v_exps, w_exps):
+    """Canonical factor sequence: (0, i) for v_i, (1, t) for w_t."""
+    word = []
+    for idx, e in enumerate(v_exps):
+        word.extend([(0, idx)] * e)
+    for idx, e in enumerate(w_exps):
+        word.extend([(1, idx)] * e)
+    return word
+
+
+def _normalize_word(G, word):
+    """(sign, (v_exps, w_exps)) of an arbitrary word, None if it dies.
+
+    Even factors commute freely, odd ones anticommute and square to
+    zero, so the sign is (-1)^(inversions among the odd factors).
+    """
+    degree = {0: G.v_degrees, 1: G.w_degrees}
+    odd_seq = [f for f in word if degree[f[0]][f[1]] % 2]
+    if len(set(odd_seq)) != len(odd_seq):
+        return None
+    inversions = sum(1 for i in range(len(odd_seq))
+                     for j in range(i + 1, len(odd_seq))
+                     if odd_seq[i] > odd_seq[j])
+    v_exps = [0] * len(G.v_degrees)
+    w_exps = [0] * len(G.w_degrees)
+    for space, idx in word:
+        (v_exps if space == 0 else w_exps)[idx] += 1
+    return (-1) ** inversions, (tuple(v_exps), tuple(w_exps))
+
+
+def leibniz_differential(G, v_exps, w_exps):
+    """d of the canonical monomial with the given exponents.
+
+    Each W-factor in turn is replaced by its boundary sum of coeff *
+    v_a v_b, with the Koszul sign of the factors to its left; the word
+    is then re-sorted by _normalize_word.  Returns a dict (v_exps,
+    w_exps) -> Fraction without zero terms.
+    """
+    word = _word(v_exps, w_exps)
+    acc = {}
+    prefix_parity = 0
+    for pos, (space, idx) in enumerate(word):
+        if space == 1:
+            koszul = -1 if prefix_parity else 1
+            for (a, b), coeff in G.boundary_on_w[idx]:
+                new = word[:pos] + [(0, a), (0, b)] + word[pos + 1:]
+                normalized = _normalize_word(G, new)
+                if normalized is not None:
+                    sign, out = normalized
+                    acc[out] = acc.get(out, Fraction(0)) + Fraction(coeff) * koszul * sign
+        prefix_parity ^= (G.v_degrees if space == 0 else G.w_degrees)[idx] % 2
+    return {out: q for out, q in acc.items() if q}
 
 
 def dense_betti(dims, maps):
@@ -93,6 +148,19 @@ def s4_ring():
         (0, 1): ((1, 1),), (1, 0): ((1, 1),),
     }
     return RingPresentation(("1", "y"), (0, 4), table, 4, label="S^4")
+
+
+def cp2_half_ring():
+    """CP^2 presented with x * x = y / 2, so its boundary table has D = 2."""
+    half = Fraction(1, 2)
+    table = {
+        (0, 0): ((0, 1),),
+        (0, 1): ((1, 1),), (1, 0): ((1, 1),),
+        (0, 2): ((2, 1),), (2, 0): ((2, 1),),
+        (1, 1): ((2, half),),
+    }
+    return RingPresentation(("1", "x", "y"), (0, 2, 4), table, 4,
+                            label="CP^2 (x^2 = y/2)")
 
 
 def cp2_ring_doc():

@@ -8,7 +8,7 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
                          enumerate_basis, homotopy_check, make_cpm,
                          reduce_complex)
 from configcohom.cecomplex import in_reduction_ideal, make_monomial
-from oracles import s4_ring, torus_ring
+from oracles import cp2_half_ring, leibniz_differential, s4_ring, torus_ring
 
 
 def mono(G, exps):
@@ -242,3 +242,57 @@ def test_dump_complex_shape():
     assert slices[(1, 1)] == ["w1"]
     blk = {tuple(b["source"]): b for b in doc["blocks"]}
     assert blk[(1, 1)]["entries"] == [[0, 0, "2"]]
+
+
+ORACLE_CASES = {
+    "T^2": (torus_ring, range(0, 9), ("full",)),
+    "S^4": (s4_ring, range(0, 8), ("full",)),
+    "CP^3": (lambda: make_cpm(3), range(0, 7), ("full", "reduced")),
+    "CP^2 x^2=y/2": (cp2_half_ring, range(0, 8), ("full",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_blocks_match_word_oracle(name):
+    # every assembled entry, divided by the ring's scale D, equals the
+    # word-based Leibniz differential; in reduced mode the oracle terms
+    # missing from the block are exactly those in the reduction ideal
+    make_ring, ks, modes = ORACLE_CASES[name]
+    G = build_generators(make_ring())
+    for mode in modes:
+        for k in ks:
+            if mode == "reduced" and k < 2:
+                continue
+            basis = enumerate_basis(G, k)
+            if mode == "reduced":
+                basis = reduce_complex(G, basis)
+            blocks = {b.source: b for b in assemble_blocks(G, basis)}
+            for (i, w), source in basis.slices.items():
+                if w == 0:
+                    continue
+                b = blocks[(i, w)]
+                assert all(type(q) is int for _, _, q in b.matrix.entries)
+                target = basis.slice(i + 1, w - 1)
+                got = [{} for _ in source]
+                for r, c, q in b.matrix.entries:
+                    got[c][target[r].key()] = Fraction(q, b.scale)
+                for col, mon in enumerate(source):
+                    want = leibniz_differential(G, mon.v_exps, mon.w_exps)
+                    if mode == "reduced":
+                        want = {key: q for key, q in want.items()
+                                if not in_reduction_ideal(G, make_monomial(G, *key))}
+                    assert got[col] == want, (name, k, mode, mon.label(G))
+
+
+def test_block_scale_clears_denominators():
+    G = build_generators(cp2_half_ring())
+    blocks = assemble_blocks(G, enumerate_basis(G, 3))
+    assert {b.scale for b in blocks} == {2}
+    assert any(q % 2 for b in blocks for _, _, q in b.matrix.entries)
+    G2 = build_generators(make_cpm(2))
+    assert {b.scale for b in assemble_blocks(G2, enumerate_basis(G2, 3))} == {1}
+    doc = dump_complex(G, enumerate_basis(G, 2), assemble_blocks(G, enumerate_basis(G, 2)))
+    # d(w3) = 2 v0 v4 + v2^2 / 2 on the rescaled ring
+    blk = {tuple(b["source"]): b for b in doc["blocks"]}
+    assert sorted(e[2] for e in blk[(3, 1)]["entries"]) == ["1/2", "2"]
+    assert diff_labels(G, mono(G, {"w3": 1})) == {"v0 v4": 2, "v2^2": Fraction(1, 2)}

@@ -1,7 +1,10 @@
 import json
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from configcohom import extremal, homology
+from configcohom.cecomplex import AssemblyError
 from configcohom.cli import main, parse_config
 from oracles import cp2_ring_doc
 
@@ -175,3 +178,42 @@ def test_jobs_env_default(monkeypatch):
     assert cfg.jobs == 1
     cfg = parse_config(["verify", "--cpm", "2", "--k-max", "8", "--jobs", "2"])
     assert cfg.jobs == 2
+
+
+def test_jobs_below_one_rejected():
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cpm", "2", "--k-max", "8", "--jobs", bad])
+        assert exc.value.code == 2
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    # computed without starting any process
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
+    assert extremal.worker_count(10000, 18) == 4
+    assert extremal.worker_count(3, 18) == 3
+    assert extremal.worker_count(8, 2) == 2
+    assert extremal.worker_count(8, 0) == 1
+    assert extremal.worker_count(1, 18) == 1
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: None)
+    assert extremal.worker_count(8, 18) == 1
+
+
+def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
+    def broken_assembly(G, basis):
+        raise AssemblyError("d o d != 0 out of slice (3, 1)")
+
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps(cp2_ring_doc()))  # a fresh ring, no cached blocks
+    monkeypatch.setattr(homology, "assemble_blocks", broken_assembly)
+    rc, out, err = run(capsys, "betti", "--ring", str(path), "--k", "3")
+    assert rc == 4 and out == ""
+    assert err == "internal error: AssemblyError: d o d != 0 out of slice (3, 1)\n"
+
+    def broken_pool(m, ks, mode, jobs):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)
+    rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "8", "--jobs", "2")
+    assert rc == 4
+    assert err.startswith("internal error: BrokenProcessPool")

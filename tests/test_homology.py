@@ -3,8 +3,8 @@ import pytest
 from configcohom import betti, consistency_report, make_cpm
 from configcohom.homology import complex_data
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
-                     CP1_K3_DIMS, CP1_K3_MAPS, dense_betti, s4_ring,
-                     torus_ring)
+                     CP1_K3_DIMS, CP1_K3_MAPS, cp2_half_ring, dense_betti,
+                     s4_ring, torus_ring)
 
 
 def nonzero(table):
@@ -110,3 +110,10 @@ def test_s4_configuration_spaces():
     R = s4_ring()
     assert nonzero(betti(R, 2)) == {0: 1}
     assert nonzero(betti(R, 3)) == {0: 1, 7: 1}
+
+
+def test_rescaled_presentation_has_the_same_tables():
+    # x * x = y / 2 only rescales the top class, so C_k(CP^2) is unchanged
+    R = cp2_half_ring()
+    for k in range(0, 8):
+        assert betti(R, k).dims == betti(make_cpm(2), k).dims, k

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from configcohom import SparseExactMatrix, kernel_basis, kernel_dim, rank
+from configcohom import (SparseExactMatrix, kernel_basis, kernel_dim,
+                         make_cpm, rank)
+from configcohom.homology import complex_data
 from oracles import dense_rank
 
 
@@ -48,6 +50,29 @@ def test_matmul_and_transpose():
                                         [Fraction(2), Fraction(1)]]
     with pytest.raises(ValueError):
         A @ SparseExactMatrix.zero(3, 3)
+
+
+def test_int_entries_stay_int():
+    A = SparseExactMatrix.from_dense([[1, 2], [0, -1]])
+    assert all(type(q) is int for _, _, q in A.entries)
+    assert all(type(q) is int for _, _, q in (A @ A).entries)
+    assert all(type(x) is Fraction for row in A.to_dense() for x in row)
+    B = SparseExactMatrix(1, 2, [(0, 1, Fraction(1, 2))])
+    assert B.entries == ((0, 1, Fraction(1, 2)),)
+    assert rank(B) == 1
+
+
+def test_kernel_basis_exact_on_int_block():
+    # the CP^4, k = 10 reduced block out of (e + 1, weight 1), e = 60
+    _, blocks, _ = complex_data(make_cpm(4), 10, "reduced")
+    A = blocks[(61, 1)].matrix
+    assert all(type(q) is int for _, _, q in A.entries)
+    basis = kernel_basis(A)
+    assert len(basis) == 2
+    assert all(type(x) is Fraction for vec in basis for x in vec)
+    for vec in basis:
+        for row in A.to_dense():
+            assert sum(a * x for a, x in zip(row, vec)) == 0
 
 
 def test_kernel_basis_spans_kernel():
