@@ -9,6 +9,12 @@ sending weight w to weight w-1 and raising degree by one.  Monomials
 are words in the generators; the graded-symmetric algebra means even
 generators commute, odd generators anticommute and square to zero.
 
+Codes.  enumerate_basis lists each (degree, weight) slice once, in
+canonical order, and gives every monomial its mixed-radix code: the
+exponents (V-slots, then W-slots) as digits in base k + 1.  The code
+is the monomial's hash and the differential's coordinate, so a term of
+d is one int add and one dict lookup.
+
 Signs.  Every monomial is stored in canonical order (V-factors first,
 then W-factors, each block sorted by generator position) with
 coefficient +1.  The differential is the Leibniz sum over the
@@ -39,6 +45,7 @@ cohomology.  homotopy_check verifies (dh + hd) = id on the ideal
 exactly; reduce_complex builds the quotient basis.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
@@ -52,25 +59,28 @@ class Monomial:
     """Canonical monomial: exponent tuples over the V- and W-generators.
 
     degree, weight (total W-exponent) and v_length (total V-exponent)
-    are precomputed; identity is by exponents alone, so monomials from
-    the same GeneratorSet compare and hash cheaply.
+    are precomputed.  code is the mixed-radix code of the exponents
+    (V-slots, then W-slots, as digits in base k + 1 with
+    k = v_length + 2 * weight), assigned once when the monomial is
+    enumerated or made; it is the hash, and the differential works on
+    it directly.  Identity is by exponents alone.
     """
 
-    __slots__ = ("v_exps", "w_exps", "degree", "weight", "v_length", "_h")
+    __slots__ = ("v_exps", "w_exps", "degree", "weight", "v_length", "code")
 
-    def __init__(self, v_exps, w_exps, degree, weight, v_length):
+    def __init__(self, v_exps, w_exps, degree, weight, v_length, code):
         self.v_exps = v_exps
         self.w_exps = w_exps
         self.degree = degree
         self.weight = weight
         self.v_length = v_length
-        self._h = hash((v_exps, w_exps))
+        self.code = code
 
     def __eq__(self, other):
         return self.v_exps == other.v_exps and self.w_exps == other.w_exps
 
     def __hash__(self):
-        return self._h
+        return self.code
 
     def key(self):
         """Canonical sort key within a (degree, weight) slice."""
@@ -96,7 +106,13 @@ def make_monomial(G, v_exps, w_exps):
     w_exps = tuple(w_exps)
     degree = sum(e * d for e, d in zip(v_exps, G.v_degrees)) \
         + sum(e * d for e, d in zip(w_exps, G.w_degrees))
-    return Monomial(v_exps, w_exps, degree, sum(w_exps), sum(v_exps))
+    weight = sum(w_exps)
+    v_length = sum(v_exps)
+    radix = v_length + 2 * weight + 1
+    code = 0
+    for e in reversed(v_exps + w_exps):
+        code = code * radix + e
+    return Monomial(v_exps, w_exps, degree, weight, v_length, code)
 
 
 @dataclass
@@ -141,33 +157,8 @@ class DifferentialBlock:
     scale: int = 1
 
 
-def _sym_exponents(parities, total):
-    """Exponent tuples of graded-symmetric monomials of given length.
-
-    parities flags which generators are odd (exponent at most 1).
-    Yields tuples in lexicographic order.
-    """
-    n = len(parities)
-    out = []
-    exps = [0] * n
-
-    def rec(i, rem):
-        if i == n:
-            if rem == 0:
-                out.append(tuple(exps))
-            return
-        cap = 1 if parities[i] else rem
-        for e in range(min(cap, rem) + 1):
-            exps[i] = e
-            rec(i + 1, rem - e)
-        exps[i] = 0
-
-    rec(0, total)
-    return out
-
-
 def _sym_count(parities, total):
-    """Closed-form count matching _sym_exponents."""
+    """Closed-form count of the tuples _coded_exponents lists for total."""
     odd = sum(1 for p in parities if p)
     even = len(parities) - odd
     count = 0
@@ -188,33 +179,64 @@ def count_monomials(G, k):
     )
 
 
+def _coded_exponents(parities, degrees, powers, totals):
+    """Graded-symmetric exponent tuples by length, in lexicographic order.
+
+    parities flags which generators are odd (exponent at most 1).  Maps
+    each length in totals to a list of (exponents, degree, partial
+    code), degree and code summed over these generators only.  The
+    lists are built from the last generator backwards, so every tail is
+    shared by all the prefixes that extend it.
+    """
+    top = max(totals)
+    tails = {0: [((), 0, 0)]}
+    for i in reversed(range(len(parities))):
+        cap = 1 if parities[i] else top
+        d, p = degrees[i], powers[i]
+        tails = {r: [((e,) + exps, deg + e * d, code + e * p)
+                     for e in range(min(cap, r) + 1)
+                     for exps, deg, code in tails.get(r - e, ())]
+                 for r in (totals if i == 0 else range(top + 1))}
+    return tails
+
+
 def enumerate_basis(G, k):
-    """Canonical monomial basis of the full complex, sliced by (i, w)."""
+    """Canonical monomial basis of the full complex, sliced by (i, w).
+
+    Each slice comes out in canonical order without sorting: V-parts
+    run in lexicographic order and, for each, the W-parts in
+    lexicographic order, which is Monomial.key order.  The exponent
+    lists, with degrees and partial codes, are built once per k.
+    """
     if k < 0:
         raise ValueError("k must be non-negative")
+    n_v = len(G.v_gens)
+    powers = [(k + 1) ** j for j in range(n_v + len(G.w_gens))]
+    weights = range(k // 2 + 1)
+    v_lists = _coded_exponents(G.v_parities, G.v_degrees, powers[:n_v],
+                               [k - 2 * w for w in weights])
+    w_lists = _coded_exponents(G.w_parities, G.w_degrees, powers[n_v:], weights)
     slices = {}
-    for w in range(k // 2 + 1):
-        for ve in _sym_exponents(G.v_parities, k - 2 * w):
-            vdeg = sum(e * d for e, d in zip(ve, G.v_degrees))
-            vlen = k - 2 * w
-            for we in _sym_exponents(G.w_parities, w):
-                deg = vdeg + sum(e * d for e, d in zip(we, G.w_degrees))
-                mon = Monomial(ve, we, deg, w, vlen)
-                slices.setdefault((deg, w), []).append(mon)
-    return BigradedBasis(
-        k=k, mode="full",
-        slices={key: tuple(sorted(mons, key=Monomial.key))
-                for key, mons in slices.items()},
-    )
+    for w in weights:
+        vlen = k - 2 * w
+        w_part = w_lists[w]
+        by_degree = defaultdict(list)
+        for ve, vdeg, vcode in v_lists[vlen]:
+            for we, wdeg, wcode in w_part:
+                deg = vdeg + wdeg
+                by_degree[deg].append(Monomial(ve, we, deg, w, vlen, vcode + wcode))
+        for deg, mons in by_degree.items():
+            slices[(deg, w)] = tuple(mons)
+    return BigradedBasis(k=k, mode="full", slices=slices)
 
 
 class _Differential:
     """D * d on the exponent vectors of monomials of k points.
 
-    A monomial is coded as the integer with its exponents (V-slots,
-    then W-slots) as mixed-radix digits in base k + 1, so the target of
-    a term is the source code plus a fixed delta.  tables[t] holds one
-    tuple per term coeff * v_a v_b of d(w_t):
+    Monomials carry their mixed-radix code in base k + 1
+    (Monomial.code), so the target of a term is the source code plus a
+    fixed delta.  tables[t] holds one tuple per term coeff * v_a v_b of
+    d(w_t):
 
         (dead, shift_a, shift_b, swap, D * coeff, delta)
 
@@ -251,10 +273,6 @@ class _Differential:
             tables.append(tuple(table))
         self.tables = tuple(tables)
 
-    def code(self, mon):
-        """The monomial's mixed-radix code."""
-        return sum(e * p for e, p in zip(mon.v_exps + mon.w_exps, self.powers))
-
     def monomial(self, G, code):
         """The Monomial with the given code."""
         exps = []
@@ -263,11 +281,9 @@ class _Differential:
             exps.append(e)
         return make_monomial(G, exps[:self.n_v], exps[self.n_v:])
 
-    def apply(self, mon, code):
-        """D * d(mon) as a dict target code -> int (sums may be 0).
-
-        code is the monomial's own code.
-        """
+    def apply(self, mon):
+        """D * d(mon) as a dict target code -> int (sums may be 0)."""
+        code = mon.code
         vmask = 0
         for a in self.odd_v:
             if mon.v_exps[a]:
@@ -307,7 +323,7 @@ def differential_of_monomial(G, mon):
 def _terms(G, d, mon):
     """differential_of_monomial through an already built kernel d."""
     terms = [(d.monomial(G, code), Fraction(q, d.scale))
-             for code, q in d.apply(mon, d.code(mon)).items() if q]
+             for code, q in d.apply(mon).items() if q]
     terms.sort(key=lambda t: t[0].key())
     return terms
 
@@ -356,18 +372,17 @@ def assemble_blocks(G, basis):
 
     reduced = basis.mode == "reduced"
     d = _Differential(G, basis.k)
-    codes = {key: [d.code(mon) for mon in mons]
-             for key, mons in basis.slices.items()}
     blocks = []
     for (i, w) in sorted(basis.slices):
         if w == 0:
             continue
         source = basis.slices[(i, w)]
         target_key = (i + 1, w - 1)
-        target_pos = {code: row for row, code in enumerate(codes.get(target_key, ()))}
+        target_pos = {mon.code: row
+                      for row, mon in enumerate(basis.slice(*target_key))}
         entries = []
-        for col, (mon, code) in enumerate(zip(source, codes[(i, w)])):
-            for out_code, q in d.apply(mon, code).items():
+        for col, mon in enumerate(source):
+            for out_code, q in d.apply(mon).items():
                 if not q:
                     continue
                 row = target_pos.get(out_code)

@@ -67,6 +67,13 @@ def _positive_int(text):
     return n
 
 
+def _nonnegative_int(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
+    return n
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="configcohom",
@@ -78,7 +85,8 @@ def build_parser():
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
-        p.add_argument("--max-monomials", type=int, default=DEFAULT_MAX_MONOMIALS,
+        p.add_argument("--max-monomials", type=_nonnegative_int,
+                       default=DEFAULT_MAX_MONOMIALS,
                        help="refuse complexes larger than this (default %d)"
                             % DEFAULT_MAX_MONOMIALS)
         if ring:

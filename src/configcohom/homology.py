@@ -6,10 +6,12 @@ contributes
 
     dim slice - rank(block out of it) - rank(block into it)
 
-to the Betti number of its degree.  Blocks, ranks and tables are
-cached per (k, mode) on the ring's generator set, and d o d = 0 is
-re-verified on the assembled matrices once per (k, mode) before any
-rank is trusted.
+to the Betti number of its degree.  Bases, blocks, ranks and tables
+are cached per (k, mode) on the ring's generator set; a reduced basis
+is cut from the cached full one when there is one, so a run that
+computes both modes enumerates each k once.  d o d = 0 is re-verified
+on the assembled matrices once per (k, mode) before any rank is
+trusted.
 """
 
 from dataclasses import dataclass
@@ -66,7 +68,8 @@ def _mode_basis(G, k, mode):
     if mode == "full":
         return enumerate_basis(G, k)
     if mode == "reduced":
-        return reduce_complex(G, enumerate_basis(G, k))
+        full = G._basis_cache.get((k, "full"))
+        return reduce_complex(G, full if full is not None else enumerate_basis(G, k))
     raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
 
 

@@ -3,13 +3,15 @@
 Nothing here imports the package's linear algebra or complex builder:
 the rank routine is a plain dense Gaussian elimination over Fraction,
 the differential of a monomial is the textbook word-based Leibniz rule
-over Fraction, and the two small configuration-space complexes of CP^1
+over Fraction, the monomial basis is a brute-force search over all
+exponent vectors, and the two small configuration-space complexes of CP^1
 are written out by hand (monomial bases listed degree by degree,
 differentials entered as explicit matrices).  Agreement between these
 and the engine is what the tests are for.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from configcohom import RingPresentation
 
@@ -93,6 +95,28 @@ def leibniz_differential(G, v_exps, w_exps):
                     acc[out] = acc.get(out, Fraction(0)) + Fraction(coeff) * koszul * sign
         prefix_parity ^= (G.v_degrees if space == 0 else G.w_degrees)[idx] % 2
     return {out: q for out, q in acc.items() if q}
+
+
+def brute_force_basis(G, k):
+    """The monomial basis for k points, by brute force.
+
+    Returns (degree, weight) -> sorted list of (v_exps, w_exps): every
+    exponent vector with entries 0..k, kept when odd generators have
+    exponent at most 1, the W-exponents sum to a weight w and the
+    V-exponents to k - 2w.
+    """
+    def vectors(parities, total):
+        return [e for e in product(range(k + 1), repeat=len(parities))
+                if sum(e) == total and all(x <= 1 for x, p in zip(e, parities) if p)]
+
+    slices = {}
+    for w in range(k // 2 + 1):
+        for v_exps in vectors(G.v_parities, k - 2 * w):
+            for w_exps in vectors(G.w_parities, w):
+                degree = sum(x * g.degree for x, g in zip(v_exps, G.v_gens)) \
+                    + sum(x * g.degree for x, g in zip(w_exps, G.w_gens))
+                slices.setdefault((degree, w), []).append((v_exps, w_exps))
+    return {key: sorted(mons) for key, mons in slices.items()}
 
 
 def dense_betti(dims, maps):

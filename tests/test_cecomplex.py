@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import comb
 
@@ -7,8 +9,10 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
                          differential_of_monomial, dump_complex,
                          enumerate_basis, homotopy_check, make_cpm,
                          reduce_complex)
-from configcohom.cecomplex import in_reduction_ideal, make_monomial
-from oracles import cp2_half_ring, leibniz_differential, s4_ring, torus_ring
+from configcohom.cecomplex import Monomial, in_reduction_ideal, make_monomial
+from configcohom.homology import complex_data
+from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
+                     s4_ring, torus_ring)
 
 
 def mono(G, exps):
@@ -296,3 +300,61 @@ def test_block_scale_clears_denominators():
     blk = {tuple(b["source"]): b for b in doc["blocks"]}
     assert sorted(e[2] for e in blk[(3, 1)]["entries"]) == ["1/2", "2"]
     assert diff_labels(G, mono(G, {"w3": 1})) == {"v0 v4": 2, "v2^2": Fraction(1, 2)}
+
+
+GUARD_RINGS = {
+    "CP^1": lambda: make_cpm(1),
+    "CP^2": lambda: make_cpm(2),
+    "CP^3": lambda: make_cpm(3),
+    "T^2": torus_ring,
+    "S^4": s4_ring,
+    "CP^2 x^2=y/2": cp2_half_ring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_RINGS))
+def test_enumeration_order_and_codes(name):
+    # slices come out in canonical order, equal to a brute-force search,
+    # and every monomial carries its base-(k+1) code as its hash
+    G = build_generators(GUARD_RINGS[name]())
+    for k in range(7):
+        basis = enumerate_basis(G, k)
+        oracle = brute_force_basis(G, k)
+        assert sorted(basis.slices) == sorted(oracle), (name, k)
+        for key, mons in basis.slices.items():
+            assert list(mons) == sorted(mons, key=Monomial.key), (name, k, key)
+            assert [m.key() for m in mons] == oracle[key], (name, k, key)
+            for m in mons:
+                assert m.code == sum(e * (k + 1) ** j
+                                     for j, e in enumerate(m.v_exps + m.w_exps))
+                same = make_monomial(G, m.v_exps, m.w_exps)
+                assert same == m and hash(same) == hash(m) == m.code
+
+
+# sha256 of json.dumps(dump_complex(...), sort_keys=True): engine
+# changes must keep these artifacts byte-identical
+FROZEN_DIGESTS = (
+    ("CP^2", 6, "full",
+     "c9bf4b8fcf57bf192760d1f607d57597264d36b6b39960125d7c5a8cdd6abc32"),
+    ("CP^2", 6, "reduced",
+     "01971c975b076dc7dc18d14bd2cffe414c3a4fc0e1e38b7da593b4756db6a11a"),
+    ("T^2", 6, "full",
+     "55ad99c2e58858b094fc3357798fffcb4a18519094286fa9896a1add0a360e56"),
+    ("S^4", 5, "full",
+     "fc9b366d5c4f902e320b85734716c5c71854a2a26a01b37e060b370c26a47f1f"),
+    ("CP^2 x^2=y/2", 5, "full",
+     "ddeaaf0e435b4a77579d065f17d78286edbd088b381b0c74671a46d92f51be92"),
+)
+
+
+def test_frozen_artifact_digests():
+    # fresh rings, one object per name, so CP^2 reduced is cut from the
+    # full basis cached just before, the way betti and verify do it
+    rings = {"CP^2": make_cpm.__wrapped__(2), "T^2": torus_ring(),
+             "S^4": s4_ring(), "CP^2 x^2=y/2": cp2_half_ring()}
+    for name, k, mode, want in FROZEN_DIGESTS:
+        R = rings[name]
+        basis, blocks, _ = complex_data(R, k, mode)
+        doc = dump_complex(build_generators(R), basis, list(blocks.values()))
+        got = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        assert got == want, (name, k, mode)

@@ -167,6 +167,9 @@ def test_bad_arguments_exit_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--cpm", "2", "--k", "3", "--max-monomials", "-1"])
+    assert exc.value.code == 2
 
 
 def test_jobs_env_default(monkeypatch):

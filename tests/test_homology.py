@@ -1,6 +1,7 @@
 import pytest
 
-from configcohom import betti, consistency_report, make_cpm
+from configcohom import (betti, build_generators, consistency_report,
+                         enumerate_basis, make_cpm, reduce_complex)
 from configcohom.homology import complex_data
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
                      CP1_K3_DIMS, CP1_K3_MAPS, cp2_half_ring, dense_betti,
@@ -117,3 +118,32 @@ def test_rescaled_presentation_has_the_same_tables():
     R = cp2_half_ring()
     for k in range(0, 8):
         assert betti(R, k).dims == betti(make_cpm(2), k).dims, k
+
+
+def _reduced_data(R, k):
+    """Slices (in order), blocks and ranks of complex_data in reduced mode."""
+    basis, blocks, ranks = complex_data(R, k, "reduced")
+    slices = [(key, [m.key() for m in mons]) for key, mons in basis.slices.items()]
+    blocks = {src: (b.target, b.matrix.n_rows, b.matrix.n_cols, b.matrix.entries, b.scale)
+              for src, b in blocks.items()}
+    return slices, blocks, ranks
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_reduced_basis_cut_from_cached_full(m):
+    for k in range(2, 8):
+        after_full = make_cpm.__wrapped__(m)
+        betti(after_full, k, "full")
+        fresh = make_cpm.__wrapped__(m)
+        assert _reduced_data(after_full, k) == _reduced_data(fresh, k), k
+        G = build_generators(fresh)
+        assert (k, "full") not in G._basis_cache
+        want = reduce_complex(G, enumerate_basis(G, k)).slices
+        assert G._basis_cache[(k, "reduced")].slices == want
+        # after a full run the reduced monomials are the full basis's objects
+        G = build_generators(after_full)
+        full = {id(mon) for mons in G._basis_cache[(k, "full")].slices.values()
+                for mon in mons}
+        assert all(id(mon) in full
+                   for mons in G._basis_cache[(k, "reduced")].slices.values()
+                   for mon in mons)
