@@ -18,7 +18,7 @@ from .extremal import (HilbertRay, QuasiPolynomial, RangeReport,
 from .generators import Generator, GeneratorSet, build_generators
 from .homology import (BettiTable, ConsistencyReport, betti,
                        consistency_report)
-from .linalg import SparseExactMatrix, kernel_basis, kernel_dim, rank
+from .linalg import SparseExactMatrix, kernel_dim, rank
 from .ring import (InvalidRingError, RingDiagnostics, RingPresentation,
                    RingSchemaError, diagonal_comultiplication, load_ring,
                    make_cpm, ring_from_dict, validate_ring)
@@ -33,7 +33,7 @@ __all__ = [
     "assemble_blocks", "betti", "build_generators", "consistency_report",
     "count_monomials", "detect_quasi_polynomial", "diagonal_comultiplication",
     "differential_of_monomial", "dump_complex", "enumerate_basis",
-    "hilbert_ray", "homotopy_check", "kernel_basis", "kernel_dim",
+    "hilbert_ray", "homotopy_check", "kernel_dim",
     "load_ring", "make_cpm", "rank", "reduce_complex", "ring_from_dict",
     "validate_ring", "verify_vanishing_ranges",
 ]

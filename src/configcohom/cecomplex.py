@@ -378,16 +378,18 @@ def assemble_blocks(G, basis):
             continue
         source = basis.slices[(i, w)]
         target_key = (i + 1, w - 1)
-        target_pos = {mon.code: row
-                      for row, mon in enumerate(basis.slice(*target_key))}
-        entries = []
-        for col, mon in enumerate(source):
+        target = basis.slice(*target_key)
+        row_of = {mon.code: row for row, mon in enumerate(target)}.get
+        col_start, rows, values = [0], [], []
+        add_row, add_value = rows.append, values.append
+        for mon in source:
             for out_code, q in d.apply(mon).items():
                 if not q:
                     continue
-                row = target_pos.get(out_code)
+                row = row_of(out_code)
                 if row is not None:
-                    entries.append((row, col, q))
+                    add_row(row)
+                    add_value(q)
                     continue
                 out = d.monomial(G, out_code)
                 if reduced and in_reduction_ideal(G, out):
@@ -395,7 +397,8 @@ def assemble_blocks(G, basis):
                 raise AssemblyError(
                     "d(%s) produced %s outside slice %r"
                     % (mon.label(G), out.label(G), target_key))
-        matrix = SparseExactMatrix(len(basis.slice(*target_key)), len(source), entries)
+            col_start.append(len(rows))
+        matrix = SparseExactMatrix.from_columns(len(target), col_start, rows, values)
         blocks.append(DifferentialBlock(source=(i, w), target=target_key,
                                         matrix=matrix, scale=d.scale))
     return blocks

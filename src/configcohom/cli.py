@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from .cecomplex import AssemblyError, count_monomials
@@ -315,6 +314,17 @@ def _run_ring_check(cfg):
     return 0 if diag.valid else 2
 
 
+def _pool_errors():
+    """BrokenProcessPool, once a process pool has been imported.
+
+    The pool module (and multiprocessing with it) is imported only where
+    a pool is started, so that every other run skips the import; before
+    that no pool can have broken.
+    """
+    pool = sys.modules.get("concurrent.futures.process")
+    return (pool.BrokenProcessPool,) if pool is not None else ()
+
+
 def run(cfg):
     """Execute a parsed configuration; returns the process exit code."""
     try:
@@ -331,7 +341,7 @@ def run(cfg):
             OSError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (AssemblyError, BrokenProcessPool) as exc:
+    except (AssemblyError, *_pool_errors()) as exc:
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return 4
 

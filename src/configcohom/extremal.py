@@ -21,7 +21,6 @@ attached.
 """
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,9 +88,19 @@ class QuasiPolynomial:
 
 
 def _dims_for_k(args):
-    """Worker: Betti dims of C_k(CP^m).  Top-level so it pickles."""
-    m, k, mode = args
-    return k, betti(make_cpm(m), k, mode).dims
+    """Worker: Betti dims of C_k(CP^m).  Top-level so it pickles.
+
+    Mode "both" computes the full table, then the reduced one, whose
+    basis is cut from the full basis this process just enumerated, and
+    returns (full dims, reduced dims, facts); facts holds the structural
+    facts of the reduced complex at this k when asked for, else None.
+    """
+    m, k, mode, facts = args
+    R = make_cpm(m)
+    if mode != "both":
+        return k, betti(R, k, mode).dims
+    full, reduced = betti(R, k, "full").dims, betti(R, k, "reduced").dims
+    return k, (full, reduced, _structural_facts(R, m, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
@@ -102,15 +111,20 @@ def worker_count(jobs, n_tasks):
 def _betti_dims_range(m, ks, mode, jobs):
     """dims per k over a list of k, optionally fanned out to processes.
 
-    Results are collected in submission order, so the outcome is
-    byte-identical for any job count.
+    One task per k; in mode "both" (see _dims_for_k) the task at the
+    largest k also returns the structural facts when m >= 2.  Workers
+    take the largest k first, and results are keyed by k, so the
+    outcome is byte-identical for any job count.
     """
-    tasks = [(m, k, mode) for k in ks]
+    facts_at = max(ks) if mode == "both" and m >= 2 else None
+    tasks = [(m, k, mode, k == facts_at) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(_dims_for_k, tasks))
+        return dict(pool.map(_dims_for_k, tasks[::-1]))
 
 
 def hilbert_ray(R, i, k_min, k_max, mode="reduced", jobs=1):
@@ -309,15 +323,18 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     claimed onset; the report records the onset actually observed in
     the window and marks the check "sharper" when vanishing starts
     earlier than claimed, "fail" when a claimed-zero value is nonzero.
+    Each k is one task, full table then reduced table in the same
+    process, and the task at k_max also returns the structural facts,
+    so nothing is computed twice under jobs > 1.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ValueError("m must be a positive integer")
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
-    R = make_cpm(m)
     ks = list(range(2, k_max + 1))
-    dims_by_k = _betti_dims_range(m, ks, "full", jobs)
-    reduced_by_k = _betti_dims_range(m, ks, "reduced", jobs)
+    both = _betti_dims_range(m, ks, "both", jobs)
+    dims_by_k = {k: full for k, (full, _, _) in both.items()}
+    reduced_by_k = {k: reduced for k, (_, reduced, _) in both.items()}
     edge = {k: k * (2 * m - 2) for k in ks}
     checks = []
 
@@ -366,7 +383,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     ))
 
     if m >= 2:
-        checks.extend(_structural_facts(R, m, k_max))
+        checks.extend(both[k_max][2])
 
     i0 = tuple((k, dims_by_k[k].get(edge[k], 0)) for k in ks)
     return RangeReport(m=m, k_max=k_max, checks=tuple(checks), i0_samples=i0)

@@ -2,36 +2,50 @@
 
 The differential blocks produced by the complex are sparse integer
 matrices (the complex clears denominators once per ring; entries are
-small, mostly 1 and 2), and all we ever need from them is rank, kernel
-dimension, and occasionally an explicit kernel basis for diagnostics.
-Entries are Python ints, or Fractions where a caller passes them.
-Rank is computed by fraction-free elimination on integer rows
-(denominators cleared row by row): the pivot row is cross-multiplied
-into the others and each result is re-normalized by its content (gcd),
-so entries stay small and no floating point is ever involved.  Pivots
-are chosen sparsity-first (fewest entries in the pivot row, ties to
-the lowest row index, then the pivot row's least-used column, Markowitz
-style), so repeated runs take identical paths.  A heap of live rows by
-length and a column -> rows index make each step touch only the rows
-that hold the pivot column.
+small, mostly 1 and 2), and all we ever need from them is rank and
+kernel dimension.  Entries are Python ints, or Fractions where a
+caller passes them.
+
+Columns are the one representation.  A matrix is stored in compressed
+sparse column form: column start offsets, row indices and values, the
+form assembly writes (one column per source monomial).  The (row, col,
+value) triples in `entries` are derived from it on demand.  A product
+composes columns: column c of A @ B is the sum over r of
+B[r, c] * A[:, r], accumulated in a dict keyed by row.
+
+Elimination runs over columns too (rank A = rank A^T): fraction-free,
+with denominators cleared column by column; the pivot column is
+cross-multiplied into the others and each result is re-normalized by
+its content (gcd), so entries stay small and no floating point is ever
+involved.  Pivots are chosen sparsity-first (the column with fewest
+entries, ties to the lowest column index, then that column's
+least-used row, Markowitz style), so repeated runs take identical
+paths.  A heap of live columns by length and a row -> columns index
+make each step touch only the columns that hold the pivot row.
 """
 
 import heapq
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import le
 
 
 class SparseExactMatrix:
-    """Immutable coordinate-format matrix with exact rational entries.
+    """Immutable compressed-sparse-column matrix with exact rational entries.
 
-    entries is a tuple of (row, col, value) with no duplicates and no
-    explicit zeros, sorted by (row, col); int values stay ints, any
-    other value is stored as a Fraction.
+    Column c holds the rows row_index[col_start[c]:col_start[c + 1]]
+    with the matching values, no row twice and no zero value; int
+    values stay ints, any other value is a Fraction.
     """
 
-    __slots__ = ("n_rows", "n_cols", "entries")
+    __slots__ = ("n_rows", "n_cols", "col_start", "row_index", "values")
 
     def __init__(self, n_rows, n_cols, entries):
+        """Build from (row, col, value) triples in any order.
+
+        Rejects entries out of bounds, explicit zeros and duplicates.
+        """
         if n_rows < 0 or n_cols < 0:
             raise ValueError("negative matrix dimensions")
         clean = []
@@ -42,17 +56,55 @@ class SparseExactMatrix:
                 q = Fraction(q)
             if q == 0:
                 raise ValueError("explicit zero stored at (%d, %d)" % (r, c))
-            clean.append((r, c, q))
+            clean.append((c, r, q))
         clean.sort()
-        for (r, c, _), (r2, c2, _) in zip(clean, clean[1:]):
+        for (c, r, _), (c2, r2, _) in zip(clean, clean[1:]):
             if r == r2 and c == c2:
                 raise ValueError("duplicate entry at (%d, %d)" % (r, c))
+        counts = [0] * (n_cols + 1)
+        for c, _, _ in clean:
+            counts[c + 1] += 1
+        self._store(n_rows, n_cols, tuple(accumulate(counts)),
+                    tuple(r for _, r, _ in clean), tuple(q for _, _, q in clean))
+
+    def _store(self, n_rows, n_cols, col_start, row_index, values):
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "entries", tuple(clean))
+        object.__setattr__(self, "col_start", col_start)
+        object.__setattr__(self, "row_index", row_index)
+        object.__setattr__(self, "values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseExactMatrix is immutable")
+
+    @classmethod
+    def from_columns(cls, n_rows, col_start, row_index, values):
+        """Build from the column arrays themselves, without sorting.
+
+        col_start has one offset per column plus the end.  Checks the
+        offsets, row bounds, value types (int or Fraction) and that no
+        value is zero, in O(nnz).  Rows may come in any order within a
+        column; they must not repeat, which is not checked (assembly's
+        rows come from a one-to-one code -> row map).
+        """
+        n_cols = len(col_start) - 1
+        if n_rows < 0 or n_cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if (col_start[0] != 0 or col_start[-1] != len(row_index)
+                or len(values) != len(row_index)
+                or not all(map(le, col_start, col_start[1:]))):
+            raise ValueError("column offsets do not partition the entries")
+        if not set(map(type, row_index)) <= {int}:
+            raise TypeError("row indices must be ints")
+        if row_index and (min(row_index) < 0 or max(row_index) >= n_rows):
+            raise ValueError("row index outside a matrix with %d rows" % n_rows)
+        if not set(map(type, values)) <= {int, Fraction}:
+            raise TypeError("values must be ints or Fractions")
+        if 0 in values:
+            raise ValueError("explicit zero stored")
+        self = cls.__new__(cls)
+        self._store(n_rows, n_cols, tuple(col_start), tuple(row_index), tuple(values))
+        return self
 
     @classmethod
     def from_dense(cls, rows, n_cols=None):
@@ -75,17 +127,31 @@ class SparseExactMatrix:
 
     @property
     def nnz(self):
-        return len(self.entries)
+        return len(self.values)
 
     def is_zero(self):
-        return not self.entries
+        return not self.values
+
+    def columns(self):
+        """Each column as a (row indices, values) pair of tuples."""
+        s, rows, vals = self.col_start, self.row_index, self.values
+        return [(rows[a:b], vals[a:b]) for a, b in zip(s, s[1:])]
+
+    @property
+    def entries(self):
+        """(row, col, value) triples sorted by (row, col)."""
+        out = [(r, c, q) for c, (rows, vals) in enumerate(self.columns())
+               for r, q in zip(rows, vals)]
+        out.sort()
+        return tuple(out)
 
     def to_dense(self):
         """List of rows of Fractions, whatever the stored entry type."""
-        rows = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
-        for r, c, q in self.entries:
-            rows[r][c] = Fraction(q)
-        return rows
+        dense = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
+        for c, (rows, vals) in enumerate(self.columns()):
+            for r, q in zip(rows, vals):
+                dense[r][c] = Fraction(q)
+        return dense
 
     def transpose(self):
         return SparseExactMatrix(
@@ -99,16 +165,28 @@ class SparseExactMatrix:
                 "shape mismatch: %dx%d @ %dx%d"
                 % (self.n_rows, self.n_cols, other.n_rows, other.n_cols)
             )
-        by_col = {}
-        for r, c, q in self.entries:
-            by_col.setdefault(c, []).append((r, q))
-        acc = {}
-        for k, c, a in other.entries:
-            for r, b in by_col.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + b * a
-        entries = [(r, c, q) for (r, c), q in acc.items() if q]
-        return SparseExactMatrix(self.n_rows, other.n_cols, entries)
+        # walks the flat arrays by index: slicing out every column costs
+        # more than the product when columns hold a few entries
+        a_start, a_rows, a_vals = self.col_start, self.row_index, self.values
+        b_rows, b_vals = other.row_index, other.values
+        starts, rows, vals = [0], [], []
+        t = 0
+        for end in other.col_start[1:]:
+            if t != end:
+                acc = {}
+                while t < end:
+                    k, b = b_rows[t], b_vals[t]
+                    t += 1
+                    for u in range(a_start[k], a_start[k + 1]):
+                        r = a_rows[u]
+                        acc[r] = acc.get(r, 0) + a_vals[u] * b
+                if any(acc.values()):  # d o d products are mostly all-zero
+                    for r, q in acc.items():
+                        if q:
+                            rows.append(r)
+                            vals.append(q)
+            starts.append(len(rows))
+        return SparseExactMatrix.from_columns(self.n_rows, starts, rows, vals)
 
     def __eq__(self, other):
         if not isinstance(other, SparseExactMatrix):
@@ -126,120 +204,85 @@ class SparseExactMatrix:
         return "SparseExactMatrix(%d, %d, nnz=%d)" % (self.n_rows, self.n_cols, self.nnz)
 
 
-def _integer_rows(A):
-    """Rows of A as dicts col -> int, denominators cleared, content 1."""
-    rows = {}
-    for r, c, q in A.entries:
-        rows.setdefault(r, {})[c] = q
-    all_ints = all(type(q) is int for _, _, q in A.entries)
-    out = []
-    for row in rows.values():  # entries are sorted, so rows are too
+def pivot_rows(A, skip=()):
+    """Pivot rows of a fraction-free elimination over the columns of A.
+
+    Columns whose index is in skip are left out.  With X the pivot
+    columns, the result Y has |Y| = rank of the columns kept, and the
+    square submatrix A[Y, X] is invertible: each pivot column, as
+    reduced, is the original plus a combination of earlier pivot
+    columns, has a non-zero entry in its own pivot row and none in the
+    earlier ones.
+    """
+    all_ints = set(map(type, A.values)) <= {int}
+    cols = []
+    for c, (rows, vals) in enumerate(A.columns()):
+        if not rows or c in skip:
+            cols.append(None)
+            continue
         if not all_ints:
-            den = lcm(*(q.denominator for q in row.values()))
-            row = {c: int(q * den) for c, q in row.items()}
-        g = gcd(*row.values())
-        out.append({c: v // g for c, v in row.items()} if g != 1 else row)
-    return out
+            den = lcm(*(q.denominator for q in vals))
+            vals = [int(q * den) for q in vals]
+        g = gcd(*vals)
+        cols.append(dict(zip(rows, [v // g for v in vals] if g != 1 else vals)))
+    row_cols = {}
+    for j, col in enumerate(cols):
+        if col:
+            for r in col:
+                row_cols.setdefault(r, set()).add(j)
+    # (length, index) of every live column; entries whose column has
+    # died or changed length since are stale and skipped when popped
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapq.heapify(heap)
+    pivots = set()
+    while heap:
+        n, pj = heapq.heappop(heap)
+        pcol = cols[pj]
+        if pcol is None or len(pcol) != n:
+            continue
+        # Markowitz-flavored pivot: the shortest column (the heap breaks
+        # ties on column index), then its least-used row, ties broken on
+        # row index, so the path is deterministic.
+        pr = min(pcol, key=lambda r: (len(row_cols[r]), r))
+        p = pcol[pr]
+        cols[pj] = None
+        pivots.add(pr)
+        for r in pcol:
+            row_cols[r].discard(pj)
+        for j in tuple(row_cols[pr]):
+            col = cols[j]
+            a = col[pr]
+            g = gcd(p, a)
+            mp, ma = p // g, a // g
+            if mp != 1:
+                for r in col:
+                    col[r] *= mp
+            for r, v in pcol.items():
+                old = col.get(r)
+                new = (old or 0) - ma * v
+                if new:
+                    if old is None:
+                        row_cols[r].add(j)
+                    col[r] = new
+                else:
+                    del col[r]
+                    row_cols[r].discard(j)
+            if col:
+                g = gcd(*col.values())
+                if g != 1:
+                    for r in col:
+                        col[r] //= g
+                heapq.heappush(heap, (len(col), j))
+            else:
+                cols[j] = None
+    return pivots
 
 
 def rank(A):
     """Rank of A, by fraction-free sparse Gaussian elimination."""
-    rows = _integer_rows(A)
-    col_rows = {}
-    for j, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(j)
-    # (length, index) of every live row; entries whose row has died or
-    # changed length since are stale and skipped when popped
-    heap = [(len(row), j) for j, row in enumerate(rows)]
-    heapq.heapify(heap)
-    rnk = 0
-    while heap:
-        n, pi = heapq.heappop(heap)
-        prow = rows[pi]
-        if prow is None or len(prow) != n:
-            continue
-        # Markowitz-flavored pivot: the shortest row (the heap breaks
-        # ties on row index), then its least-used column, ties broken on
-        # column index, so the path is deterministic.
-        pc = min(prow, key=lambda c: (len(col_rows[c]), c))
-        p = prow[pc]
-        rows[pi] = None
-        rnk += 1
-        for c in prow:
-            col_rows[c].discard(pi)
-        for j in tuple(col_rows[pc]):
-            row = rows[j]
-            a = row[pc]
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
-            if mp != 1:
-                for c in row:
-                    row[c] *= mp
-            for c, v in prow.items():
-                old = row.get(c)
-                new = (old or 0) - ma * v
-                if new:
-                    if old is None:
-                        col_rows[c].add(j)
-                    row[c] = new
-                else:
-                    del row[c]
-                    col_rows[c].discard(j)
-            if row:
-                g = gcd(*row.values())
-                if g != 1:
-                    for c in row:
-                        row[c] //= g
-                heapq.heappush(heap, (len(row), j))
-            else:
-                rows[j] = None
-    return rnk
+    return len(pivot_rows(A))
 
 
 def kernel_dim(A):
     """dim ker A = n_cols - rank A."""
     return A.n_cols - rank(A)
-
-
-def kernel_basis(A):
-    """Explicit kernel basis via dense reduced row echelon form.
-
-    Returns a list of length-n_cols tuples of Fractions, one per free
-    column in ascending column order.  Dense is fine here: this is a
-    diagnostic used on small blocks, never on the hot path.
-    """
-    m = A.to_dense()
-    n_rows, n_cols = A.n_rows, A.n_cols
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pr = None
-        for rr in range(r, n_rows):
-            if m[rr][c]:
-                pr = rr
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        for rr in range(n_rows):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n_cols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][free]
-        basis.append(tuple(vec))
-    return basis

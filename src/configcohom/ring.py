@@ -95,18 +95,6 @@ class RingPresentation:
         """e_i * e_j as a dict result_index -> Fraction (zeros absent)."""
         return dict(self.structure_constants.get((i, j), ()))
 
-    def pairing_matrix(self):
-        """P[i][j] = coefficient of the top class in e_i e_j."""
-        if self.top_index is None:
-            raise InvalidRingError("no unique top-degree class; pairing undefined")
-        t = self.top_index
-        n = self.n
-        P = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                P[i][j] = self.product(i, j).get(t, Fraction(0))
-        return P
-
     def to_dict(self):
         """JSON-ready form of the presentation (see ring_from_dict)."""
         products = []

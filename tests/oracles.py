@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports the package's linear algebra or complex builder:
-the rank routine is a plain dense Gaussian elimination over Fraction,
-the differential of a monomial is the textbook word-based Leibniz rule
-over Fraction, the monomial basis is a brute-force search over all
-exponent vectors, and the two small configuration-space complexes of CP^1
-are written out by hand (monomial bases listed degree by degree,
+the rank routine and the kernel basis are plain dense Gaussian
+elimination over Fraction, the Poincare pairing is read off the ring's
+own product table, the differential of a monomial is the textbook
+word-based Leibniz rule over Fraction, the monomial basis is a
+brute-force search over all exponent vectors, and the two small
+configuration-space complexes of CP^1 are written out by hand (monomial bases listed degree by degree,
 differentials entered as explicit matrices).  Agreement between these
 and the engine is what the tests are for.
 """
@@ -41,6 +42,57 @@ def dense_rank(rows):
         if r == n_rows:
             break
     return r
+
+
+def kernel_basis(A):
+    """Explicit kernel basis via dense reduced row echelon form.
+
+    A is anything with n_rows, n_cols and to_dense() (a list of rows of
+    Fractions).  Returns a list of length-n_cols tuples of Fractions,
+    one per free column in ascending column order.
+    """
+    m = A.to_dense()
+    n_rows, n_cols = A.n_rows, A.n_cols
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        pr = None
+        for rr in range(r, n_rows):
+            if m[rr][c]:
+                pr = rr
+                break
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        for rr in range(n_rows):
+            if rr != r and m[rr][c]:
+                f = m[rr][c]
+                m[rr] = [a - f * b for a, b in zip(m[rr], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == n_rows:
+            break
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n_cols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def pairing_from_products(R):
+    """P[i][j] = coefficient of the top class in e_i e_j, from R.product."""
+    top = [i for i, deg in enumerate(R.degrees) if deg == R.manifold_dimension]
+    (t,) = top
+    return [[R.product(i, j).get(t, Fraction(0)) for j in range(R.n)]
+            for i in range(R.n)]
 
 
 def _word(v_exps, w_exps):
@@ -172,6 +224,20 @@ def s4_ring():
         (0, 1): ((1, 1),), (1, 0): ((1, 1),),
     }
     return RingPresentation(("1", "y"), (0, 4), table, 4, label="S^4")
+
+
+def s2xs2_ring():
+    """H^*(S^2 x S^2; Q): unit, two even classes squaring to 0, their product."""
+    one, a, b, ab = 0, 1, 2, 3
+    table = {
+        (one, one): ((one, 1),),
+        (one, a): ((a, 1),), (a, one): ((a, 1),),
+        (one, b): ((b, 1),), (b, one): ((b, 1),),
+        (one, ab): ((ab, 1),), (ab, one): ((ab, 1),),
+        (a, b): ((ab, 1),), (b, a): ((ab, 1),),
+    }
+    return RingPresentation(
+        ("1", "a", "b", "ab"), (0, 2, 2, 4), table, 4, label="S^2 x S^2")
 
 
 def cp2_half_ring():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import configcohom
 from configcohom import extremal, homology
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import main, parse_config
@@ -220,3 +224,14 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
     rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "8", "--jobs", "2")
     assert rc == 4
     assert err.startswith("internal error: BrokenProcessPool")
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # the pool (and multiprocessing) is imported only where one starts
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    code = ("import sys, configcohom.cli; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -1,11 +1,13 @@
 import pytest
 
-from configcohom import (betti, build_generators, consistency_report,
-                         enumerate_basis, make_cpm, reduce_complex)
+from configcohom import (SparseExactMatrix, betti, build_generators,
+                         consistency_report, enumerate_basis, homology,
+                         make_cpm, rank, reduce_complex)
+from configcohom.cecomplex import AssemblyError
 from configcohom.homology import complex_data
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
                      CP1_K3_DIMS, CP1_K3_MAPS, cp2_half_ring, dense_betti,
-                     s4_ring, torus_ring)
+                     dense_rank, s2xs2_ring, s4_ring, torus_ring)
 
 
 def nonzero(table):
@@ -147,3 +149,60 @@ def test_reduced_basis_cut_from_cached_full(m):
         assert all(id(mon) in full
                    for mons in G._basis_cache[(k, "reduced")].slices.values()
                    for mon in mons)
+
+
+def test_dd_check_runs_before_any_rank(monkeypatch):
+    # chain pruning trusts d o d = 0, so a block that breaks it must stop
+    # complex_data before a single rank is cached
+    real = homology.assemble_blocks
+
+    def one_sign_flipped(G, basis):
+        blocks = real(G, basis)
+        by_source = {b.source: b for b in blocks}
+        for b in blocks:
+            nxt = by_source.get(b.target)
+            if nxt is None:
+                continue
+            used = {r for r, (rows, _) in enumerate(nxt.matrix.columns()) if rows}
+            for r, c, q in b.matrix.entries:
+                if r in used:  # flipping (r, c) changes column c of nxt @ b
+                    b.matrix = SparseExactMatrix(
+                        b.matrix.n_rows, b.matrix.n_cols,
+                        [(r2, c2, -q2 if (r2, c2) == (r, c) else q2)
+                         for r2, c2, q2 in b.matrix.entries])
+                    assert not (nxt.matrix @ b.matrix).is_zero()
+                    return blocks
+        raise AssertionError("no consecutive blocks to corrupt")
+
+    monkeypatch.setattr(homology, "assemble_blocks", one_sign_flipped)
+    for mode in ("full", "reduced"):
+        R = make_cpm.__wrapped__(2)
+        with pytest.raises(AssemblyError, match="d o d"):
+            complex_data(R, 5, mode)
+        G = build_generators(R)
+        assert (5, mode) in G._block_cache
+        assert (5, mode) not in G._rank_cache
+
+
+PRUNING_CASES = [
+    ("T^2", torus_ring, range(0, 11), ("full",)),
+    ("S^4", s4_ring, range(0, 9), ("full",)),
+    ("S^2xS^2", s2xs2_ring, range(0, 7), ("full",)),
+    ("CP^2 x^2=y/2", cp2_half_ring, range(0, 9), ("full",)),
+    ("CP^4", lambda: make_cpm.__wrapped__(4), range(2, 10), ("full", "reduced")),
+]
+
+
+@pytest.mark.parametrize("make_ring, ks, modes",
+                         [case[1:] for case in PRUNING_CASES],
+                         ids=[case[0] for case in PRUNING_CASES])
+def test_pruned_ranks_equal_unpruned(make_ring, ks, modes):
+    R = make_ring()
+    for k in ks:
+        for mode in modes:
+            _, blocks, ranks = complex_data(R, k, mode)
+            assert set(ranks) == set(blocks)
+            for src, b in blocks.items():
+                assert ranks[src] == rank(b.matrix), (k, mode, src)
+                if b.matrix.n_cols <= 60:
+                    assert ranks[src] == dense_rank(b.matrix.to_dense()), (k, mode, src)

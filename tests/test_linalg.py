@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from configcohom import (SparseExactMatrix, kernel_basis, kernel_dim,
-                         make_cpm, rank)
+from configcohom import SparseExactMatrix, kernel_dim, make_cpm, rank
 from configcohom.homology import complex_data
-from oracles import dense_rank
+from oracles import dense_rank, kernel_basis
 
 
 def test_constructor_validates():
@@ -20,6 +19,19 @@ def test_constructor_validates():
         SparseExactMatrix(2, 2, [(0, 0, 0)])  # explicit zero
     with pytest.raises(AttributeError):
         SparseExactMatrix(1, 1, []).n_rows = 5
+    # the column constructor: offsets, rows 0..1, values per column
+    A = SparseExactMatrix.from_columns(2, [0, 1, 3], [1, 0, 1], [2, -1, Fraction(1, 2)])
+    assert A.entries == ((0, 1, -1), (1, 0, 2), (1, 1, Fraction(1, 2)))
+    with pytest.raises(ValueError):
+        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 2], [1, 1])  # out of range
+    with pytest.raises(ValueError):
+        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, -1], [1, 1])  # negative row
+    with pytest.raises(ValueError):
+        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 1], [1, 0])  # explicit zero
+    with pytest.raises(TypeError):
+        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 1], [1, "1"])  # not a number
+    with pytest.raises(ValueError):
+        SparseExactMatrix.from_columns(2, [0, 2, 1], [0, 1], [1, 1])  # offsets
 
 
 def test_rank_examples():

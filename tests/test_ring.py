@@ -6,7 +6,7 @@ import pytest
 from configcohom import (InvalidRingError, RingSchemaError,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
-from oracles import cp2_ring_doc, s4_ring, torus_ring
+from oracles import cp2_ring_doc, pairing_from_products, s4_ring, torus_ring
 
 
 def test_cpm_shape():
@@ -39,7 +39,7 @@ def test_cpm_is_memoized():
 
 def test_pairing_matrix_antidiagonal():
     R = make_cpm(2)
-    P = R.pairing_matrix()
+    P = pairing_from_products(R)
     expect = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
     assert P == [[Fraction(v) for v in row] for row in expect]
 
