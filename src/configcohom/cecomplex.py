@@ -19,15 +19,18 @@ Signs.  Every monomial is stored in canonical order (V-factors first,
 then W-factors, each block sorted by generator position) with
 coefficient +1.  The differential is the Leibniz sum over the
 W-factors; replacing one factor w_t by a term v_a v_b of d(w_t) gives
-a word that is re-sorted to canonical order.  Both signs are read off
-prefix parity counts of the odd factors, without building the word:
+a word that is re-sorted to canonical order.  The terms of d(w_t) are
+made canonical when the kernel's tables are built: v_b v_a with a < b
+is rewritten as (-1)^(|a||b|) v_a v_b, and equal pairs are merged (zero
+sums dropped), so every term has a <= b, its own target, and no sign
+from the order of v_a and v_b.  Two signs are left, read off prefix
+parity counts of the odd factors, without building the word:
 
   * Koszul sign (sliding d past the factors left of w_t): the number
     of odd V-factors plus the number of odd W-factors before w_t;
   * normalization sign (moving v_a, then v_b, back into the V-block):
     for each odd one among them, the odd W-factors before w_t plus the
-    odd V-factors of larger index, plus one more when both are odd and
-    a > b.
+    odd V-factors of larger index.
 
 A word dies when an odd generator repeats.  An even W-generator with
 exponent e contributes e equal terms.  Coefficients are cleared of
@@ -235,15 +238,14 @@ class _Differential:
 
     Monomials carry their mixed-radix code in base k + 1
     (Monomial.code), so the target of a term is the source code plus a
-    fixed delta.  tables[t] holds one tuple per term coeff * v_a v_b of
-    d(w_t):
+    fixed delta.  tables[t] holds one tuple per distinct target
+    coeff * v_a v_b (a <= b) of d(w_t):
 
-        (dead, shift_a, shift_b, swap, D * coeff, delta)
+        (dead, shift_a, shift_b, D * coeff, delta)
 
     dead masks the odd ones of v_a, v_b (the word dies when the source
     already holds one); shift_x is x + 1 for odd v_x, else 0, so that
-    vmask >> shift_x keeps the odd V-factors of larger index; swap is 1
-    when both are odd and a > b.
+    vmask >> shift_x keeps the odd V-factors of larger index.
     """
 
     def __init__(self, G, k):
@@ -258,15 +260,22 @@ class _Differential:
         par = G.v_parities
         tables = []
         for t, terms in enumerate(G.boundary_on_w):
-            table = []
+            # v_b v_a = (-1)^(|a||b|) v_a v_b: one merged term per pair
+            merged = {}
             for (a, b), q in terms:
-                if a == b and par[a]:
-                    continue  # v_a^2 = 0 for odd v_a
+                if a > b:
+                    a, b = b, a
+                    if par[a] and par[b]:
+                        q = -q
+                merged[a, b] = merged.get((a, b), 0) + q
+            table = []
+            for (a, b), q in merged.items():
+                if not q or (a == b and par[a]):
+                    continue  # a zero sum, or v_a^2 = 0 for odd v_a
                 table.append((
                     (par[a] << a) | (par[b] << b),
                     a + 1 if par[a] else 0,
                     b + 1 if par[b] else 0,
-                    1 if par[a] and par[b] and a > b else 0,
                     int(q * self.scale),
                     self.powers[a] + self.powers[b] - self.powers[self.n_v + t],
                 ))
@@ -282,7 +291,7 @@ class _Differential:
         return make_monomial(G, exps[:self.n_v], exps[self.n_v:])
 
     def apply(self, mon):
-        """D * d(mon) as a dict target code -> int (sums may be 0)."""
+        """D * d(mon) as a list of (target code, non-zero int), codes distinct."""
         code = mon.code
         vmask = 0
         for a in self.odd_v:
@@ -290,23 +299,23 @@ class _Differential:
                 vmask |= 1 << a
         odd_v = vmask.bit_count()
         odd_w = 0  # odd W-factors before the current one
-        acc = {}
+        out = []
+        add = out.append
         for t, e in enumerate(mon.w_exps):
             if not e:
                 continue
             koszul = odd_v + odd_w
-            for dead, shift_a, shift_b, swap, q, delta in self.tables[t]:
+            for dead, shift_a, shift_b, q, delta in self.tables[t]:
                 if vmask & dead:
                     continue
-                s = koszul + swap
+                s = koszul
                 if shift_a:
                     s += odd_w + (vmask >> shift_a).bit_count()
                 if shift_b:
                     s += odd_w + (vmask >> shift_b).bit_count()
-                key = code + delta
-                acc[key] = acc.get(key, 0) + (-e * q if s & 1 else e * q)
+                add((code + delta, -e * q if s & 1 else e * q))
             odd_w += self.w_parities[t]  # odd exponents are at most 1
-        return acc
+        return out
 
 
 def differential_of_monomial(G, mon):
@@ -322,8 +331,7 @@ def differential_of_monomial(G, mon):
 
 def _terms(G, d, mon):
     """differential_of_monomial through an already built kernel d."""
-    terms = [(d.monomial(G, code), Fraction(q, d.scale))
-             for code, q in d.apply(mon).items() if q]
+    terms = [(d.monomial(G, code), Fraction(q, d.scale)) for code, q in d.apply(mon)]
     terms.sort(key=lambda t: t[0].key())
     return terms
 
@@ -370,8 +378,13 @@ def assemble_blocks(G, basis):
     """
     from .linalg import SparseExactMatrix
 
-    reduced = basis.mode == "reduced"
     d = _Differential(G, basis.k)
+    ideal = ()
+    if basis.mode == "reduced":
+        # (digit's place value, least exponent) of v_top^2 and w_top: a
+        # code is in the ideal when either digit reaches its bound
+        v_top, w_top = _top_indices(G)
+        ideal = ((d.powers[v_top], 2), (d.powers[d.n_v + w_top], 1))
     blocks = []
     for (i, w) in sorted(basis.slices):
         if w == 0:
@@ -383,20 +396,16 @@ def assemble_blocks(G, basis):
         col_start, rows, values = [0], [], []
         add_row, add_value = rows.append, values.append
         for mon in source:
-            for out_code, q in d.apply(mon).items():
-                if not q:
-                    continue
+            for out_code, q in d.apply(mon):
                 row = row_of(out_code)
                 if row is not None:
                     add_row(row)
                     add_value(q)
-                    continue
-                out = d.monomial(G, out_code)
-                if reduced and in_reduction_ideal(G, out):
-                    continue
-                raise AssemblyError(
-                    "d(%s) produced %s outside slice %r"
-                    % (mon.label(G), out.label(G), target_key))
+                elif not any(out_code // unit % d.radix >= least
+                             for unit, least in ideal):
+                    raise AssemblyError(
+                        "d(%s) produced %s outside slice %r"
+                        % (mon.label(G), d.monomial(G, out_code).label(G), target_key))
             col_start.append(len(rows))
         matrix = SparseExactMatrix.from_columns(len(target), col_start, rows, values)
         blocks.append(DifferentialBlock(source=(i, w), target=target_key,

@@ -13,12 +13,18 @@ value) triples in `entries` are derived from it on demand.  A product
 composes columns: column c of A @ B is the sum over r of
 B[r, c] * A[:, r], accumulated in a dict keyed by row.
 
-Elimination runs over columns too (rank A = rank A^T): fraction-free,
-with denominators cleared column by column; the pivot column is
+Elimination runs over columns too (rank A = rank A^T), in two stages.
+First the structural pivots are peeled: a row held by exactly one live
+column pairs with that column as a pivot, without arithmetic, and the
+column is removed, which may leave further rows held by one column.  A
+count of the live columns holding each row, and the XOR of their
+indices (which is the column itself when the count is 1), find these
+in O(nnz).  Then the columns left are eliminated fraction-free, with
+denominators cleared column by column; the pivot column is
 cross-multiplied into the others and each result is re-normalized by
 its content (gcd), so entries stay small and no floating point is ever
-involved.  Pivots are chosen sparsity-first (the column with fewest
-entries, ties to the lowest column index, then that column's
+involved.  Pivots there are chosen sparsity-first (the column with
+fewest entries, ties to the lowest column index, then that column's
 least-used row, Markowitz style), so repeated runs take identical
 paths.  A heap of live columns by length and a row -> columns index
 make each step touch only the columns that hold the pivot row.
@@ -209,32 +215,66 @@ def pivot_rows(A, skip=()):
 
     Columns whose index is in skip are left out.  With X the pivot
     columns, the result Y has |Y| = rank of the columns kept, and the
-    square submatrix A[Y, X] is invertible: each pivot column, as
-    reduced, is the original plus a combination of earlier pivot
-    columns, has a non-zero entry in its own pivot row and none in the
-    earlier ones.
+    square submatrix A[Y, X] is invertible.
+
+    Why, for the two stages (module docstring): each peeled row was
+    held by no other live column when it was peeled, so A[Y_peel,
+    X_peel] is triangular in peel order with a non-zero diagonal, and
+    every column left is zero on Y_peel.  Hence rank A = |X_peel| +
+    rank(columns left).  In the elimination of those, each pivot
+    column, as reduced, is the original plus a combination of earlier
+    pivot columns, has a non-zero entry in its own pivot row and none
+    in the earlier ones, so A[Y_elim, X_elim] is invertible too.  A[Y,
+    X] is block triangular with these two blocks on its diagonal.
     """
-    all_ints = set(map(type, A.values)) <= {int}
-    cols = []
-    for c, (rows, vals) in enumerate(A.columns()):
-        if not rows or c in skip:
-            cols.append(None)
+    start, row_index = A.col_start, A.row_index
+    # count[r]: live columns holding row r; holder[r]: the XOR of their
+    # indices, which is the one column itself when count[r] == 1
+    count = [0] * A.n_rows
+    holder = [0] * A.n_rows
+    live = []
+    for c in range(A.n_cols):
+        a, b = start[c], start[c + 1]
+        if a == b or c in skip:
             continue
+        live.append(c)
+        for r in row_index[a:b]:
+            count[r] += 1
+            holder[r] ^= c
+    pivots = set()
+    peeled = set()
+    stack = [r for r, n in enumerate(count) if n == 1]
+    while stack:
+        r = stack.pop()
+        if count[r] != 1:
+            continue  # its one column was peeled through another row
+        c = holder[r]
+        pivots.add(r)
+        peeled.add(c)
+        for q in row_index[start[c]:start[c + 1]]:
+            count[q] -= 1
+            holder[q] ^= c
+            if count[q] == 1:
+                stack.append(q)
+    all_ints = set(map(type, A.values)) <= {int}
+    values = A.values
+    rest = [c for c in live if c not in peeled]
+    cols = [None] * A.n_cols
+    row_cols = {}
+    for c in rest:
+        a, b = start[c], start[c + 1]
+        rows, vals = row_index[a:b], values[a:b]
         if not all_ints:
             den = lcm(*(q.denominator for q in vals))
             vals = [int(q * den) for q in vals]
         g = gcd(*vals)
-        cols.append(dict(zip(rows, [v // g for v in vals] if g != 1 else vals)))
-    row_cols = {}
-    for j, col in enumerate(cols):
-        if col:
-            for r in col:
-                row_cols.setdefault(r, set()).add(j)
+        cols[c] = dict(zip(rows, [v // g for v in vals] if g != 1 else vals))
+        for r in rows:
+            row_cols.setdefault(r, set()).add(c)
     # (length, index) of every live column; entries whose column has
     # died or changed length since are stale and skipped when popped
-    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heap = [(len(cols[j]), j) for j in rest]
     heapq.heapify(heap)
-    pivots = set()
     while heap:
         n, pj = heapq.heappop(heap)
         pcol = cols[pj]

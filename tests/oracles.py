@@ -1,43 +1,60 @@
 """Independent oracles used by the test suite.
 
 Nothing here imports the package's linear algebra or complex builder:
-the rank routine and the kernel basis are plain dense Gaussian
-elimination over Fraction, the Poincare pairing is read off the ring's
-own product table, the differential of a monomial is the textbook
-word-based Leibniz rule over Fraction, the monomial basis is a
-brute-force search over all exponent vectors, and the two small
-configuration-space complexes of CP^1 are written out by hand (monomial bases listed degree by degree,
-differentials entered as explicit matrices).  Agreement between these
-and the engine is what the tests are for.
+the rank routine is dense fraction-free (Bareiss) elimination and the
+kernel basis dense Gaussian elimination over Fraction, the Poincare
+pairing is read off the ring's own product table, the differential of
+a monomial is the textbook word-based Leibniz rule over Fraction, the
+monomial basis is a brute-force search over all exponent vectors, and
+the two small configuration-space complexes of CP^1 are written out by
+hand (monomial bases listed degree by degree, differentials entered as
+explicit matrices).  Agreement between these and the engine is what
+the tests are for.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from configcohom import RingPresentation
 
 
 def dense_rank(rows):
-    """Rank by textbook Gaussian elimination, first nonzero pivot."""
-    m = [[Fraction(x) for x in row] for row in rows]
+    """Rank by forward-only fraction-free (Bareiss) elimination.
+
+    Each row is cleared of denominators (scaling a row keeps the rank),
+    and a matrix with more rows than columns is transposed, so the
+    elimination runs over the smaller side.  After each pivot the rows
+    below become p * row - a * pivot_row divided by the previous pivot;
+    that division is exact (the entries are minors of the matrix), and
+    is asserted to be.
+    """
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        den = lcm(*(x.denominator for x in row))
+        m.append([int(x * den) for x in row])
+    if m and len(m) > len(m[0]):
+        m = [list(col) for col in zip(*m)]
     n_rows = len(m)
     n_cols = len(m[0]) if m else 0
-    r = 0
+    r, prev = 0, 1
     for c in range(n_cols):
-        piv = None
-        for rr in range(r, n_rows):
-            if m[rr][c]:
-                piv = rr
-                break
+        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for rr in range(n_rows):
-            if rr != r and m[rr][c]:
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
+        top = m[r]
+        p = top[c]
+        for i in range(r + 1, n_rows):
+            row = m[i]
+            a = row[c]
+            for j in range(c + 1, n_cols):
+                q, rem = divmod(p * row[j] - a * top[j], prev)
+                assert rem == 0, "inexact Bareiss division"
+                row[j] = q
+            row[c] = 0
+        prev = p
         r += 1
         if r == n_rows:
             break

@@ -9,10 +9,12 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
                          differential_of_monomial, dump_complex,
                          enumerate_basis, homotopy_check, make_cpm,
                          reduce_complex)
-from configcohom.cecomplex import Monomial, in_reduction_ideal, make_monomial
+from configcohom.cecomplex import (AssemblyError, BigradedBasis, Monomial,
+                                   _Differential, in_reduction_ideal,
+                                   make_monomial)
 from configcohom.homology import complex_data
 from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
-                     s4_ring, torus_ring)
+                     s2xs2_ring, s4_ring, torus_ring)
 
 
 def mono(G, exps):
@@ -286,6 +288,66 @@ def test_blocks_match_word_oracle(name):
                         want = {key: q for key, q in want.items()
                                 if not in_reduction_ideal(G, make_monomial(G, *key))}
                     assert got[col] == want, (name, k, mode, mon.label(G))
+
+
+TARGET_RINGS = {
+    "T^2": torus_ring,
+    "S^4": s4_ring,
+    "S^2xS^2": s2xs2_ring,
+    "CP^2 x^2=y/2": cp2_half_ring,
+    "CP^3": lambda: make_cpm(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TARGET_RINGS))
+def test_differential_one_term_per_target(name):
+    # assembly writes apply's terms straight into columns, and
+    # from_columns does not look for repeated rows: every term of d(mon)
+    # must have its own target and a non-zero value
+    G = build_generators(TARGET_RINGS[name]())
+    par = G.v_parities
+    for k in range(7):
+        d = _Differential(G, k)
+        if k >= 2:  # digits of v_a v_b are 1, 1 or 2: base k + 1 > 2
+            for t, table in enumerate(d.tables):
+                pairs = []
+                for _, shift_a, shift_b, q, delta in table:
+                    code = delta + d.powers[d.n_v + t]
+                    digits = [code // p % d.radix for p in d.powers[:d.n_v]]
+                    a, b = [j for j, e in enumerate(digits) for _ in range(e)]
+                    assert a <= b and q
+                    assert (shift_a, shift_b) == (a + 1 if par[a] else 0,
+                                                  b + 1 if par[b] else 0)
+                    pairs.append((a, b))
+                assert len(set(pairs)) == len(pairs), (name, t)
+        for mons in enumerate_basis(G, k).slices.values():
+            for mon in mons:
+                terms = d.apply(mon)
+                codes = [code for code, _ in terms]
+                assert len(set(codes)) == len(codes), (name, k, mon)
+                assert all(type(q) is int and q for _, q in terms)
+                got = {d.monomial(G, code).key(): Fraction(q, d.scale)
+                       for code, q in terms}
+                assert got == leibniz_differential(G, mon.v_exps, mon.w_exps), \
+                    (name, k, mon.label(G))
+
+
+def test_stray_terms_raise_in_both_modes():
+    # a target slice missing a monomial that d hits is an assembly bug;
+    # in reduced mode only terms in the reduction ideal may be missing
+    G = build_generators(make_cpm(2))
+    full = enumerate_basis(G, 3)
+    for basis in (full, reduce_complex(G, full)):
+        assemble_blocks(G, basis)
+        slices = dict(basis.slices)
+        w3 = mono(G, {"v0": 1, "w3": 1})
+        assert w3 in slices[(3, 1)]
+        # d(v0 w3) = 2 v0^2 v4 + v0 v2^2: drop v0 v2^2 from its slice
+        hit = mono(G, {"v0": 1, "v2": 2})
+        slices[(4, 0)] = tuple(m for m in slices[(4, 0)] if m != hit)
+        broken = BigradedBasis(k=basis.k, mode=basis.mode, slices=slices)
+        with pytest.raises(AssemblyError, match="v0 v2\\^2 outside slice"):
+            assemble_blocks(G, broken)
 
 
 def test_block_scale_clears_denominators():

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from configcohom import SparseExactMatrix, kernel_dim, make_cpm, rank
+from configcohom import linalg
+from configcohom.linalg import pivot_rows
 from configcohom.homology import complex_data
 from oracles import dense_rank, kernel_basis
 
@@ -170,3 +172,97 @@ def test_rank_deterministic_repeat():
     A = SparseExactMatrix.from_dense(rows, 12)
     first = rank(A)
     assert all(rank(A) == first for _ in range(5))
+
+
+nonzero_ints = st.integers(min_value=-3, max_value=3).filter(bool)
+nonzero_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
+
+
+@st.composite
+def sparse_with_skip(draw, max_dim=8):
+    """A sparse int or Fraction matrix and a random set of columns to skip."""
+    n_rows = draw(st.integers(min_value=0, max_value=max_dim))
+    n_cols = draw(st.integers(min_value=0, max_value=max_dim))
+    cells = set()
+    if n_rows and n_cols:
+        cells = draw(st.sets(st.tuples(st.integers(0, n_rows - 1),
+                                       st.integers(0, n_cols - 1))))
+    values = nonzero_fractions if draw(st.booleans()) else nonzero_ints
+    entries = [(r, c, draw(values)) for r, c in sorted(cells)]
+    skip = draw(st.sets(st.integers(0, n_cols - 1))) if n_cols else set()
+    return SparseExactMatrix(n_rows, n_cols, entries), skip
+
+
+def check_pivot_rows(A, skip):
+    """The pivot_rows contract against the dense oracle."""
+    Y = pivot_rows(A, skip)
+    kept = [c for c in range(A.n_cols) if c not in skip]
+    dense = [[row[c] for c in kept] for row in A.to_dense()]
+    assert Y <= set(range(A.n_rows))
+    # |Y| is the rank of the kept columns, and rows Y of them are
+    # independent, so A[Y, X] is invertible for some kept columns X
+    assert len(Y) == dense_rank(dense)
+    assert dense_rank([dense[r] for r in sorted(Y)]) == len(Y)
+    assert rank(A) == len(pivot_rows(A)) == dense_rank(A.to_dense())
+    return Y
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_with_skip())
+def test_pivot_rows_contract(data):
+    check_pivot_rows(*data)
+
+
+def eliminated_columns(monkeypatch, A, skip=()):
+    """Pivot rows of A and the number of columns left after peeling."""
+    sizes = []
+    heapify = linalg.heapq.heapify
+
+    def spy(heap):
+        sizes.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(linalg.heapq, "heapify", spy)
+    Y = check_pivot_rows(A, skip)
+    monkeypatch.undo()
+    return Y, sizes[0]
+
+
+def test_pivot_rows_peels_a_triangular_matrix(monkeypatch):
+    # row i is held by columns i..4: row 4 by column 4 alone, then row 3
+    # by column 3 alone once column 4 is peeled, and so on
+    A = SparseExactMatrix.from_dense([[1, 2, -1, 3, 1],
+                                      [0, 2, 1, 1, 1],
+                                      [0, 0, 3, 2, 1],
+                                      [0, 0, 0, -1, 2],
+                                      [0, 0, 0, 0, 5]])
+    assert eliminated_columns(monkeypatch, A) == ({0, 1, 2, 3, 4}, 0)
+    # skipping column 4 leaves row 4 empty and the rest peeling
+    assert eliminated_columns(monkeypatch, A, {4}) == ({0, 1, 2, 3}, 0)
+
+
+def test_pivot_rows_without_structural_pivots(monkeypatch):
+    # every row is held by at least two columns: all are eliminated
+    A = SparseExactMatrix.from_dense([[1, 2, 3],
+                                      [4, 5, 6],
+                                      [7, 8, 10],
+                                      [1, 1, 0]])
+    Y, left = eliminated_columns(monkeypatch, A)
+    assert len(Y) == 3 and left == 3
+    B = SparseExactMatrix.from_dense([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, 1]])
+    Y, left = eliminated_columns(monkeypatch, B)
+    assert len(Y) == 2 and left == 3
+
+
+def test_pivot_rows_peels_then_eliminates(monkeypatch):
+    # row 1 is held by column 1 alone; once it is peeled, row 0 is held
+    # by column 0 alone; columns 2..4 are left, of rank 2 (3 = 2 * 2)
+    A = SparseExactMatrix.from_dense([[1, 1, 0, 0, 0],
+                                      [0, 2, 0, 0, 0],
+                                      [1, 0, 1, 2, 1],
+                                      [0, 0, 1, 2, -1]])
+    Y, left = eliminated_columns(monkeypatch, A)
+    assert Y == {0, 1, 2, 3} and left == 3
+    # with column 4 skipped, what is left has rank 1
+    Y, left = eliminated_columns(monkeypatch, A, {4})
+    assert {0, 1} < Y and len(Y) == 3 and left == 2
