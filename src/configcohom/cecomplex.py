@@ -39,13 +39,16 @@ is the lcm of the denominators of the boundary table (1 for every
 built-in CP^m), so ranks and the d o d = 0 check are exact integer
 computations.
 
-For the built-in CP^m rings there is a reduction: the ideal generated
-by (v_top^2, w_top) — top meaning the degree-2m V-generator and the
-degree-(4m-1) W-generator — is a subcomplex, acyclic for k >= 2 via the
-explicit homotopy  h(v_top^2 A + B w_top) = w_top A,  so the quotient
-complex (monomials with v_top-exponent <= 1 and no w_top) has the same
-cohomology.  homotopy_check verifies (dh + hd) = id on the ideal
-exactly; reduce_complex builds the quotient basis.
+Every ring has a reduction: the ideal generated by (v_top^2, w_top) —
+v_top the V-generator of degree d = dim M and w_top the W-generator of
+degree 2d - 1, both coming from the point class, so d(w_top) = v_top^2
+— is a subcomplex, acyclic for k >= 2 via the explicit homotopy
+h(v_top^2 A + B w_top) = w_top A,  so the quotient complex (monomials
+with v_top-exponent <= 1 and no w_top) has the same cohomology.  The
+generators are found by degree alone; the public API still offers the
+reduced complex for the built-in CP^m rings only.  homotopy_check
+verifies (dh + hd) = id on the ideal exactly; reduce_complex builds
+the quotient basis.
 """
 
 from collections import defaultdict
@@ -174,12 +177,15 @@ def _sym_count(parities, total):
     return count
 
 
+def monomial_counts(G, k):
+    """Numbers of monomials in the full complex for k points, weight by weight."""
+    return (_sym_count(G.v_parities, k - 2 * w) * _sym_count(G.w_parities, w)
+            for w in range(k // 2 + 1))
+
+
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
-    return sum(
-        _sym_count(G.v_parities, k - 2 * w) * _sym_count(G.w_parities, w)
-        for w in range(k // 2 + 1)
-    )
+    return sum(monomial_counts(G, k))
 
 
 def _coded_exponents(parities, degrees, powers, totals):
@@ -326,23 +332,23 @@ def differential_of_monomial(G, mon):
     module docstring.
     """
     d = _Differential(G, mon.v_length + 2 * mon.weight)
-    return _terms(G, d, mon)
-
-
-def _terms(G, d, mon):
-    """differential_of_monomial through an already built kernel d."""
     terms = [(d.monomial(G, code), Fraction(q, d.scale)) for code, q in d.apply(mon)]
     terms.sort(key=lambda t: t[0].key())
     return terms
 
 
 def _top_indices(G):
-    """Positions of the degree-2m V-generator and degree-(4m-1) W-generator."""
-    if G.cpm is None:
-        raise ValueError("reduction is only defined for the built-in CP^m rings")
-    m = G.cpm
-    v_top = G.v_degrees.index(2 * m)
-    w_top = G.w_degrees.index(4 * m - 1)
+    """Positions of the degree-d V-generator and degree-(2d-1) W-generator.
+
+    Checks d(w_top) = v_top^2 on the boundary table: the homotopy of
+    the reduction rests on it.
+    """
+    d = G.manifold_dimension
+    v_top = G.v_degrees.index(d)
+    w_top = G.w_degrees.index(2 * d - 1)
+    if G.boundary(w_top) != (((v_top, v_top), 1),):
+        raise AssemblyError("d(%s) is not %s^2" % (G.w_gens[w_top].name,
+                                                   G.v_gens[v_top].name))
     return v_top, w_top
 
 
@@ -413,60 +419,50 @@ def assemble_blocks(G, basis):
     return blocks
 
 
-def _apply_d(G, d, vec):
-    """Extend the differential linearly to a dict Monomial -> Fraction."""
-    out = {}
-    for mon, c in vec.items():
-        for tm, q in _terms(G, d, mon):
-            out[tm] = out.get(tm, Fraction(0)) + c * q
-    return {m: q for m, q in out.items() if q}
-
-
-def _apply_h(G, vec, v_top, w_top):
-    """The contracting homotopy of the (v_top^2, w_top) ideal.
-
-    h kills anything containing w_top and sends v_top^2 * A to
-    w_top * A, i.e. the canonical form of the word (w_top, factors of
-    A), whose sign counts the odd factors of A that w_top passes: the
-    odd V-factors and the odd W-factors before it.
-    """
-    out = {}
-    for mon, c in vec.items():
-        if mon.w_exps[w_top] >= 1:
-            continue
-        if mon.v_exps[v_top] < 2:
-            raise ValueError("h applied outside the ideal: %s" % mon.label(G))
-        v_exps = list(mon.v_exps)
-        v_exps[v_top] -= 2
-        w_exps = list(mon.w_exps)
-        w_exps[w_top] = 1
-        passed = sum(e for e, p in zip(mon.v_exps, G.v_parities) if p) \
-            + sum(e for e, p in zip(mon.w_exps[:w_top], G.w_parities) if p)
-        sign = -1 if G.w_parities[w_top] and passed % 2 else 1
-        image = make_monomial(G, v_exps, w_exps)
-        out[image] = out.get(image, Fraction(0)) + c * sign
-    return {m: q for m, q in out.items() if q}
-
-
 def homotopy_check(G, k):
     """Verify (dh + hd) = id on the ideal's monomial basis, exactly.
+
+    Works on codes with the integer kernel: (D d)h + h(D d) = D id.  h
+    kills anything containing w_top and sends v_top^2 A to w_top A, the
+    canonical form of the word (w_top, factors of A); w_top is odd
+    (degree 2d - 1), so the sign counts the odd factors of A it passes:
+    the odd V-factors and the odd W-factors before it.
 
     Returns (True, None) on success, else (False, witness_monomial).
     The check is vacuous for k < 2 where the ideal is empty.
     """
     v_top, w_top = _top_indices(G)
-    basis = enumerate_basis(G, k)
     d = _Differential(G, k)
-    for mons in basis.slices.values():
+    v_unit, w_unit = d.powers[v_top], d.powers[d.n_v + w_top]
+    passed = [d.powers[a] for a in d.odd_v]
+    passed += [d.powers[d.n_v + t] for t in range(w_top) if G.w_parities[t]]
+
+    def h(code):
+        """h(code) as (image code, sign), or None when code holds w_top."""
+        if code // w_unit % d.radix:
+            return None
+        if code // v_unit % d.radix < 2:
+            raise ValueError("h applied outside the ideal: %s"
+                             % d.monomial(G, code).label(G))
+        odd = sum(code // p % d.radix for p in passed)
+        return code + w_unit - 2 * v_unit, -1 if odd & 1 else 1
+
+    for mons in enumerate_basis(G, k).slices.values():
         for mon in mons:
-            if not in_reduction_ideal(G, mon):
+            if mon.v_exps[v_top] < 2 and not mon.w_exps[w_top]:
                 continue
-            one = {mon: Fraction(1)}
-            lhs = _apply_d(G, d, _apply_h(G, one, v_top, w_top))
-            for out, q in _apply_h(G, _apply_d(G, d, one), v_top, w_top).items():
-                lhs[out] = lhs.get(out, Fraction(0)) + q
-            lhs = {m: q for m, q in lhs.items() if q}
-            if lhs != one:
+            lhs = {}
+            image = h(mon.code)
+            if image is not None:
+                code, sign = image
+                for out, q in d.apply(d.monomial(G, code)):
+                    lhs[out] = sign * q
+            for code, q in d.apply(mon):
+                image = h(code)
+                if image is not None:
+                    out, sign = image
+                    lhs[out] = lhs.get(out, 0) + sign * q
+            if {c: q for c, q in lhs.items() if q} != {mon.code: d.scale}:
                 return False, mon
     return True, None
 

@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .cecomplex import AssemblyError, count_monomials
+from .cecomplex import AssemblyError, monomial_counts
 from .extremal import (UnderDeterminedError, detect_quasi_polynomial,
                        hilbert_ray, verify_vanishing_ranges)
 from .generators import build_generators
@@ -171,11 +171,13 @@ def _resolve_ring(cfg):
 
 
 def _cap_check(R, k, cap):
-    """Monomial-count guard; returns a message when the cap is exceeded."""
-    n = count_monomials(build_generators(R), k)
-    if n > cap:
-        return ("complex for k=%d has %d monomials, over the cap of %d "
-                "(raise --max-monomials to proceed)" % (k, n, cap))
+    """Monomial-count guard: a message as soon as the count passes cap."""
+    total = 0
+    for n in monomial_counts(build_generators(R), k):
+        total += n
+        if total > cap:
+            return ("complex for k=%d exceeds the cap: more than %d monomials "
+                    "(raise --max-monomials to proceed)" % (k, cap))
     return None
 
 

@@ -207,7 +207,8 @@ def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     k_lo, k_hi = ks[0], ks[-1]
 
     any_certifiable = False
-    for p in range(1, p_max + 1):
+    # a period above half the window leaves some class with < 2 samples
+    for p in range(1, min(p_max, len(samples) // 2) + 1):
         for onset in range(k_lo, k_hi + 2):
             class_points = {}
             for r in range(p):

@@ -43,18 +43,17 @@ class GeneratorSet:
     v_gens and w_gens are tuples of Generator sorted by (degree,
     ring_index); boundary_on_w[t] lists ((a, b), coeff) terms meaning
     the W-generator at position t maps to sum coeff * v_a v_b over
-    ordered position pairs.  Caches for bases, blocks and ranks hang
-    off this object, keyed by (k, mode) — the engine fills them, this
-    class just owns the storage.
+    ordered position pairs.  _complexes is the engine's one cache: it
+    maps (k, mode) to the complex record homology builds (basis, blocks,
+    ranks and Betti table), stored only once every check on it passed.
     """
 
     def __init__(self, v_gens, w_gens, boundary_on_w, manifold_dimension,
-                 cpm=None, label="custom"):
+                 label="custom"):
         self.v_gens = tuple(v_gens)
         self.w_gens = tuple(w_gens)
         self.boundary_on_w = tuple(tuple(terms) for terms in boundary_on_w)
         self.manifold_dimension = manifold_dimension
-        self.cpm = cpm
         self.label = label
         self.v_degrees = tuple(g.degree for g in self.v_gens)
         self.w_degrees = tuple(g.degree for g in self.w_gens)
@@ -62,12 +61,7 @@ class GeneratorSet:
         self.w_parities = tuple(d % 2 for d in self.w_degrees)
         if len(self.boundary_on_w) != len(self.w_gens):
             raise ValueError("boundary table length disagrees with W")
-        # engine caches, keyed by (k, mode)
-        self._basis_cache = {}
-        self._block_cache = {}
-        self._rank_cache = {}
-        self._betti_cache = {}
-        self._squared_checked = set()
+        self._complexes = {}
 
     def boundary(self, t):
         """Boundary of the t-th W-generator: tuple of ((a, b), coeff)."""
@@ -128,6 +122,6 @@ def build_generators(R):
         terms.sort(key=lambda t: t[0])
         boundary.append(tuple(terms))
 
-    G = GeneratorSet(v_gens, w_gens, boundary, d, cpm=R.cpm, label=R.label)
+    G = GeneratorSet(v_gens, w_gens, boundary, d, label=R.label)
     R._generator_set = G
     return G

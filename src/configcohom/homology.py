@@ -6,12 +6,13 @@ contributes
 
     dim slice - rank(block out of it) - rank(block into it)
 
-to the Betti number of its degree.  Bases, blocks, ranks and tables
-are cached per (k, mode) on the ring's generator set; a reduced basis
-is cut from the cached full one when there is one, so a run that
-computes both modes enumerates each k once.  d o d = 0 is re-verified
-on the assembled matrices once per (k, mode) before any rank is
-computed.
+to the Betti number of its degree.  Each (k, mode) is built once, in
+this order: basis (a reduced basis is cut from the cached full one
+when there is one, so a run that computes both modes enumerates each k
+once), blocks, the exact d o d = 0 check on every consecutive pair,
+pruned ranks, and the Betti table.  The record is cached on the ring's
+generator set only when all of these have passed, so nothing half
+built or unchecked is ever reused.
 
 Chain pruning.  The check makes the ranks cheaper.  Blocks are ranked
 in increasing (degree, weight), so along each chain degree + weight = s
@@ -83,49 +84,70 @@ class ConsistencyReport:
     chain_euler_reduced: int
 
 
-def _mode_basis(G, k, mode):
+@dataclass(frozen=True)
+class _Complex:
+    """Everything computed for one (k, mode), stored once fully checked."""
+    basis: object
+    blocks: dict
+    ranks: dict
+    table: BettiTable
+
+
+def _build(G, k, mode):
+    """Basis, blocks, d o d check, pruned ranks and Betti table, in order."""
     if mode == "full":
-        return enumerate_basis(G, k)
-    if mode == "reduced":
-        full = G._basis_cache.get((k, "full"))
-        return reduce_complex(G, full if full is not None else enumerate_basis(G, k))
-    raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+        basis = enumerate_basis(G, k)
+    elif mode == "reduced":
+        full = G._complexes.get((k, "full"))
+        basis = reduce_complex(G, full.basis if full else enumerate_basis(G, k))
+    else:
+        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    blocks = {b.source: b for b in assemble_blocks(G, basis)}
+    for b in blocks.values():
+        nxt = blocks.get(b.target)
+        if nxt is not None and not (nxt.matrix @ b.matrix).is_zero():
+            raise AssemblyError(
+                "d o d != 0 out of slice %r (k=%d, %s)" % (b.source, k, mode))
+    # chain pruning (module docstring): the columns of a block that are
+    # pivot rows of the block into its source are not eliminated
+    ranks, into = {}, {}
+    for src, b in sorted(blocks.items()):
+        into[b.target] = pivots = pivot_rows(b.matrix, into.pop(src, ()))
+        ranks[src] = len(pivots)
+
+    dims = {}
+    for (i, w), mons in basis.slices.items():
+        contribution = len(mons) - ranks.get((i, w), 0) - ranks.get((i - 1, w + 1), 0)
+        if contribution < 0:
+            raise AssemblyError(
+                "negative slice contribution at %r (k=%d, %s)" % ((i, w), k, mode))
+        dims[i] = dims.get(i, 0) + contribution
+    table = {i: dims.get(i, 0) for i in range(basis.top_degree() + 1)}
+    euler = sum(d if i % 2 == 0 else -d for i, d in table.items())
+    return _Complex(basis, blocks, ranks,
+                    BettiTable(k=k, ring=G.label, mode=mode, dims=table, euler=euler))
+
+
+def _cached(R, k, mode):
+    """The cached record of (k, mode), built on first use."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError("k must be a non-negative integer, got %r" % (k,))
+    G = build_generators(R)
+    record = G._complexes.get((k, mode))
+    if record is None:
+        record = G._complexes[k, mode] = _build(G, k, mode)
+    return record
 
 
 def complex_data(R, k, mode="full"):
     """Basis, blocks-by-source-slice, and ranks-by-source-slice.
 
-    Everything is cached on the generator set; the first call for a
-    given (k, mode) also verifies that consecutive blocks compose to
-    zero and raises AssemblyError if they do not.
+    The first call for a given (k, mode) builds and checks the whole
+    record, raising AssemblyError if consecutive blocks do not compose
+    to zero; later calls return the cached parts.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be a non-negative integer, got %r" % (k,))
-    G = build_generators(R)
-    key = (k, mode)
-    if key not in G._basis_cache:
-        G._basis_cache[key] = _mode_basis(G, k, mode)
-    basis = G._basis_cache[key]
-    if key not in G._block_cache:
-        blocks = assemble_blocks(G, basis)
-        G._block_cache[key] = {b.source: b for b in blocks}
-    blocks = G._block_cache[key]
-    if key not in G._squared_checked:
-        for b in blocks.values():
-            nxt = blocks.get(b.target)
-            if nxt is not None and not (nxt.matrix @ b.matrix).is_zero():
-                raise AssemblyError(
-                    "d o d != 0 out of slice %r (k=%d, %s)" % (b.source, k, mode))
-        G._squared_checked.add(key)
-    if key not in G._rank_cache:
-        # chain pruning (module docstring): the columns of a block that
-        # are pivot rows of the block into its source are not eliminated
-        ranks, into = {}, {}
-        for src, b in sorted(blocks.items()):
-            into[b.target] = pivots = pivot_rows(b.matrix, into.pop(src, ()))
-            ranks[src] = len(pivots)
-        G._rank_cache[key] = ranks
-    return basis, blocks, G._rank_cache[key]
+    record = _cached(R, k, mode)
+    return record.basis, record.blocks, record.ranks
 
 
 def betti(R, k, mode="full"):
@@ -140,29 +162,7 @@ def betti(R, k, mode="full"):
             raise ValueError("reduced mode requires a built-in CP^m ring")
         if k < 2:
             raise ValueError("reduced mode requires k >= 2")
-    G = build_generators(R)
-    cache_key = (k, mode)
-    cached = G._betti_cache.get(cache_key)
-    if cached is not None:
-        return cached
-    basis, _, ranks = complex_data(R, k, mode)
-
-    dims = {}
-    for (i, w), mons in basis.slices.items():
-        out_rank = ranks.get((i, w), 0)
-        in_rank = ranks.get((i - 1, w + 1), 0)
-        contribution = len(mons) - out_rank - in_rank
-        if contribution < 0:
-            raise AssemblyError(
-                "negative slice contribution at %r (k=%d, %s)" % ((i, w), k, mode))
-        dims[i] = dims.get(i, 0) + contribution
-
-    top = max((i for i, _ in basis.slices), default=0)
-    table = {i: dims.get(i, 0) for i in range(top + 1)}
-    euler = sum(d if i % 2 == 0 else -d for i, d in table.items())
-    result = BettiTable(k=k, ring=R.label, mode=mode, dims=table, euler=euler)
-    G._betti_cache[cache_key] = result
-    return result
+    return _cached(R, k, mode).table
 
 
 def consistency_report(R, k):

@@ -40,8 +40,8 @@ class RingPresentation:
     (result_index, coefficient); absent pairs multiply to zero.  The
     object is immutable by convention; derived caches hang off private
     attributes.  cpm is set to m for the built-in CP^m presentations
-    and None otherwise — a few downstream operations (the reduced
-    complex) are only defined for those.
+    and None otherwise; the public API offers reduced mode and the
+    extremal analysis for those only.
     """
 
     def __init__(self, basis_names, degrees, structure_constants,

@@ -12,6 +12,7 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
 from configcohom.cecomplex import (AssemblyError, BigradedBasis, Monomial,
                                    _Differential, in_reduction_ideal,
                                    make_monomial)
+from configcohom.generators import GeneratorSet
 from configcohom.homology import complex_data
 from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
                      s2xs2_ring, s4_ring, torus_ring)
@@ -196,10 +197,53 @@ def test_reduced_top_degree():
             assert top_mons[0] == mono(G, expect)
 
 
-def test_reduction_requires_cpm():
-    G = build_generators(torus_ring())
-    with pytest.raises(ValueError):
-        reduce_complex(G, enumerate_basis(G, 2))
+def _nonzero_dims(R, k, mode):
+    """Non-zero Betti numbers read off complex_data's basis and ranks."""
+    basis, _, ranks = complex_data(R, k, mode)
+    dims = {}
+    for (i, w), mons in basis.slices.items():
+        dims[i] = (dims.get(i, 0) + len(mons)
+                   - ranks.get((i, w), 0) - ranks.get((i - 1, w + 1), 0))
+    return {i: n for i, n in dims.items() if n}
+
+
+REDUCTION_RINGS = {
+    "T^2": (torus_ring, 8),
+    "S^4": (s4_ring, 8),
+    "S^2xS^2": (s2xs2_ring, 6),
+    "CP^2 x^2=y/2": (cp2_half_ring, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_RINGS))
+def test_reduction_by_degree(name):
+    # v_top and w_top are located by degree (d and 2d - 1), so the
+    # reduction is exact on rings other than the built-in CP^m: the
+    # homotopy identity holds and the quotient has the same cohomology,
+    # compared degree by degree (the zero padding of the tables differs)
+    make_ring, k_max = REDUCTION_RINGS[name]
+    R = make_ring()
+    G = build_generators(R)
+    for k in range(2, k_max + 1):
+        ok, witness = homotopy_check(G, k)
+        assert ok, (name, k, witness.label(G))
+        assert _nonzero_dims(R, k, "reduced") == _nonzero_dims(R, k, "full"), (name, k)
+
+
+def test_corrupted_top_boundary_raises():
+    # the homotopy rests on d(w_top) = v_top^2: a boundary table that
+    # breaks it must stop the reduction and the homotopy check
+    G = build_generators(make_cpm(2))
+    v_top, w_top = G.v_degrees.index(4), G.w_degrees.index(7)
+    for wrong in ((((v_top, v_top), 2),),
+                  (((0, v_top), 1), ((v_top, v_top), 1))):
+        table = list(G.boundary_on_w)
+        table[w_top] = wrong
+        bad = GeneratorSet(G.v_gens, G.w_gens, table, G.manifold_dimension)
+        with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
+            reduce_complex(bad, enumerate_basis(bad, 3))
+        with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
+            homotopy_check(bad, 3)
 
 
 def test_ideal_membership():

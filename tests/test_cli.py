@@ -77,6 +77,13 @@ def test_monomial_cap(capsys):
     assert "cap" in err
 
 
+def test_monomial_cap_stops_counting_early(capsys):
+    # the count stops once it passes the cap, so a huge k is refused at once
+    rc, _, err = run(capsys, "betti", "--cpm", "2", "--k", "1000000000")
+    assert rc == 3
+    assert "more than 2000000 monomials" in err
+
+
 def test_ray_csv_certificate_on_stderr(capsys):
     rc, out, err = run(capsys, "ray", "--cpm", "2", "--i", "2",
                        "--k-max", "8", "--format", "csv")

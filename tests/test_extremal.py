@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from configcohom import (QuasiPolynomial, UnderDeterminedError, betti,
+from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti,
                          detect_quasi_polynomial, hilbert_ray, make_cpm,
                          verify_vanishing_ranges)
 from oracles import torus_ring
@@ -89,6 +89,32 @@ def test_detect_underdetermined():
         detect_quasi_polynomial(())
     # two samples certify period 1 degree 0, so this must NOT raise
     assert detect_quasi_polynomial(((5, 1), (6, 1))) is not None
+
+
+def test_detect_period_scan_stops_at_half_window(monkeypatch):
+    # a period above half the window leaves some residue class with
+    # fewer than two samples, so no p_max costs more fits than n // 2
+    real, calls = extremal._fits, []
+
+    def spy(values, degree):
+        calls.append(degree)
+        return real(values, degree)
+
+    monkeypatch.setattr(extremal, "_fits", spy)
+    found = []
+    for samples in (tuple((k, 2 ** k) for k in range(3, 32)),
+                    tuple((k, k % 7) for k in range(3, 32))):
+        n = len(samples)
+        calls.clear()
+        want = detect_quasi_polynomial(samples, p_max=n // 2)
+        bound = len(calls)
+        calls.clear()
+        assert detect_quasi_polynomial(samples, p_max=10 ** 9) == want
+        assert len(calls) == bound
+        found.append(want is not None)
+    assert found == [False, True]
+    with pytest.raises(UnderDeterminedError, match="period <= 1000000000"):
+        detect_quasi_polynomial(((5, 1),), p_max=10 ** 9)
 
 
 def test_detect_requires_consecutive_k():

@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from configcohom import (SparseExactMatrix, betti, build_generators,
@@ -5,6 +7,7 @@ from configcohom import (SparseExactMatrix, betti, build_generators,
                          make_cpm, rank, reduce_complex)
 from configcohom.cecomplex import AssemblyError
 from configcohom.homology import complex_data
+from configcohom.linalg import pivot_rows
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
                      CP1_K3_DIMS, CP1_K3_MAPS, cp2_half_ring, dense_betti,
                      dense_rank, s2xs2_ring, s4_ring, torus_ring)
@@ -122,6 +125,36 @@ def test_rescaled_presentation_has_the_same_tables():
         assert betti(R, k).dims == betti(make_cpm(2), k).dims, k
 
 
+def _binomial(x, k):
+    """x (x - 1) ... (x - k + 1) / k! for any integer x."""
+    falling = 1
+    for j in range(k):
+        falling *= x - j
+    return falling // factorial(k)
+
+
+EULER_CASES = [
+    ("CP^1", lambda: make_cpm(1), 11),
+    ("CP^2", lambda: make_cpm(2), 8),
+    ("CP^3", lambda: make_cpm(3), 6),
+    ("T^2", torus_ring, 10),
+    ("S^4", s4_ring, 8),
+    ("S^2xS^2", s2xs2_ring, 6),
+    ("CP^2 x^2=y/2", cp2_half_ring, 6),
+]
+
+
+@pytest.mark.parametrize("make_ring, k_max", [case[1:] for case in EULER_CASES],
+                         ids=[case[0] for case in EULER_CASES])
+def test_euler_is_binomial_of_manifold_euler(make_ring, k_max):
+    # chi(C_k(M)) = C(chi(M), k), with chi(M) read off the ring's degrees
+    # alone: an oracle that shares no code with the engine
+    R = make_ring()
+    chi = sum(-1 if deg % 2 else 1 for deg in R.degrees)
+    for k in range(k_max + 1):
+        assert betti(R, k).euler == _binomial(chi, k), (R.label, k)
+
+
 def _reduced_data(R, k):
     """Slices (in order), blocks and ranks of complex_data in reduced mode."""
     basis, blocks, ranks = complex_data(R, k, "reduced")
@@ -139,21 +172,21 @@ def test_reduced_basis_cut_from_cached_full(m):
         fresh = make_cpm.__wrapped__(m)
         assert _reduced_data(after_full, k) == _reduced_data(fresh, k), k
         G = build_generators(fresh)
-        assert (k, "full") not in G._basis_cache
+        assert (k, "full") not in G._complexes
         want = reduce_complex(G, enumerate_basis(G, k)).slices
-        assert G._basis_cache[(k, "reduced")].slices == want
+        assert G._complexes[(k, "reduced")].basis.slices == want
         # after a full run the reduced monomials are the full basis's objects
         G = build_generators(after_full)
-        full = {id(mon) for mons in G._basis_cache[(k, "full")].slices.values()
+        full = {id(mon) for mons in G._complexes[(k, "full")].basis.slices.values()
                 for mon in mons}
         assert all(id(mon) in full
-                   for mons in G._basis_cache[(k, "reduced")].slices.values()
+                   for mons in G._complexes[(k, "reduced")].basis.slices.values()
                    for mon in mons)
 
 
 def test_dd_check_runs_before_any_rank(monkeypatch):
     # chain pruning trusts d o d = 0, so a block that breaks it must stop
-    # complex_data before a single rank is cached
+    # complex_data before a single rank is computed, and leave no record
     real = homology.assemble_blocks
 
     def one_sign_flipped(G, basis):
@@ -174,14 +207,20 @@ def test_dd_check_runs_before_any_rank(monkeypatch):
                     return blocks
         raise AssertionError("no consecutive blocks to corrupt")
 
+    ranked = []
+
+    def spy_pivot_rows(matrix, skip=()):
+        ranked.append(matrix)
+        return pivot_rows(matrix, skip)
+
     monkeypatch.setattr(homology, "assemble_blocks", one_sign_flipped)
+    monkeypatch.setattr(homology, "pivot_rows", spy_pivot_rows)
     for mode in ("full", "reduced"):
         R = make_cpm.__wrapped__(2)
         with pytest.raises(AssemblyError, match="d o d"):
             complex_data(R, 5, mode)
-        G = build_generators(R)
-        assert (5, mode) in G._block_cache
-        assert (5, mode) not in G._rank_cache
+        assert not ranked
+        assert build_generators(R)._complexes == {}
 
 
 PRUNING_CASES = [
