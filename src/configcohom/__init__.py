@@ -9,7 +9,7 @@ quasi-polynomial certificates to their tails.
 """
 
 from .cecomplex import (BigradedBasis, DifferentialBlock, Monomial,
-                        assemble_blocks, count_monomials,
+                        assemble_blocks, count_monomials, decode_monomial,
                         differential_of_monomial, dump_complex,
                         enumerate_basis, homotopy_check, reduce_complex)
 from .extremal import (HilbertRay, QuasiPolynomial, RangeReport,
@@ -31,9 +31,9 @@ __all__ = [
     "QuasiPolynomial", "RangeReport", "RingDiagnostics", "RingPresentation",
     "RingSchemaError", "SparseExactMatrix", "UnderDeterminedError",
     "assemble_blocks", "betti", "build_generators", "consistency_report",
-    "count_monomials", "detect_quasi_polynomial", "diagonal_comultiplication",
-    "differential_of_monomial", "dump_complex", "enumerate_basis",
-    "hilbert_ray", "homotopy_check", "kernel_dim",
+    "count_monomials", "decode_monomial", "detect_quasi_polynomial",
+    "diagonal_comultiplication", "differential_of_monomial", "dump_complex",
+    "enumerate_basis", "hilbert_ray", "homotopy_check", "kernel_dim",
     "load_ring", "make_cpm", "rank", "reduce_complex", "ring_from_dict",
     "validate_ring", "verify_vanishing_ranges",
 ]

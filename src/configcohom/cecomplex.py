@@ -10,10 +10,11 @@ are words in the generators; the graded-symmetric algebra means even
 generators commute, odd generators anticommute and square to zero.
 
 Codes.  enumerate_basis lists each (degree, weight) slice once, in
-canonical order, and gives every monomial its mixed-radix code: the
-exponents (V-slots, then W-slots) as digits in base k + 1.  The code
-is the monomial's hash and the differential's coordinate, so a term of
-d is one int add and one dict lookup.
+canonical order, as a tuple of mixed-radix codes (the exponents, V-
+then W-slots, as digits in base k + 1), decoded to a Monomial only to
+be read.  Each term of d moves a code by a fixed delta, with a sign
+and coefficient set by the code's W-part and odd V-factors alone, so
+the terms are tabled per such (odd-V mask, W-part) key.
 
 Signs.  Every monomial is stored in canonical order (V-factors first,
 then W-factors, each block sorted by generator position) with
@@ -54,6 +55,7 @@ the quotient basis.
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 from math import comb, lcm
 
 
@@ -67,9 +69,8 @@ class Monomial:
     degree, weight (total W-exponent) and v_length (total V-exponent)
     are precomputed.  code is the mixed-radix code of the exponents
     (V-slots, then W-slots, as digits in base k + 1 with
-    k = v_length + 2 * weight), assigned once when the monomial is
-    enumerated or made; it is the hash, and the differential works on
-    it directly.  Identity is by exponents alone.
+    k = v_length + 2 * weight); it is the hash, and the basis element
+    the monomial was decoded from.  Identity is by exponents alone.
     """
 
     __slots__ = ("v_exps", "w_exps", "degree", "weight", "v_length", "code")
@@ -115,18 +116,24 @@ def make_monomial(G, v_exps, w_exps):
     weight = sum(w_exps)
     v_length = sum(v_exps)
     radix = v_length + 2 * weight + 1
-    code = 0
-    for e in reversed(v_exps + w_exps):
-        code = code * radix + e
+    code = sum(e * radix ** j for j, e in enumerate(v_exps + w_exps))
     return Monomial(v_exps, w_exps, degree, weight, v_length, code)
+
+
+def decode_monomial(G, k, code):
+    """The Monomial of k points with the given code."""
+    n_v = len(G.v_gens)
+    exps = [code // (k + 1) ** j % (k + 1) for j in range(n_v + len(G.w_gens))]
+    return make_monomial(G, exps[:n_v], exps[n_v:])
 
 
 @dataclass
 class BigradedBasis:
     """Monomial bases of all (degree, weight) slices for one k.
 
-    slices maps (degree, weight) to a tuple of Monomials in canonical
-    order; empty slices are absent.  mode is "full" or "reduced".
+    slices maps (degree, weight) to a tuple of Monomial codes in
+    canonical order (decode_monomial gives the Monomial of one); empty
+    slices are absent.  mode is "full" or "reduced".
     """
     k: int
     mode: str
@@ -189,22 +196,22 @@ def count_monomials(G, k):
 
 
 def _coded_exponents(parities, degrees, powers, totals):
-    """Graded-symmetric exponent tuples by length, in lexicographic order.
+    """Graded-symmetric exponent vectors by length, as (degree, code).
 
     parities flags which generators are odd (exponent at most 1).  Maps
-    each length in totals to a list of (exponents, degree, partial
-    code), degree and code summed over these generators only.  The
-    lists are built from the last generator backwards, so every tail is
+    each length in totals to its vectors' (degree, partial code) in
+    lexicographic order, summed over these generators only.  The lists
+    are built from the last generator backwards, so every tail is
     shared by all the prefixes that extend it.
     """
     top = max(totals)
-    tails = {0: [((), 0, 0)]}
+    tails = {0: [(0, 0)]}
     for i in reversed(range(len(parities))):
         cap = 1 if parities[i] else top
         d, p = degrees[i], powers[i]
-        tails = {r: [((e,) + exps, deg + e * d, code + e * p)
+        tails = {r: [(deg + e * d, code + e * p)
                      for e in range(min(cap, r) + 1)
-                     for exps, deg, code in tails.get(r - e, ())]
+                     for deg, code in tails.get(r - e, ())]
                  for r in (totals if i == 0 else range(top + 1))}
     return tails
 
@@ -212,10 +219,10 @@ def _coded_exponents(parities, degrees, powers, totals):
 def enumerate_basis(G, k):
     """Canonical monomial basis of the full complex, sliced by (i, w).
 
-    Each slice comes out in canonical order without sorting: V-parts
-    run in lexicographic order and, for each, the W-parts in
-    lexicographic order, which is Monomial.key order.  The exponent
-    lists, with degrees and partial codes, are built once per k.
+    Each slice is a tuple of codes in canonical order, without sorting:
+    V-parts run in lexicographic order and, for each, the W-parts in
+    lexicographic order, which is Monomial.key order.  Degrees and
+    partial codes of the parts are built once per k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -227,31 +234,22 @@ def enumerate_basis(G, k):
     w_lists = _coded_exponents(G.w_parities, G.w_degrees, powers[n_v:], weights)
     slices = {}
     for w in weights:
-        vlen = k - 2 * w
-        w_part = w_lists[w]
         by_degree = defaultdict(list)
-        for ve, vdeg, vcode in v_lists[vlen]:
-            for we, wdeg, wcode in w_part:
-                deg = vdeg + wdeg
-                by_degree[deg].append(Monomial(ve, we, deg, w, vlen, vcode + wcode))
-        for deg, mons in by_degree.items():
-            slices[(deg, w)] = tuple(mons)
+        for vdeg, vcode in v_lists[k - 2 * w]:
+            for wdeg, wcode in w_lists[w]:
+                by_degree[vdeg + wdeg].append(vcode + wcode)
+        for deg, codes in by_degree.items():
+            slices[(deg, w)] = tuple(codes)
     return BigradedBasis(k=k, mode="full", slices=slices)
 
 
 class _Differential:
-    """D * d on the exponent vectors of monomials of k points.
+    """D * d on the codes of monomials of k points.
 
-    Monomials carry their mixed-radix code in base k + 1
-    (Monomial.code), so the target of a term is the source code plus a
-    fixed delta.  tables[t] holds one tuple per distinct target
-    coeff * v_a v_b (a <= b) of d(w_t):
-
-        (dead, shift_a, shift_b, D * coeff, delta)
-
-    dead masks the odd ones of v_a, v_b (the word dies when the source
-    already holds one); shift_x is x + 1 for odd v_x, else 0, so that
-    vmask >> shift_x keeps the odd V-factors of larger index.
+    tables[t] holds one tuple (a, b, D * coeff, delta) per distinct
+    target coeff * v_a v_b (a <= b) of d(w_t); the target code of the
+    term is the source code plus delta.  memo holds the terms of d per
+    key met, for the life of this object (one k, one call).
     """
 
     def __init__(self, G, k):
@@ -261,8 +259,12 @@ class _Differential:
         self.n_v = len(G.v_gens)
         self.powers = tuple(self.radix ** j
                             for j in range(self.n_v + len(G.w_gens)))
-        self.odd_v = tuple(a for a, p in enumerate(G.v_parities) if p)
-        self.w_parities = G.w_parities
+        self.w_unit = self.powers[self.n_v]
+        # (mask bit, place value) of each odd V-generator
+        self.odd_v = tuple((1 << a, self.powers[a])
+                           for a, p in enumerate(G.v_parities) if p)
+        self.v_parities, self.w_parities = G.v_parities, G.w_parities
+        self.memo = {}
         par = G.v_parities
         tables = []
         for t, terms in enumerate(G.boundary_on_w):
@@ -274,53 +276,48 @@ class _Differential:
                     if par[a] and par[b]:
                         q = -q
                 merged[a, b] = merged.get((a, b), 0) + q
-            table = []
-            for (a, b), q in merged.items():
-                if not q or (a == b and par[a]):
-                    continue  # a zero sum, or v_a^2 = 0 for odd v_a
-                table.append((
-                    (par[a] << a) | (par[b] << b),
-                    a + 1 if par[a] else 0,
-                    b + 1 if par[b] else 0,
-                    int(q * self.scale),
-                    self.powers[a] + self.powers[b] - self.powers[self.n_v + t],
-                ))
-            tables.append(tuple(table))
+            tables.append(tuple(
+                (a, b, int(q * self.scale),
+                 self.powers[a] + self.powers[b] - self.powers[self.n_v + t])
+                for (a, b), q in merged.items()
+                # drop zero sums, and v_a^2 = 0 for odd v_a
+                if q and not (a == b and par[a])))
         self.tables = tuple(tables)
 
-    def monomial(self, G, code):
-        """The Monomial with the given code."""
-        exps = []
-        for _ in self.powers:
-            code, e = divmod(code, self.radix)
-            exps.append(e)
-        return make_monomial(G, exps[:self.n_v], exps[self.n_v:])
+    def terms(self, code):
+        """D * d(code) as ((delta, non-zero int), ...), deltas distinct.
 
-    def apply(self, mon):
-        """D * d(mon) as a list of (target code, non-zero int), codes distinct."""
-        code = mon.code
+        The targets are code + delta.  The terms depend only on the key
+        (odd-V mask, W-part) of code, so they are built once per key,
+        with the prefix-parity signs of the module docstring.
+        """
         vmask = 0
-        for a in self.odd_v:
-            if mon.v_exps[a]:
-                vmask |= 1 << a
+        for bit, unit in self.odd_v:
+            if code // unit % self.radix:
+                vmask |= bit
+        w_part = code // self.w_unit
+        key = vmask, w_part
+        out = self.memo.get(key)
+        if out is not None:
+            return out
         odd_v = vmask.bit_count()
         odd_w = 0  # odd W-factors before the current one
         out = []
-        add = out.append
-        for t, e in enumerate(mon.w_exps):
+        for t, table in enumerate(self.tables):
+            w_part, e = divmod(w_part, self.radix)
             if not e:
                 continue
             koszul = odd_v + odd_w
-            for dead, shift_a, shift_b, q, delta in self.tables[t]:
-                if vmask & dead:
-                    continue
+            for a, b, q, delta in table:
+                if vmask >> a & 1 or vmask >> b & 1:
+                    continue  # the word repeats an odd v_a or v_b
                 s = koszul
-                if shift_a:
-                    s += odd_w + (vmask >> shift_a).bit_count()
-                if shift_b:
-                    s += odd_w + (vmask >> shift_b).bit_count()
-                add((code + delta, -e * q if s & 1 else e * q))
+                for x in (a, b):
+                    if self.v_parities[x]:
+                        s += odd_w + (vmask >> x + 1).bit_count()
+                out.append((delta, -e * q if s & 1 else e * q))
             odd_w += self.w_parities[t]  # odd exponents are at most 1
+        out = self.memo[key] = tuple(out)
         return out
 
 
@@ -331,8 +328,10 @@ def differential_of_monomial(G, mon):
     quadratic boundary, with the Koszul and normalization signs of the
     module docstring.
     """
-    d = _Differential(G, mon.v_length + 2 * mon.weight)
-    terms = [(d.monomial(G, code), Fraction(q, d.scale)) for code, q in d.apply(mon)]
+    k = mon.v_length + 2 * mon.weight
+    d = _Differential(G, k)
+    terms = [(decode_monomial(G, k, mon.code + delta), Fraction(q, d.scale))
+             for delta, q in d.terms(mon.code)]
     terms.sort(key=lambda t: t[0].key())
     return terms
 
@@ -352,10 +351,22 @@ def _top_indices(G):
     return v_top, w_top
 
 
+def _ideal_test(G, k):
+    """Predicate on codes of k points: divisible by v_top^2 or by w_top.
+
+    The digit of place value u is at least e exactly when
+    code % (u * (k + 1)) >= e * u.
+    """
+    v_top, w_top = _top_indices(G)
+    radix = k + 1
+    v_unit, w_unit = radix ** v_top, radix ** (len(G.v_gens) + w_top)
+    v_mod, v_two, w_mod = v_unit * radix, 2 * v_unit, w_unit * radix
+    return lambda code: code % v_mod >= v_two or code % w_mod >= w_unit
+
+
 def in_reduction_ideal(G, mon):
     """True when mon is divisible by v_top^2 or by w_top."""
-    v_top, w_top = _top_indices(G)
-    return mon.v_exps[v_top] >= 2 or mon.w_exps[w_top] >= 1
+    return _ideal_test(G, mon.v_length + 2 * mon.weight)(mon.code)
 
 
 def reduce_complex(G, basis):
@@ -365,11 +376,10 @@ def reduce_complex(G, basis):
     w_top-exponent 0.  The induced differential (apply d, delete ideal
     terms) is what assemble_blocks computes for a reduced basis.
     """
-    v_top, w_top = _top_indices(G)
+    in_ideal = _ideal_test(G, basis.k)
     slices = {}
-    for key, mons in basis.slices.items():
-        kept = tuple(m for m in mons
-                     if m.v_exps[v_top] <= 1 and m.w_exps[w_top] == 0)
+    for key, codes in basis.slices.items():
+        kept = tuple(filterfalse(in_ideal, codes))
         if kept:
             slices[key] = kept
     return BigradedBasis(k=basis.k, mode="reduced", slices=slices)
@@ -385,12 +395,8 @@ def assemble_blocks(G, basis):
     from .linalg import SparseExactMatrix
 
     d = _Differential(G, basis.k)
-    ideal = ()
-    if basis.mode == "reduced":
-        # (digit's place value, least exponent) of v_top^2 and w_top: a
-        # code is in the ideal when either digit reaches its bound
-        v_top, w_top = _top_indices(G)
-        ideal = ((d.powers[v_top], 2), (d.powers[d.n_v + w_top], 1))
+    in_ideal = _ideal_test(G, basis.k) if basis.mode == "reduced" else None
+    terms = d.terms
     blocks = []
     for (i, w) in sorted(basis.slices):
         if w == 0:
@@ -398,20 +404,21 @@ def assemble_blocks(G, basis):
         source = basis.slices[(i, w)]
         target_key = (i + 1, w - 1)
         target = basis.slice(*target_key)
-        row_of = {mon.code: row for row, mon in enumerate(target)}.get
+        row_of = dict(zip(target, range(len(target)))).get
         col_start, rows, values = [0], [], []
         add_row, add_value = rows.append, values.append
-        for mon in source:
-            for out_code, q in d.apply(mon):
-                row = row_of(out_code)
+        for code in source:
+            for delta, q in terms(code):
+                row = row_of(code + delta)
                 if row is not None:
                     add_row(row)
                     add_value(q)
-                elif not any(out_code // unit % d.radix >= least
-                             for unit, least in ideal):
+                elif in_ideal is None or not in_ideal(code + delta):
                     raise AssemblyError(
                         "d(%s) produced %s outside slice %r"
-                        % (mon.label(G), d.monomial(G, out_code).label(G), target_key))
+                        % (decode_monomial(G, basis.k, code).label(G),
+                           decode_monomial(G, basis.k, code + delta).label(G),
+                           target_key))
             col_start.append(len(rows))
         matrix = SparseExactMatrix.from_columns(len(target), col_start, rows, values)
         blocks.append(DifferentialBlock(source=(i, w), target=target_key,
@@ -432,38 +439,32 @@ def homotopy_check(G, k):
     The check is vacuous for k < 2 where the ideal is empty.
     """
     v_top, w_top = _top_indices(G)
+    in_ideal = _ideal_test(G, k)
     d = _Differential(G, k)
     v_unit, w_unit = d.powers[v_top], d.powers[d.n_v + w_top]
-    passed = [d.powers[a] for a in d.odd_v]
+    passed = [unit for _, unit in d.odd_v]
     passed += [d.powers[d.n_v + t] for t in range(w_top) if G.w_parities[t]]
 
     def h(code):
-        """h(code) as (image code, sign), or None when code holds w_top."""
+        """h(code) as (image code, sign); (0, 0), a zero term, when code
+        holds w_top (d of the code 0, the monomial 1, is empty)."""
         if code // w_unit % d.radix:
-            return None
+            return 0, 0
         if code // v_unit % d.radix < 2:
             raise ValueError("h applied outside the ideal: %s"
-                             % d.monomial(G, code).label(G))
+                             % decode_monomial(G, k, code).label(G))
         odd = sum(code // p % d.radix for p in passed)
         return code + w_unit - 2 * v_unit, -1 if odd & 1 else 1
 
-    for mons in enumerate_basis(G, k).slices.values():
-        for mon in mons:
-            if mon.v_exps[v_top] < 2 and not mon.w_exps[w_top]:
-                continue
-            lhs = {}
-            image = h(mon.code)
-            if image is not None:
-                code, sign = image
-                for out, q in d.apply(d.monomial(G, code)):
-                    lhs[out] = sign * q
-            for code, q in d.apply(mon):
-                image = h(code)
-                if image is not None:
-                    out, sign = image
-                    lhs[out] = lhs.get(out, 0) + sign * q
-            if {c: q for c, q in lhs.items() if q} != {mon.code: d.scale}:
-                return False, mon
+    for codes in enumerate_basis(G, k).slices.values():
+        for code in filter(in_ideal, codes):
+            image, sign = h(code)
+            lhs = {image + delta: sign * q for delta, q in d.terms(image)}
+            for delta, q in d.terms(code):
+                image, sign = h(code + delta)
+                lhs[image] = lhs.get(image, 0) + sign * q
+            if {c: q for c, q in lhs.items() if q} != {code: d.scale}:
+                return False, decode_monomial(G, k, code)
     return True, None
 
 
@@ -476,7 +477,8 @@ def dump_complex(G, basis, blocks):
         "mode": basis.mode,
         "slices": [
             {"degree": i, "weight": w,
-             "monomials": [m.label(G) for m in basis.slices[(i, w)]]}
+             "monomials": [decode_monomial(G, basis.k, c).label(G)
+                           for c in basis.slices[(i, w)]]}
             for (i, w) in sorted(basis.slices)
         ],
         "blocks": [

@@ -10,8 +10,8 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
                          enumerate_basis, homotopy_check, make_cpm,
                          reduce_complex)
 from configcohom.cecomplex import (AssemblyError, BigradedBasis, Monomial,
-                                   _Differential, in_reduction_ideal,
-                                   make_monomial)
+                                   _Differential, decode_monomial,
+                                   in_reduction_ideal, make_monomial)
 from configcohom.generators import GeneratorSet
 from configcohom.homology import complex_data
 from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
@@ -36,6 +36,12 @@ def mono(G, exps):
     return make_monomial(G, v, w)
 
 
+def decoded(G, basis):
+    """(degree, weight) -> the slice's Monomials, decoded from its codes."""
+    return {key: [decode_monomial(G, basis.k, code) for code in codes]
+            for key, codes in basis.slices.items()}
+
+
 def diff_labels(G, m):
     return {out.label(G): q for out, q in differential_of_monomial(G, m)}
 
@@ -44,7 +50,7 @@ def test_enumerate_cp1_k2():
     G = build_generators(make_cpm(1))
     basis = enumerate_basis(G, 2)
     labels = {key: [m.label(G) for m in mons]
-              for key, mons in basis.slices.items()}
+              for key, mons in decoded(G, basis).items()}
     assert labels == {
         (0, 0): ["v0^2"], (2, 0): ["v0 v2"], (4, 0): ["v2^2"],
         (1, 1): ["w1"], (3, 1): ["w3"],
@@ -57,7 +63,7 @@ def test_enumerate_edge_cases():
     G = build_generators(make_cpm(2))
     b0 = enumerate_basis(G, 0)
     assert b0.total_dimension() == 1
-    assert b0.slice(0, 0)[0].label(G) == "1"
+    assert decode_monomial(G, 0, b0.slice(0, 0)[0]).label(G) == "1"
     b1 = enumerate_basis(G, 1)
     # k = 1 is just V itself
     assert b1.total_dimension() == 3
@@ -88,7 +94,7 @@ def test_count_matches_enumeration_and_closed_form():
 def test_weights_partition_by_parity():
     G = build_generators(make_cpm(2))
     basis = enumerate_basis(G, 6)
-    for (i, w), mons in basis.slices.items():
+    for (i, w), mons in decoded(G, basis).items():
         for m in mons:
             assert m.weight == w
             assert m.degree == i
@@ -122,7 +128,7 @@ def test_differential_squares_to_zero_pointwise():
     for R in (make_cpm(1), make_cpm(2), torus_ring(), s4_ring()):
         G = build_generators(R)
         basis = enumerate_basis(G, 5)
-        for mons in basis.slices.values():
+        for mons in decoded(G, basis).values():
             for m in mons:
                 acc = {}
                 for out, q in differential_of_monomial(G, m):
@@ -152,7 +158,7 @@ def test_assemble_cp2_k2():
     b = blocks[(3, 1)]
     assert b.target == (4, 0)
     # target slice in canonical order: v2^2 before v0 v4
-    tgt = [m.label(G) for m in basis.slice(4, 0)]
+    tgt = [m.label(G) for m in decoded(G, basis)[(4, 0)]]
     assert tgt == ["v2^2", "v0 v4"]
     assert b.matrix.to_dense() == [[Fraction(1)], [Fraction(2)]]
     assert blocks[(7, 1)].matrix.to_dense() == [[Fraction(1)]]
@@ -171,10 +177,10 @@ def test_blocks_shift_degree_and_weight():
 def test_reduce_cp1_k2_and_k3():
     G = build_generators(make_cpm(1))
     red2 = reduce_complex(G, enumerate_basis(G, 2))
-    labels = sorted(m.label(G) for mons in red2.slices.values() for m in mons)
+    labels = sorted(m.label(G) for mons in decoded(G, red2).values() for m in mons)
     assert labels == ["v0 v2", "v0^2", "w1"]
     red3 = reduce_complex(G, enumerate_basis(G, 3))
-    labels3 = sorted(m.label(G) for mons in red3.slices.values() for m in mons)
+    labels3 = sorted(m.label(G) for mons in decoded(G, red3).values() for m in mons)
     assert labels3 == ["v0 w1", "v0^2 v2", "v0^3", "v2 w1"]
     assert red3.mode == "reduced"
 
@@ -194,7 +200,7 @@ def test_reduced_top_degree():
             expect = {"v%d" % (2 * m - 2): k - 3, "v%d" % (2 * m): 1,
                       "w%d" % (4 * m - 3): 1}
             expect = {n: e for n, e in expect.items() if e}
-            assert top_mons[0] == mono(G, expect)
+            assert decode_monomial(G, k, top_mons[0]) == mono(G, expect)
 
 
 def _nonzero_dims(R, k, mode):
@@ -258,7 +264,7 @@ def test_ideal_is_closed_under_differential():
         G = build_generators(make_cpm(m))
         for k in (2, 3, 4, 5, 6):
             basis = enumerate_basis(G, k)
-            for mons in basis.slices.values():
+            for mons in decoded(G, basis).values():
                 for x in mons:
                     if not in_reduction_ideal(G, x):
                         continue
@@ -295,10 +301,11 @@ def test_dump_complex_shape():
 
 
 ORACLE_CASES = {
-    "T^2": (torus_ring, range(0, 9), ("full",)),
-    "S^4": (s4_ring, range(0, 8), ("full",)),
+    "T^2": (torus_ring, range(0, 9), ("full", "reduced")),
+    "S^4": (s4_ring, range(0, 8), ("full", "reduced")),
+    "S^2xS^2": (s2xs2_ring, range(0, 7), ("full", "reduced")),
     "CP^3": (lambda: make_cpm(3), range(0, 7), ("full", "reduced")),
-    "CP^2 x^2=y/2": (cp2_half_ring, range(0, 8), ("full",)),
+    "CP^2 x^2=y/2": (cp2_half_ring, range(0, 8), ("full", "reduced")),
 }
 
 
@@ -317,12 +324,13 @@ def test_blocks_match_word_oracle(name):
             if mode == "reduced":
                 basis = reduce_complex(G, basis)
             blocks = {b.source: b for b in assemble_blocks(G, basis)}
-            for (i, w), source in basis.slices.items():
+            slices = decoded(G, basis)
+            for (i, w), source in slices.items():
                 if w == 0:
                     continue
                 b = blocks[(i, w)]
                 assert all(type(q) is int for _, _, q in b.matrix.entries)
-                target = basis.slice(i + 1, w - 1)
+                target = slices.get((i + 1, w - 1), [])
                 got = [{} for _ in source]
                 for r, c, q in b.matrix.entries:
                     got[c][target[r].key()] = Fraction(q, b.scale)
@@ -355,22 +363,21 @@ def test_differential_one_term_per_target(name):
         if k >= 2:  # digits of v_a v_b are 1, 1 or 2: base k + 1 > 2
             for t, table in enumerate(d.tables):
                 pairs = []
-                for _, shift_a, shift_b, q, delta in table:
+                for a, b, q, delta in table:
                     code = delta + d.powers[d.n_v + t]
                     digits = [code // p % d.radix for p in d.powers[:d.n_v]]
-                    a, b = [j for j, e in enumerate(digits) for _ in range(e)]
+                    assert [j for j, e in enumerate(digits) for _ in range(e)] == [a, b]
                     assert a <= b and q
-                    assert (shift_a, shift_b) == (a + 1 if par[a] else 0,
-                                                  b + 1 if par[b] else 0)
+                    assert not (a == b and par[a])  # v_a^2 = 0 for odd v_a
                     pairs.append((a, b))
                 assert len(set(pairs)) == len(pairs), (name, t)
-        for mons in enumerate_basis(G, k).slices.values():
+        for mons in decoded(G, enumerate_basis(G, k)).values():
             for mon in mons:
-                terms = d.apply(mon)
+                terms = [(mon.code + delta, q) for delta, q in d.terms(mon.code)]
                 codes = [code for code, _ in terms]
                 assert len(set(codes)) == len(codes), (name, k, mon)
                 assert all(type(q) is int and q for _, q in terms)
-                got = {d.monomial(G, code).key(): Fraction(q, d.scale)
+                got = {decode_monomial(G, k, code).key(): Fraction(q, d.scale)
                        for code, q in terms}
                 assert got == leibniz_differential(G, mon.v_exps, mon.w_exps), \
                     (name, k, mon.label(G))
@@ -385,10 +392,11 @@ def test_stray_terms_raise_in_both_modes():
         assemble_blocks(G, basis)
         slices = dict(basis.slices)
         w3 = mono(G, {"v0": 1, "w3": 1})
-        assert w3 in slices[(3, 1)]
+        assert w3 in decoded(G, basis)[(3, 1)]
         # d(v0 w3) = 2 v0^2 v4 + v0 v2^2: drop v0 v2^2 from its slice
         hit = mono(G, {"v0": 1, "v2": 2})
-        slices[(4, 0)] = tuple(m for m in slices[(4, 0)] if m != hit)
+        slices[(4, 0)] = tuple(c for c in slices[(4, 0)]
+                               if decode_monomial(G, basis.k, c) != hit)
         broken = BigradedBasis(k=basis.k, mode=basis.mode, slices=slices)
         with pytest.raises(AssemblyError, match="v0 v2\\^2 outside slice"):
             assemble_blocks(G, broken)
@@ -421,13 +429,15 @@ GUARD_RINGS = {
 @pytest.mark.parametrize("name", sorted(GUARD_RINGS))
 def test_enumeration_order_and_codes(name):
     # slices come out in canonical order, equal to a brute-force search,
-    # and every monomial carries its base-(k+1) code as its hash
+    # and every code decodes to the monomial whose base-(k+1) code and
+    # hash it is
     G = build_generators(GUARD_RINGS[name]())
     for k in range(7):
         basis = enumerate_basis(G, k)
         oracle = brute_force_basis(G, k)
         assert sorted(basis.slices) == sorted(oracle), (name, k)
-        for key, mons in basis.slices.items():
+        for key, mons in decoded(G, basis).items():
+            assert [m.code for m in mons] == list(basis.slices[key])
             assert list(mons) == sorted(mons, key=Monomial.key), (name, k, key)
             assert [m.key() for m in mons] == oracle[key], (name, k, key)
             for m in mons:
@@ -435,6 +445,24 @@ def test_enumeration_order_and_codes(name):
                                      for j, e in enumerate(m.v_exps + m.w_exps))
                 same = make_monomial(G, m.v_exps, m.w_exps)
                 assert same == m and hash(same) == hash(m) == m.code
+
+
+def test_complex_data_builds_no_monomial(monkeypatch):
+    # the basis is its codes: building, checking and ranking a complex
+    # decodes no Monomial, in either mode, with or without odd V-factors
+    made = []
+    real = Monomial.__init__
+
+    def spy(self, *args):
+        made.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(Monomial, "__init__", spy)
+    for R in (make_cpm.__wrapped__(3), torus_ring()):
+        for mode in ("full", "reduced"):
+            for k in range(2, 7):
+                complex_data(R, k, mode)
+    assert made == []
 
 
 # sha256 of json.dumps(dump_complex(...), sort_keys=True): engine

@@ -5,7 +5,7 @@ import pytest
 from configcohom import (SparseExactMatrix, betti, build_generators,
                          consistency_report, enumerate_basis, homology,
                          make_cpm, rank, reduce_complex)
-from configcohom.cecomplex import AssemblyError
+from configcohom.cecomplex import AssemblyError, decode_monomial
 from configcohom.homology import complex_data
 from configcohom.linalg import pivot_rows
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
@@ -111,11 +111,34 @@ def test_betti_cached():
 
 
 def test_s4_configuration_spaces():
-    # two points on S^4 retract to RP^4, rationally a point; a third
-    # point contributes one class in degree 2*4 - 1 = 7
-    R = s4_ring()
-    assert nonzero(betti(R, 2)) == {0: 1}
-    assert nonzero(betti(R, 3)) == {0: 1, 7: 1}
+    # two points on S^d retract to RP^d, rationally a point; from three
+    # points on, C_k(S^d) for even d has exactly one more class, in
+    # degree 2d - 1 (Randal-Williams): S^2 is CP^1
+    for R, d, k_max in ((s4_ring(), 4, 8), (make_cpm(1), 2, 11)):
+        assert nonzero(betti(R, 2)) == {0: 1}
+        for k in range(3, k_max + 1):
+            assert nonzero(betti(R, k)) == {0: 1, 2 * d - 1: 1}, (R.label, k)
+
+
+STABILITY_CASES = [
+    ("CP^2", lambda: make_cpm(2), 8),
+    ("CP^3", lambda: make_cpm(3), 7),
+    ("T^2", torus_ring, 9),
+    ("S^4", s4_ring, 8),
+    ("S^2xS^2", s2xs2_ring, 6),
+]
+
+
+@pytest.mark.parametrize("make_ring, k_max", [case[1:] for case in STABILITY_CASES],
+                         ids=[case[0] for case in STABILITY_CASES])
+def test_rational_homological_stability(make_ring, k_max):
+    # Church: b_i(C_k(M)) = b_i(C_{k+1}(M)) for i < k, a theorem that
+    # shares nothing with the engine
+    R = make_ring()
+    tables = [betti(R, k) for k in range(k_max + 1)]
+    for k in range(k_max):
+        for i in range(k):
+            assert tables[k].dim(i) == tables[k + 1].dim(i), (R.label, i, k)
 
 
 def test_rescaled_presentation_has_the_same_tables():
@@ -158,7 +181,8 @@ def test_euler_is_binomial_of_manifold_euler(make_ring, k_max):
 def _reduced_data(R, k):
     """Slices (in order), blocks and ranks of complex_data in reduced mode."""
     basis, blocks, ranks = complex_data(R, k, "reduced")
-    slices = [(key, [m.key() for m in mons]) for key, mons in basis.slices.items()]
+    slices = [(key, [decode_monomial(build_generators(R), k, c).key() for c in codes])
+              for key, codes in basis.slices.items()]
     blocks = {src: (b.target, b.matrix.n_rows, b.matrix.n_cols, b.matrix.entries, b.scale)
               for src, b in blocks.items()}
     return slices, blocks, ranks
@@ -175,7 +199,7 @@ def test_reduced_basis_cut_from_cached_full(m):
         assert (k, "full") not in G._complexes
         want = reduce_complex(G, enumerate_basis(G, k)).slices
         assert G._complexes[(k, "reduced")].basis.slices == want
-        # after a full run the reduced monomials are the full basis's objects
+        # after a full run the reduced codes are the full basis's objects
         G = build_generators(after_full)
         full = {id(mon) for mons in G._complexes[(k, "full")].basis.slices.values()
                 for mon in mons}
