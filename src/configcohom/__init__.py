@@ -12,9 +12,6 @@ from .cecomplex import (BigradedBasis, DifferentialBlock, Monomial,
                         assemble_blocks, count_monomials, decode_monomial,
                         differential_of_monomial, dump_complex,
                         enumerate_basis, homotopy_check, reduce_complex)
-from .extremal import (HilbertRay, QuasiPolynomial, RangeReport,
-                       UnderDeterminedError, detect_quasi_polynomial,
-                       hilbert_ray, verify_vanishing_ranges)
 from .generators import Generator, GeneratorSet, build_generators
 from .homology import (BettiTable, ConsistencyReport, betti,
                        consistency_report)
@@ -37,3 +34,15 @@ __all__ = [
     "load_ring", "make_cpm", "rank", "reduce_complex", "ring_from_dict",
     "validate_ring", "verify_vanishing_ranges",
 ]
+
+# exported, but imported only when one of them is first asked for
+_EXTREMAL = ("HilbertRay", "QuasiPolynomial", "RangeReport", "UnderDeterminedError",
+             "detect_quasi_polynomial", "hilbert_ray", "verify_vanishing_ranges")
+
+
+def __getattr__(name):
+    """The extremal exports, imported on first use (PEP 562)."""
+    if name in _EXTREMAL:
+        from . import extremal
+        return getattr(extremal, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -52,8 +52,7 @@ verifies (dh + hd) = id on the ideal exactly; reduce_complex builds
 the quotient basis.
 """
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from itertools import filterfalse
 from math import comb, lcm
@@ -84,6 +83,8 @@ class Monomial:
         self.code = code
 
     def __eq__(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
         return self.v_exps == other.v_exps and self.w_exps == other.w_exps
 
     def __hash__(self):
@@ -127,17 +128,14 @@ def decode_monomial(G, k, code):
     return make_monomial(G, exps[:n_v], exps[n_v:])
 
 
-@dataclass
-class BigradedBasis:
+class BigradedBasis(namedtuple("BigradedBasis", "k mode slices")):
     """Monomial bases of all (degree, weight) slices for one k.
 
     slices maps (degree, weight) to a tuple of Monomial codes in
     canonical order (decode_monomial gives the Monomial of one); empty
     slices are absent.  mode is "full" or "reduced".
     """
-    k: int
-    mode: str
-    slices: dict
+    __slots__ = ()
 
     def slice(self, degree, weight):
         return self.slices.get((degree, weight), ())
@@ -156,7 +154,6 @@ class BigradedBasis:
         return out
 
 
-@dataclass
 class DifferentialBlock:
     """One matrix of the differential, from slice source to slice target.
 
@@ -164,10 +161,22 @@ class DifferentialBlock:
     canonical monomial order.  matrix holds scale * d with int entries,
     scale being the ring's denominator D.
     """
-    source: tuple
-    target: tuple
-    matrix: object
-    scale: int = 1
+    __slots__ = ("source", "target", "matrix", "scale")
+
+    def __init__(self, source, target, matrix, scale=1):
+        self.source, self.target, self.matrix, self.scale = source, target, matrix, scale
+
+    def _astuple(self):
+        return (self.source, self.target, self.matrix, self.scale)
+
+    def __eq__(self, other):
+        if type(other) is not DifferentialBlock:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        return ("DifferentialBlock(source=%r, target=%r, matrix=%r, scale=%r)"
+                % self._astuple())
 
 
 def _sym_count(parities, total):

@@ -7,6 +7,10 @@ Four subcommands:
     verify      extremal vanishing report for CP^m
     ring-check  validate a ring presentation JSON file
 
+Each run imports only what its subcommand runs: the extremal module is
+imported by ray and verify alone, and the process pool only where one
+is started, so a betti or ring-check run skips both.
+
 Exit codes: 0 success, 1 a verified claim failed, 2 input error,
 3 monomial cap exceeded, 4 internal error (a failed consistency check
 inside the engine, or a worker process that died).  Output is
@@ -18,37 +22,23 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cecomplex import AssemblyError, monomial_counts
-from .extremal import (UnderDeterminedError, detect_quasi_polynomial,
-                       hilbert_ray, verify_vanishing_ranges)
 from .generators import build_generators
 from .homology import betti, consistency_report
-from .ring import (InvalidRingError, RingSchemaError, load_ring, make_cpm,
-                   validate_ring)
+from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
 
 DEFAULT_MAX_MONOMIALS = 2_000_000
 
 
-@dataclass
-class RunConfig:
+class RunConfig(namedtuple(
+        "RunConfig", "command cpm ring_path k k_min k_max i mode fmt output jobs"
+        " p_max deg_max max_monomials indexing",
+        defaults=(None, None, None, 2, None, None, "full", "text", None, 1, 6, 4,
+                  DEFAULT_MAX_MONOMIALS, "cohomological"))):
     """Everything one invocation needs; parse_config builds it from argv."""
-    command: str
-    cpm: int = None
-    ring_path: str = None
-    k: int = None
-    k_min: int = 2
-    k_max: int = None
-    i: int = None
-    mode: str = "full"
-    fmt: str = "text"
-    output: str = None
-    jobs: int = 1
-    p_max: int = 6
-    deg_max: int = 4
-    max_monomials: int = DEFAULT_MAX_MONOMIALS
-    indexing: str = "cohomological"
+    __slots__ = ()
 
 
 def _default_jobs():
@@ -80,7 +70,8 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, ring=False):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
+                       dest="fmt")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
         p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
@@ -91,7 +82,8 @@ def build_parser():
         if ring:
             g = p.add_mutually_exclusive_group(required=True)
             g.add_argument("--cpm", type=int, metavar="M", help="use the built-in CP^M ring")
-            g.add_argument("--ring", metavar="FILE", help="load a ring presentation JSON file")
+            g.add_argument("--ring", metavar="FILE", dest="ring_path",
+                           help="load a ring presentation JSON file")
         else:
             p.add_argument("--cpm", type=int, metavar="M", required=True)
 
@@ -100,7 +92,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("full", "reduced", "both"), default="full")
     p.add_argument("--degrees", choices=("cohomological", "homological"),
-                   default="cohomological")
+                   default="cohomological", dest="indexing")
 
     p = sub.add_parser("ray", help="extremal Hilbert-function ray of CP^m")
     common(p)
@@ -116,38 +108,19 @@ def build_parser():
     p.add_argument("--k-max", type=int, required=True)
 
     p = sub.add_parser("ring-check", help="validate a ring presentation file")
-    p.add_argument("--ring", metavar="FILE", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--ring", metavar="FILE", required=True, dest="ring_path")
+    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p.add_argument("--output", metavar="FILE")
 
     return top
 
 
 def parse_config(argv):
+    """The RunConfig of argv; each option's dest is its RunConfig field."""
     ns = build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.fmt = ns.format
-    cfg.output = ns.output
-    if hasattr(ns, "jobs"):
-        cfg.jobs = ns.jobs if ns.jobs is not None else _default_jobs()
-    if hasattr(ns, "max_monomials"):
-        cfg.max_monomials = ns.max_monomials
-    cfg.cpm = getattr(ns, "cpm", None)
-    cfg.ring_path = getattr(ns, "ring", None)
-    if ns.command == "betti":
-        cfg.k = ns.k
-        cfg.mode = ns.mode
-        cfg.indexing = ns.degrees
-    elif ns.command == "ray":
-        cfg.i = ns.i
-        cfg.k_min = ns.k_min
-        cfg.k_max = ns.k_max
-        cfg.mode = ns.mode
-        cfg.p_max = ns.p_max
-        cfg.deg_max = ns.deg_max
-    elif ns.command == "verify":
-        cfg.k_max = ns.k_max
-    return cfg
+    if getattr(ns, "jobs", 1) is None:
+        ns.jobs = _default_jobs()
+    return RunConfig(**vars(ns))
 
 
 def _emit(cfg, text):
@@ -243,6 +216,8 @@ def _run_betti(cfg):
 
 
 def _run_ray(cfg):
+    from .extremal import detect_quasi_polynomial, hilbert_ray
+
     R = make_cpm(cfg.cpm)
     msg = _cap_check(R, cfg.k_max, cfg.max_monomials)
     if msg:
@@ -283,6 +258,8 @@ def _run_ray(cfg):
 
 
 def _run_verify(cfg):
+    from .extremal import verify_vanishing_ranges
+
     R = make_cpm(cfg.cpm)
     msg = _cap_check(R, cfg.k_max, cfg.max_monomials)
     if msg:
@@ -339,8 +316,8 @@ def run(cfg):
         if cfg.command == "ring-check":
             return _run_ring_check(cfg)
         raise ValueError("unknown command %r" % cfg.command)
-    except (RingSchemaError, InvalidRingError, UnderDeterminedError,
-            OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
+        # the ring errors and extremal's UnderDeterminedError are ValueErrors
         sys.stderr.write("error: %s\n" % exc)
         return 2
     except (AssemblyError, *_pool_errors()) as exc:

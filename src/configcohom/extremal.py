@@ -21,7 +21,7 @@ attached.
 """
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .homology import betti, complex_data
@@ -34,12 +34,12 @@ class UnderDeterminedError(ValueError):
     """Too few samples to certify any candidate in the search space."""
 
 
-@dataclass
-class HilbertRay:
-    """Samples of k -> dim H^{k(2m-2)+i}(C_k(CP^m)) on a contiguous range."""
-    m: int
-    i: int
-    samples: tuple  # ((k, dim), ...) with consecutive k
+class HilbertRay(namedtuple("HilbertRay", "m i samples")):
+    """Samples of k -> dim H^{k(2m-2)+i}(C_k(CP^m)) on a contiguous range.
+
+    samples is ((k, dim), ...) with consecutive k.
+    """
+    __slots__ = ()
 
     def dims(self):
         return tuple(d for _, d in self.samples)
@@ -48,20 +48,17 @@ class HilbertRay:
         return (self.samples[0][0], self.samples[-1][0])
 
 
-@dataclass
-class QuasiPolynomial:
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coefficients")):
     """Certificate: for k >= onset, f(k) = P_{k mod period}(k).
 
-    coefficients[r] lists the coefficients of the class-r polynomial in
-    ascending powers of k (so the polynomials are in k itself, not in
-    the class index).  degree is the largest actual degree over the
-    classes; the certificate is minimal in lexicographic
-    (period, onset, degree) order among those the samples support.
+    coefficients[r] lists the coefficients (Fractions) of the class-r
+    polynomial in ascending powers of k (so the polynomials are in k
+    itself, not in the class index).  degree is the largest actual
+    degree over the classes; the certificate is minimal in
+    lexicographic (period, onset, degree) order among those the
+    samples support.
     """
-    period: int
-    onset: int
-    degree: int
-    coefficients: tuple  # per residue class, tuple of Fractions
+    __slots__ = ()
 
     def evaluate(self, k):
         coeffs = self.coefficients[k % self.period]
@@ -240,15 +237,11 @@ def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     return None
 
 
-@dataclass
-class RangeCheck:
-    """One line of the verification report."""
-    check_id: str
-    description: str
-    status: str  # "pass" | "sharper" | "fail"
-    claimed_onset: object = None
-    observed_onset: object = None
-    detail: object = None
+class RangeCheck(namedtuple(
+        "RangeCheck", "check_id description status claimed_onset observed_onset detail",
+        defaults=(None, None, None))):
+    """One line of the verification report; status is "pass", "sharper" or "fail"."""
+    __slots__ = ()
 
     def to_json_dict(self):
         out = {"id": self.check_id, "description": self.description,
@@ -261,13 +254,9 @@ class RangeCheck:
         return out
 
 
-@dataclass
-class RangeReport:
+class RangeReport(namedtuple("RangeReport", "m k_max checks i0_samples")):
     """Verification of the extremal vanishing ranges for one CP^m."""
-    m: int
-    k_max: int
-    checks: tuple
-    i0_samples: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -14,23 +14,19 @@ into a plain data object; monomials and differentials live in
 cecomplex.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ring import diagonal_comultiplication
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(namedtuple("Generator", "name degree homology_degree ring_index")):
     """A single V- or W-generator.
 
     degree is the cohomological degree used for all sign and grading
     bookkeeping; homology_degree and ring_index remember where the
     generator came from.
     """
-    name: str
-    degree: int
-    homology_degree: int
-    ring_index: int
+    __slots__ = ()
 
     @property
     def parity(self):

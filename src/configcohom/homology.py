@@ -34,25 +34,20 @@ first; complex_data raises AssemblyError before computing any rank
 when it fails.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cecomplex import AssemblyError, assemble_blocks, enumerate_basis, reduce_complex
 from .generators import build_generators
 from .linalg import pivot_rows
 
 
-@dataclass
-class BettiTable:
+class BettiTable(namedtuple("BettiTable", "k ring mode dims euler")):
     """Betti numbers of C_k(M) for one k.
 
     dims maps every degree from 0 up to the chain-level top degree to
     dim H^i (zeros included); euler is the alternating sum.
     """
-    k: int
-    ring: str
-    mode: str
-    dims: dict
-    euler: int
+    __slots__ = ()
 
     def dim(self, i):
         return self.dims.get(i, 0)
@@ -71,26 +66,16 @@ class BettiTable:
         }
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(namedtuple(
+        "ConsistencyReport", "k ring ok first_mismatch full reduced"
+        " chain_euler_full chain_euler_reduced")):
     """Full-vs-reduced comparison for one (ring, k)."""
-    k: int
-    ring: str
-    ok: bool
-    first_mismatch: object
-    full: BettiTable
-    reduced: BettiTable
-    chain_euler_full: int
-    chain_euler_reduced: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _Complex:
+class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
     """Everything computed for one (k, mode), stored once fully checked."""
-    basis: object
-    blocks: dict
-    ranks: dict
-    table: BettiTable
+    __slots__ = ()
 
 
 def _build(G, k, mode):

@@ -5,10 +5,13 @@ fractions.Fraction, never floats.  JSON carries rationals as strings
 "p" or "p/q" so nothing is ever rounded on the way in or out.
 """
 
-import re
 from fractions import Fraction
 
-_INT_RE = re.compile(r"^[+-]?[0-9]+$")
+
+def _is_int(text):
+    """An optional sign followed by ASCII digits, and nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
 
 
 def parse_rational(value):
@@ -24,9 +27,9 @@ def parse_rational(value):
         return Fraction(value)
     if isinstance(value, str):
         parts = value.strip().split("/")
-        if len(parts) == 1 and _INT_RE.match(parts[0]):
+        if len(parts) == 1 and _is_int(parts[0]):
             return Fraction(int(parts[0]))
-        if len(parts) == 2 and _INT_RE.match(parts[0]) and _INT_RE.match(parts[1]):
+        if len(parts) == 2 and _is_int(parts[0]) and _is_int(parts[1]):
             num, den = int(parts[0]), int(parts[1])
             if den == 0:
                 raise ValueError("rational with zero denominator: %r" % value)

@@ -17,7 +17,7 @@ homogeneous of homology degree deg(h_c) once the ring validates.
 """
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -122,11 +122,9 @@ class RingPresentation:
         return "RingPresentation(%s, n=%d, d=%d)" % (self.label, self.n, self.manifold_dimension)
 
 
-@dataclass
-class RingDiagnostics:
+class RingDiagnostics(namedtuple("RingDiagnostics", "valid violations")):
     """Outcome of validate_ring: valid flag plus per-rule violations."""
-    valid: bool
-    violations: tuple
+    __slots__ = ()
 
     def messages(self):
         return tuple(msg for _, msg in self.violations)

@@ -447,6 +447,15 @@ def test_enumeration_order_and_codes(name):
                 assert same == m and hash(same) == hash(m) == m.code
 
 
+def test_monomial_compares_unequal_to_other_objects():
+    G = build_generators(make_cpm(2))
+    m = decode_monomial(G, 3, enumerate_basis(G, 3).slice(5, 1)[0])
+    assert m != 5 and not (m == 5)
+    assert m != (m.v_exps, m.w_exps)
+    assert m in [None, m] and None not in [m]
+    assert m == make_monomial(G, m.v_exps, m.w_exps)
+
+
 def test_complex_data_builds_no_monomial(monkeypatch):
     # the basis is its codes: building, checking and ranking a complex
     # decodes no Monomial, in either mode, with or without odd V-factors

@@ -234,14 +234,64 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_leaves_the_process_pool_out():
-    # the pool (and multiprocessing) is imported only where one starts
+    # the pool (and multiprocessing) is imported only where one starts,
+    # the extremal module only by ray and verify, and no record needs
+    # the dataclasses machinery
     src = os.path.dirname(os.path.dirname(configcohom.__file__))
     code = ("import sys, configcohom.cli; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+            "('multiprocessing', 'concurrent.futures.process', 'dataclasses', "
+            "'inspect', 'configcohom.extremal') if m in sys.modules))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("run_it", [
+    "import configcohom",
+    "from configcohom.cli import main; main(['betti', '--cpm', '2', '--k', '4'])",
+    "from configcohom.cli import main; main(['betti', '--cpm', '2', '--k', '4', "
+    "'--mode', 'both', '--format', 'json'])",
+], ids=["package", "betti", "betti-both"])
+def test_package_and_betti_load_only_what_they_run(run_it):
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    code = ("import sys\n%s\nprint(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process', 'dataclasses', 'inspect', "
+            "'configcohom.extremal') if m in sys.modules), file=sys.stderr)" % run_it)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == "[]\n"
+
+
+def test_extremal_exports_resolve_on_first_use():
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    code = "\n".join([
+        "import sys, configcohom",
+        "assert 'configcohom.extremal' not in sys.modules",
+        "from configcohom import extremal",
+        "assert extremal is sys.modules['configcohom.extremal']",
+        "ns = {}",
+        "exec('from configcohom import *', ns)",
+        "missing = [n for n in configcohom.__all__ if n not in ns]",
+        "assert not missing, missing",
+        "for name in configcohom.__all__:",
+        "    assert getattr(configcohom, name) is ns[name], name",
+        "assert configcohom.hilbert_ray is extremal.hilbert_ray",
+        "assert issubclass(configcohom.UnderDeterminedError, ValueError)",
+        "try:",
+        "    configcohom.no_such_name",
+        "except AttributeError as exc:",
+        "    assert 'no_such_name' in str(exc)",
+        "else:",
+        "    raise AssertionError('unknown attribute resolved')",
+        "print('ok')",
+    ])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 def test_python_dash_m_runs_the_cli():

@@ -14,7 +14,8 @@ def test_parse_ints_and_strings():
 
 
 def test_parse_rejects_junk():
-    for bad in (0.5, "0.5", "1/0", "1/2/3", "a", "", True, None, "1_0"):
+    for bad in (0.5, "0.5", "1/0", "1/2/3", "a", "", True, None, "1_0",
+                "1\n/2", "+", "-/2", "\u0663"):
         with pytest.raises(ValueError):
             parse_rational(bad)
 
