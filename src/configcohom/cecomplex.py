@@ -48,13 +48,13 @@ h(v_top^2 A + B w_top) = w_top A,  so the quotient complex (monomials
 with v_top-exponent <= 1 and no w_top) has the same cohomology.  The
 generators are found by degree alone; the public API still offers the
 reduced complex for the built-in CP^m rings only.  homotopy_check
-verifies (dh + hd) = id on the ideal exactly; reduce_complex builds
-the quotient basis.
+verifies (dh + hd) = id on the ideal exactly.  The quotient basis is
+enumerated directly, by capping the v_top-exponent at 1 and the
+w_top-exponent at 0, so it never passes through the full basis.
 """
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from itertools import filterfalse
 from math import comb, lcm
 
 
@@ -180,7 +180,7 @@ class DifferentialBlock:
 
 
 def _sym_count(parities, total):
-    """Closed-form count of the tuples _coded_exponents lists for total."""
+    """Closed-form count of the full-mode exponent tuples of length total."""
     odd = sum(1 for p in parities if p)
     even = len(parities) - odd
     count = 0
@@ -204,20 +204,19 @@ def count_monomials(G, k):
     return sum(monomial_counts(G, k))
 
 
-def _coded_exponents(parities, degrees, powers, totals):
-    """Graded-symmetric exponent vectors by length, as (degree, code).
+def _coded_exponents(caps, degrees, powers, totals):
+    """Exponent vectors by length, as (degree, code).
 
-    parities flags which generators are odd (exponent at most 1).  Maps
-    each length in totals to its vectors' (degree, partial code) in
-    lexicographic order, summed over these generators only.  The lists
-    are built from the last generator backwards, so every tail is
+    caps[i] bounds the exponent of generator i (1 for an odd one).
+    Maps each length in totals to its vectors' (degree, partial code)
+    in lexicographic order, summed over these generators only.  The
+    lists are built from the last generator backwards, so every tail is
     shared by all the prefixes that extend it.
     """
     top = max(totals)
     tails = {0: [(0, 0)]}
-    for i in reversed(range(len(parities))):
-        cap = 1 if parities[i] else top
-        d, p = degrees[i], powers[i]
+    for i in reversed(range(len(caps))):
+        cap, d, p = caps[i], degrees[i], powers[i]
         tails = {r: [(deg + e * d, code + e * p)
                      for e in range(min(cap, r) + 1)
                      for deg, code in tails.get(r - e, ())]
@@ -225,22 +224,31 @@ def _coded_exponents(parities, degrees, powers, totals):
     return tails
 
 
-def enumerate_basis(G, k):
-    """Canonical monomial basis of the full complex, sliced by (i, w).
+def enumerate_basis(G, k, mode="full"):
+    """Canonical monomial basis of the full or reduced complex, by (i, w).
 
     Each slice is a tuple of codes in canonical order, without sorting:
     V-parts run in lexicographic order and, for each, the W-parts in
-    lexicographic order, which is Monomial.key order.  Degrees and
-    partial codes of the parts are built once per k.
+    lexicographic order, which is Monomial.key order.  Odd generators
+    have exponent at most 1; in reduced mode v_top's is at most 1 and
+    w_top's 0 as well.  Degrees and partial codes of the parts are
+    built once per k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    v_caps = [1 if p else k for p in G.v_parities]
+    w_caps = [1 if p else k for p in G.w_parities]
+    if mode == "reduced":
+        v_top, w_top = _top_indices(G)
+        v_caps[v_top], w_caps[w_top] = 1, 0
+    elif mode != "full":
+        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
     n_v = len(G.v_gens)
     powers = [(k + 1) ** j for j in range(n_v + len(G.w_gens))]
     weights = range(k // 2 + 1)
-    v_lists = _coded_exponents(G.v_parities, G.v_degrees, powers[:n_v],
+    v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
                                [k - 2 * w for w in weights])
-    w_lists = _coded_exponents(G.w_parities, G.w_degrees, powers[n_v:], weights)
+    w_lists = _coded_exponents(w_caps, G.w_degrees, powers[n_v:], weights)
     slices = {}
     for w in weights:
         by_degree = defaultdict(list)
@@ -249,7 +257,7 @@ def enumerate_basis(G, k):
                 by_degree[vdeg + wdeg].append(vcode + wcode)
         for deg, codes in by_degree.items():
             slices[(deg, w)] = tuple(codes)
-    return BigradedBasis(k=k, mode="full", slices=slices)
+    return BigradedBasis(k=k, mode=mode, slices=slices)
 
 
 class _Differential:
@@ -379,19 +387,15 @@ def in_reduction_ideal(G, mon):
 
 
 def reduce_complex(G, basis):
-    """Quotient basis by the acyclic (v_top^2, w_top) ideal.
+    """Quotient basis of basis.k points by the acyclic (v_top^2, w_top) ideal.
 
-    Keeps exactly the monomials with v_top-exponent at most 1 and
-    w_top-exponent 0.  The induced differential (apply d, delete ideal
-    terms) is what assemble_blocks computes for a reduced basis.
+    The monomials with v_top-exponent at most 1 and w_top-exponent 0,
+    enumerated directly: only basis.k is read, so a full or an already
+    reduced basis gives the same result.
+    The induced differential (apply d, delete ideal terms) is what
+    assemble_blocks computes for a reduced basis.
     """
-    in_ideal = _ideal_test(G, basis.k)
-    slices = {}
-    for key, codes in basis.slices.items():
-        kept = tuple(filterfalse(in_ideal, codes))
-        if kept:
-            slices[key] = kept
-    return BigradedBasis(k=basis.k, mode="reduced", slices=slices)
+    return enumerate_basis(G, basis.k, "reduced")
 
 
 def assemble_blocks(G, basis):

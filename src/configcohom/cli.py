@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from collections import namedtuple
 
 from .cecomplex import AssemblyError, monomial_counts
 from .generators import build_generators
@@ -30,15 +29,6 @@ from .homology import betti, consistency_report
 from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
 
 DEFAULT_MAX_MONOMIALS = 2_000_000
-
-
-class RunConfig(namedtuple(
-        "RunConfig", "command cpm ring_path k k_min k_max i mode fmt output jobs"
-        " p_max deg_max max_monomials indexing",
-        defaults=(None, None, None, 2, None, None, "full", "text", None, 1, 6, 4,
-                  DEFAULT_MAX_MONOMIALS, "cohomological"))):
-    """Everything one invocation needs; parse_config builds it from argv."""
-    __slots__ = ()
 
 
 def _default_jobs():
@@ -116,11 +106,11 @@ def build_parser():
 
 
 def parse_config(argv):
-    """The RunConfig of argv; each option's dest is its RunConfig field."""
+    """The parsed namespace of argv, with jobs filled in from the environment."""
     ns = build_parser().parse_args(argv)
     if getattr(ns, "jobs", 1) is None:
         ns.jobs = _default_jobs()
-    return RunConfig(**vars(ns))
+    return ns
 
 
 def _emit(cfg, text):

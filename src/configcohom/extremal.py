@@ -87,8 +87,7 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coeffic
 def _dims_for_k(args):
     """Worker: Betti dims of C_k(CP^m).  Top-level so it pickles.
 
-    Mode "both" computes the full table, then the reduced one, whose
-    basis is cut from the full basis this process just enumerated, and
+    Mode "both" computes the full table, then the reduced one, and
     returns (full dims, reduced dims, facts); facts holds the structural
     facts of the reduced complex at this k when asked for, else None.
     """
@@ -304,6 +303,22 @@ def _observed_onset(flags):
     return onset
 
 
+def _vanishing_check(check_id, description, flags, claimed):
+    """RangeCheck of a vanishing claim from per-k (k, vanishes) flags.
+
+    "fail" when the claim breaks at some k >= claimed, "sharper" when
+    the observed onset comes before claimed, else "pass".
+    """
+    failed = [k for k, good in flags if k >= claimed and not good]
+    onset = _observed_onset(flags)
+    status = "fail" if failed else ("sharper" if onset is not None and onset < claimed else "pass")
+    return RangeCheck(
+        check_id=check_id, description=description, status=status,
+        claimed_onset=claimed, observed_onset=onset,
+        detail={"failing_k": failed} if failed else None,
+    )
+
+
 def verify_vanishing_ranges(m, k_max, jobs=1):
     """Check the expected extremal vanishing behaviour of CP^m.
 
@@ -346,31 +361,15 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     if m >= 2:
         for i in (1, 2, 3):
             flags = [(k, dims_by_k[k].get(edge[k] + i, 0) == 0) for k in ks]
-            claimed = 8
-            failed = [k for k, good in flags if k >= claimed and not good]
-            onset = _observed_onset(flags)
-            status = "fail" if failed else ("sharper" if onset is not None and onset < claimed else "pass")
-            checks.append(RangeCheck(
-                check_id="vanishing-offset-%d" % i,
-                description="dim H^{k(2m-2)+%d}(C_k(CP^%d)) = 0" % (i, m),
-                status=status, claimed_onset=claimed, observed_onset=onset,
-                detail={"failing_k": failed} if failed else None,
-            ))
+            checks.append(_vanishing_check(
+                "vanishing-offset-%d" % i,
+                "dim H^{k(2m-2)+%d}(C_k(CP^%d)) = 0" % (i, m), flags, claimed=8))
 
-    flags = []
-    for k in ks:
-        tail = [d for deg, d in dims_by_k[k].items() if deg >= edge[k] + 4]
-        flags.append((k, all(d == 0 for d in tail)))
-    claimed = 4
-    failed = [k for k, good in flags if k >= claimed and not good]
-    onset = _observed_onset(flags)
-    status = "fail" if failed else ("sharper" if onset is not None and onset < claimed else "pass")
-    checks.append(RangeCheck(
-        check_id="vanishing-offset-ge4",
-        description="dim H^{k(2m-2)+i}(C_k(CP^%d)) = 0 for every i >= 4" % m,
-        status=status, claimed_onset=claimed, observed_onset=onset,
-        detail={"failing_k": failed} if failed else None,
-    ))
+    flags = [(k, all(d == 0 for deg, d in dims_by_k[k].items() if deg >= edge[k] + 4))
+             for k in ks]
+    checks.append(_vanishing_check(
+        "vanishing-offset-ge4",
+        "dim H^{k(2m-2)+i}(C_k(CP^%d)) = 0 for every i >= 4" % m, flags, claimed=4))
 
     if m >= 2:
         checks.extend(both[k_max][2])

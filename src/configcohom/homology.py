@@ -7,12 +7,11 @@ contributes
     dim slice - rank(block out of it) - rank(block into it)
 
 to the Betti number of its degree.  Each (k, mode) is built once, in
-this order: basis (a reduced basis is cut from the cached full one
-when there is one, so a run that computes both modes enumerates each k
-once), blocks, the exact d o d = 0 check on every consecutive pair,
-pruned ranks, and the Betti table.  The record is cached on the ring's
-generator set only when all of these have passed, so nothing half
-built or unchecked is ever reused.
+this order: basis (enumerated directly in either mode, so no record
+reads another), blocks, the exact d o d = 0 check on every consecutive
+pair, pruned ranks, and the Betti table.  The record is cached on the
+ring's generator set only when all of these have passed, so nothing
+half built or unchecked is ever reused.
 
 Chain pruning.  The check makes the ranks cheaper.  Blocks are ranked
 in increasing (degree, weight), so along each chain degree + weight = s
@@ -36,7 +35,7 @@ when it fails.
 
 from collections import namedtuple
 
-from .cecomplex import AssemblyError, assemble_blocks, enumerate_basis, reduce_complex
+from .cecomplex import AssemblyError, assemble_blocks, enumerate_basis
 from .generators import build_generators
 from .linalg import pivot_rows
 
@@ -80,13 +79,7 @@ class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
 
 def _build(G, k, mode):
     """Basis, blocks, d o d check, pruned ranks and Betti table, in order."""
-    if mode == "full":
-        basis = enumerate_basis(G, k)
-    elif mode == "reduced":
-        full = G._complexes.get((k, "full"))
-        basis = reduce_complex(G, full.basis if full else enumerate_basis(G, k))
-    else:
-        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    basis = enumerate_basis(G, k, mode)
     blocks = {b.source: b for b in assemble_blocks(G, basis)}
     for b in blocks.values():
         nxt = blocks.get(b.target)

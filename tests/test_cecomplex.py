@@ -447,6 +447,37 @@ def test_enumeration_order_and_codes(name):
                 assert same == m and hash(same) == hash(m) == m.code
 
 
+REDUCED_ORACLE_RINGS = dict(GUARD_RINGS, **{"CP^4": lambda: make_cpm(4),
+                                             "S^2xS^2": s2xs2_ring})
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_ORACLE_RINGS))
+def test_reduced_enumeration_is_filtered_brute_force(name):
+    # the reduced slices are the brute-force basis with v_top-exponent
+    # at most 1 and no w_top (the top generators found by degree), in
+    # the same order, read off the base-(k+1) digits of each code
+    G = build_generators(REDUCED_ORACLE_RINGS[name]())
+    d = G.manifold_dimension
+    v_top = [g.degree for g in G.v_gens].index(d)
+    w_top = [g.degree for g in G.w_gens].index(2 * d - 1)
+    n_v, n = len(G.v_gens), len(G.v_gens) + len(G.w_gens)
+    for k in range(6):
+        oracle = {}
+        for key, mons in brute_force_basis(G, k).items():
+            kept = [(v, w) for v, w in mons if v[v_top] <= 1 and w[w_top] == 0]
+            if kept:
+                oracle[key] = kept
+        basis = enumerate_basis(G, k, "reduced")
+        assert basis.mode == "reduced"
+        got = {}
+        for key, codes in basis.slices.items():
+            digits = [tuple(c // (k + 1) ** j % (k + 1) for j in range(n)) for c in codes]
+            got[key] = [(e[:n_v], e[n_v:]) for e in digits]
+        assert got == oracle, (name, k)
+        assert reduce_complex(G, enumerate_basis(G, k)) == basis
+        assert reduce_complex(G, basis) == basis
+
+
 def test_monomial_compares_unequal_to_other_objects():
     G = build_generators(make_cpm(2))
     m = decode_monomial(G, 3, enumerate_basis(G, 3).slice(5, 1)[0])
@@ -491,8 +522,8 @@ FROZEN_DIGESTS = (
 
 
 def test_frozen_artifact_digests():
-    # fresh rings, one object per name, so CP^2 reduced is cut from the
-    # full basis cached just before, the way betti and verify do it
+    # fresh rings, one object per name, so CP^2 reduced is built after
+    # CP^2 full, the way betti and verify do it
     rings = {"CP^2": make_cpm.__wrapped__(2), "T^2": torus_ring(),
              "S^4": s4_ring(), "CP^2 x^2=y/2": cp2_half_ring()}
     for name, k, mode, want in FROZEN_DIGESTS:
