@@ -63,8 +63,6 @@ def build_parser():
         p.add_argument("--format", choices=("text", "csv", "json"), default="text",
                        dest="fmt")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
-        p.add_argument("--jobs", type=_positive_int, default=None,
-                       help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
         p.add_argument("--max-monomials", type=_nonnegative_int,
                        default=DEFAULT_MAX_MONOMIALS,
                        help="refuse complexes larger than this (default %d)"
@@ -75,7 +73,10 @@ def build_parser():
             g.add_argument("--ring", metavar="FILE", dest="ring_path",
                            help="load a ring presentation JSON file")
         else:
+            # ray and verify: the multi-k commands, the only ones that fan out
             p.add_argument("--cpm", type=int, metavar="M", required=True)
+            p.add_argument("--jobs", type=_positive_int, default=None,
+                           help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
 
     p = sub.add_parser("betti", help="Betti table of C_k(M)")
     common(p, ring=True)

@@ -24,7 +24,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .homology import betti, complex_data
+from .homology import betti, complex_data, consistency_report
 from .linalg import kernel_dim
 from .rat import format_rational
 from .ring import make_cpm
@@ -87,16 +87,18 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coeffic
 def _dims_for_k(args):
     """Worker: Betti dims of C_k(CP^m).  Top-level so it pickles.
 
-    Mode "both" computes the full table, then the reduced one, and
-    returns (full dims, reduced dims, facts); facts holds the structural
-    facts of the reduced complex at this k when asked for, else None.
+    Mode "both" runs consistency_report (full table, then reduced) and
+    returns (full dims, first mismatching degree or None, facts); facts
+    holds the structural facts of the reduced complex at this k when
+    asked for, else None.
     """
     m, k, mode, facts = args
     R = make_cpm(m)
     if mode != "both":
         return k, betti(R, k, mode).dims
-    full, reduced = betti(R, k, "full").dims, betti(R, k, "reduced").dims
-    return k, (full, reduced, _structural_facts(R, m, k) if facts else None)
+    report = consistency_report(R, k)
+    return k, (report.full.dims, report.first_mismatch,
+               _structural_facts(R, m, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
@@ -324,10 +326,11 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
 
     Betti tables are computed from the full complex (where the degrees
     above the extremal edge actually exist) and cross-checked against
-    the reduced complex degree by degree.  Vanishing claims come with a
-    claimed onset; the report records the onset actually observed in
-    the window and marks the check "sharper" when vanishing starts
-    earlier than claimed, "fail" when a claimed-zero value is nonzero.
+    the reduced complex degree by degree (consistency_report).
+    Vanishing claims come with a claimed onset; the report records the
+    onset actually observed in the window and marks the check
+    "sharper" when vanishing starts earlier than claimed, "fail" when a
+    claimed-zero value is nonzero.
     Each k is one task, full table then reduced table in the same
     process, and the task at k_max also returns the structural facts,
     so nothing is computed twice under jobs > 1.
@@ -339,17 +342,10 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     ks = list(range(2, k_max + 1))
     both = _betti_dims_range(m, ks, "both", jobs)
     dims_by_k = {k: full for k, (full, _, _) in both.items()}
-    reduced_by_k = {k: reduced for k, (_, reduced, _) in both.items()}
     edge = {k: k * (2 * m - 2) for k in ks}
     checks = []
 
-    mismatches = []
-    for k in ks:
-        degrees = set(dims_by_k[k]) | set(reduced_by_k[k])
-        bad = sorted(i for i in degrees
-                     if dims_by_k[k].get(i, 0) != reduced_by_k[k].get(i, 0))
-        if bad:
-            mismatches.append([k, bad[0]])
+    mismatches = [[k, both[k][1]] for k in ks if both[k][1] is not None]
     checks.append(RangeCheck(
         check_id="table-consistency",
         description="full and reduced Betti tables agree for k = 2..%d" % k_max,

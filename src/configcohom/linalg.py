@@ -1,10 +1,13 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
 The differential blocks produced by the complex are sparse integer
 matrices (the complex clears denominators once per ring; entries are
 small, mostly 1 and 2), and all we ever need from them is rank and
-kernel dimension.  Entries are Python ints, or Fractions where a
-caller passes them.
+kernel dimension.  Entries are Python ints and nothing else.  That
+loses nothing: a minor of an integer matrix is non-zero in Z exactly
+when it is non-zero in Q, so its rank over Z equals its rank over Q,
+and a rational matrix has the rank of the integer matrix made by
+scaling each row by the lcm of its denominators.
 
 Columns are the one representation.  A matrix is stored in compressed
 sparse column form: column start offsets, row indices and values, the
@@ -19,30 +22,30 @@ column pairs with that column as a pivot, without arithmetic, and the
 column is removed, which may leave further rows held by one column.  A
 count of the live columns holding each row, and the XOR of their
 indices (which is the column itself when the count is 1), find these
-in O(nnz).  Then the columns left are eliminated fraction-free, with
-denominators cleared column by column; the pivot column is
-cross-multiplied into the others and each result is re-normalized by
-its content (gcd), so entries stay small and no floating point is ever
-involved.  Pivots there are chosen sparsity-first (the column with
-fewest entries, ties to the lowest column index, then that column's
-least-used row, Markowitz style), so repeated runs take identical
-paths.  A heap of live columns by length and a row -> columns index
-make each step touch only the columns that hold the pivot row.
+in O(nnz).  Then the columns left are eliminated fraction-free: the
+pivot column is cross-multiplied into the others and each result is
+re-normalized by its content (gcd), so entries stay small integers and
+no fraction or floating point is ever involved.  Pivots there are
+chosen sparsity-first (the column with fewest entries, ties to the
+lowest column index, then that column's least-used row, Markowitz
+style), so repeated runs take identical paths.  A heap of live columns
+by length and a row -> columns index make each step touch only the
+columns that hold the pivot row.
 """
 
 import heapq
-from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import le
 
 
 class SparseExactMatrix:
-    """Immutable compressed-sparse-column matrix with exact rational entries.
+    """Immutable compressed-sparse-column matrix with integer entries.
 
     Column c holds the rows row_index[col_start[c]:col_start[c + 1]]
-    with the matching values, no row twice and no zero value; int
-    values stay ints, any other value is a Fraction.
+    with the matching values, no row twice and no zero value.  Every
+    value is an int (not a bool); its rank over Z is its rank over Q.
+    Both constructors end in one check of the column arrays (_store).
     """
 
     __slots__ = ("n_rows", "n_cols", "col_start", "row_index", "values")
@@ -50,48 +53,27 @@ class SparseExactMatrix:
     def __init__(self, n_rows, n_cols, entries):
         """Build from (row, col, value) triples in any order.
 
-        Rejects entries out of bounds, explicit zeros and duplicates.
+        Rejects duplicates and columns out of bounds; the column arrays
+        then pass the checks of from_columns (rows, types, zeros).
         """
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("negative matrix dimensions")
-        clean = []
-        for r, c, q in entries:
-            if not (0 <= r < n_rows and 0 <= c < n_cols):
-                raise ValueError("entry (%r, %r) outside a %dx%d matrix" % (r, c, n_rows, n_cols))
-            if type(q) is not int:
-                q = Fraction(q)
-            if q == 0:
-                raise ValueError("explicit zero stored at (%d, %d)" % (r, c))
-            clean.append((c, r, q))
-        clean.sort()
-        for (c, r, _), (c2, r2, _) in zip(clean, clean[1:]):
+        triples = sorted(entries, key=lambda e: (e[1], e[0]))
+        for (r, c, _), (r2, c2, _) in zip(triples, triples[1:]):
             if r == r2 and c == c2:
-                raise ValueError("duplicate entry at (%d, %d)" % (r, c))
+                raise ValueError("duplicate entry at (%r, %r)" % (r, c))
         counts = [0] * (n_cols + 1)
-        for c, _, _ in clean:
+        for _, c, _ in triples:
+            if not 0 <= c < n_cols:
+                raise ValueError("column %r outside a matrix with %d columns" % (c, n_cols))
             counts[c + 1] += 1
-        self._store(n_rows, n_cols, tuple(accumulate(counts)),
-                    tuple(r for _, r, _ in clean), tuple(q for _, _, q in clean))
+        self._store(n_rows, tuple(accumulate(counts)),
+                    tuple(r for r, _, _ in triples), tuple(q for _, _, q in triples))
 
-    def _store(self, n_rows, n_cols, col_start, row_index, values):
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "col_start", col_start)
-        object.__setattr__(self, "row_index", row_index)
-        object.__setattr__(self, "values", values)
+    def _store(self, n_rows, col_start, row_index, values):
+        """Check the column arrays in O(nnz), then store them.
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SparseExactMatrix is immutable")
-
-    @classmethod
-    def from_columns(cls, n_rows, col_start, row_index, values):
-        """Build from the column arrays themselves, without sorting.
-
-        col_start has one offset per column plus the end.  Checks the
-        offsets, row bounds, value types (int or Fraction) and that no
-        value is zero, in O(nnz).  Rows may come in any order within a
-        column; they must not repeat, which is not checked (assembly's
-        rows come from a one-to-one code -> row map).
+        Checks the offsets, row bounds, that rows and values are ints
+        and that no value is zero.  Rows may come in any order within a
+        column; they must not repeat, which is not checked here.
         """
         n_cols = len(col_start) - 1
         if n_rows < 0 or n_cols < 0:
@@ -104,12 +86,29 @@ class SparseExactMatrix:
             raise TypeError("row indices must be ints")
         if row_index and (min(row_index) < 0 or max(row_index) >= n_rows):
             raise ValueError("row index outside a matrix with %d rows" % n_rows)
-        if not set(map(type, values)) <= {int, Fraction}:
-            raise TypeError("values must be ints or Fractions")
+        if not set(map(type, values)) <= {int}:
+            raise TypeError("values must be ints")
         if 0 in values:
             raise ValueError("explicit zero stored")
+        object.__setattr__(self, "n_rows", n_rows)
+        object.__setattr__(self, "n_cols", n_cols)
+        object.__setattr__(self, "col_start", tuple(col_start))
+        object.__setattr__(self, "row_index", tuple(row_index))
+        object.__setattr__(self, "values", tuple(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SparseExactMatrix is immutable")
+
+    @classmethod
+    def from_columns(cls, n_rows, col_start, row_index, values):
+        """Build from the column arrays themselves, without sorting.
+
+        col_start has one offset per column plus the end.  The arrays
+        are checked as in _store; assembly's rows come from a
+        one-to-one code -> row map, so they do not repeat.
+        """
         self = cls.__new__(cls)
-        self._store(n_rows, n_cols, tuple(col_start), tuple(row_index), tuple(values))
+        self._store(n_rows, col_start, row_index, values)
         return self
 
     @classmethod
@@ -123,13 +122,9 @@ class SparseExactMatrix:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
             for c, q in enumerate(row):
-                if q:
+                if q or type(q) is not int:  # a zero of another type fails the type check
                     entries.append((r, c, q))
         return cls(n_rows, n_cols, entries)
-
-    @classmethod
-    def zero(cls, n_rows, n_cols):
-        return cls(n_rows, n_cols, ())
 
     @property
     def nnz(self):
@@ -152,17 +147,12 @@ class SparseExactMatrix:
         return tuple(out)
 
     def to_dense(self):
-        """List of rows of Fractions, whatever the stored entry type."""
-        dense = [[Fraction(0)] * self.n_cols for _ in range(self.n_rows)]
+        """List of rows of ints."""
+        dense = [[0] * self.n_cols for _ in range(self.n_rows)]
         for c, (rows, vals) in enumerate(self.columns()):
             for r, q in zip(rows, vals):
-                dense[r][c] = Fraction(q)
+                dense[r][c] = q
         return dense
-
-    def transpose(self):
-        return SparseExactMatrix(
-            self.n_cols, self.n_rows, [(c, r, q) for r, c, q in self.entries]
-        )
 
     def __matmul__(self, other):
         """Matrix product self @ other (self applied after other)."""
@@ -256,17 +246,12 @@ def pivot_rows(A, skip=()):
             holder[q] ^= c
             if count[q] == 1:
                 stack.append(q)
-    all_ints = set(map(type, A.values)) <= {int}
-    values = A.values
     rest = [c for c in live if c not in peeled]
     cols = [None] * A.n_cols
     row_cols = {}
     for c in rest:
         a, b = start[c], start[c + 1]
-        rows, vals = row_index[a:b], values[a:b]
-        if not all_ints:
-            den = lcm(*(q.denominator for q in vals))
-            vals = [int(q * den) for q in vals]
+        rows, vals = row_index[a:b], A.values[a:b]
         g = gcd(*vals)
         cols[c] = dict(zip(rows, [v // g for v in vals] if g != 1 else vals))
         for r in rows:

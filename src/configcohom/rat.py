@@ -15,7 +15,7 @@ def _is_int(text):
 
 
 def parse_rational(value):
-    """Parse an int or a string "p" / "p/q" into a Fraction.
+    """Parse an int, a Fraction or a string "p" / "p/q" into a Fraction.
 
     Floats (and float-looking strings) are rejected outright: a value
     like 0.1 has no exact binary representation and would silently
@@ -23,7 +23,7 @@ def parse_rational(value):
     """
     if isinstance(value, bool):
         raise ValueError("rational expected, got a bool")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
         parts = value.strip().split("/")

@@ -20,6 +20,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .linalg import SparseExactMatrix, rank
 from .rat import format_rational, parse_rational
@@ -70,7 +71,11 @@ class RingPresentation:
             for l, coeff in terms:
                 if not (isinstance(l, int) and 0 <= l < n):
                     raise RingSchemaError("product result outside the basis: %r" % (l,))
-                coeff = Fraction(coeff)
+                try:
+                    coeff = parse_rational(coeff)
+                except ValueError as exc:
+                    raise RingSchemaError("bad coefficient in %s * %s: %s"
+                                          % (basis_names[i], basis_names[j], exc))
                 merged[l] = merged.get(l, Fraction(0)) + coeff
             cleaned = tuple(sorted((l, q) for l, q in merged.items() if q))
             if cleaned:
@@ -216,9 +221,13 @@ def validate_ring(R):
 
     if len(top) == 1 and not any(rule == "grading" for rule, _ in v):
         t = top[0]
+        # each row scaled by the lcm of its denominators: an int matrix
+        # of the same rank over Q
         P = []
         for i in range(n):
-            P.append([R.product(i, j).get(t, Fraction(0)) for j in range(n)])
+            row = [R.product(i, j).get(t, Fraction(0)) for j in range(n)]
+            den = lcm(*(q.denominator for q in row))
+            P.append([int(q * den) for q in row])
         if rank(SparseExactMatrix.from_dense(P, n)) != n:
             v.append(("pairing", "Poincare pairing into %s is degenerate" % R.basis_names[t]))
 

@@ -65,10 +65,11 @@ def kernel_basis(A):
     """Explicit kernel basis via dense reduced row echelon form.
 
     A is anything with n_rows, n_cols and to_dense() (a list of rows of
-    Fractions).  Returns a list of length-n_cols tuples of Fractions,
+    ints or Fractions), converted to Fractions here so the elimination
+    stays exact.  Returns a list of length-n_cols tuples of Fractions,
     one per free column in ascending column order.
     """
-    m = A.to_dense()
+    m = [[Fraction(x) for x in row] for row in A.to_dense()]
     n_rows, n_cols = A.n_rows, A.n_cols
     pivots = []
     r = 0

@@ -7,7 +7,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import configcohom
-from configcohom import extremal, homology
+from configcohom import build_generators, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import main, parse_config
 from oracles import cp2_ring_doc
@@ -181,6 +181,46 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--cpm", "2", "--k", "3", "--max-monomials", "-1"])
     assert exc.value.code == 2
+    # only ray and verify fan out, so only they take --jobs
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--cpm", "2", "--k", "3", "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_table_consistency_fail_path(monkeypatch, capsys):
+    # one reduced table of CP^1 made wrong in one degree: verify reports
+    # exactly that (k, degree) and exits 1
+    k, degree = 5, 3
+    cache = build_generators(make_cpm(1))._complexes
+    saved = cache.pop((k, "reduced"), None)
+    build = homology._build
+
+    def perturbed(G, k_, mode):
+        record = build(G, k_, mode)
+        if (k_, mode) == (k, "reduced"):
+            dims = dict(record.table.dims)
+            dims[degree] += 1
+            record = record._replace(table=record.table._replace(dims=dims))
+        return record
+
+    monkeypatch.setattr(homology, "_build", perturbed)
+    try:
+        rep = extremal.verify_vanishing_ranges(1, 8)
+        check = {c.check_id: c for c in rep.checks}["table-consistency"]
+        assert check.status == "fail" and not rep.ok
+        assert check.detail == {"mismatches": [[k, degree]]}
+        rc, out, _ = run(capsys, "verify", "--cpm", "1", "--k-max", "8", "--jobs", "1",
+                         "--format", "json")
+        assert rc == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert [c["detail"] for c in doc["checks"]
+                if c["id"] == "table-consistency"] == [{"mismatches": [[k, degree]]}]
+    finally:
+        # the wrong record must not outlive the test
+        cache.pop((k, "reduced"), None)
+        if saved is not None:
+            cache[k, "reduced"] = saved
 
 
 def test_jobs_env_default(monkeypatch):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,18 +13,31 @@ from configcohom.homology import complex_data
 from oracles import dense_rank, kernel_basis
 
 
+def transpose(A):
+    """A^T, built from the triples of A."""
+    return SparseExactMatrix(A.n_cols, A.n_rows, [(c, r, q) for r, c, q in A.entries])
+
+
+def scaled_to_ints(row):
+    """A row of Fractions times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [int(x * den) for x in row]
+
+
 def test_constructor_validates():
     with pytest.raises(ValueError):
         SparseExactMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])  # duplicate
     with pytest.raises(ValueError):
         SparseExactMatrix(2, 2, [(2, 0, 1)])  # out of range
     with pytest.raises(ValueError):
+        SparseExactMatrix(2, 2, [(0, 2, 1)])  # column out of range
+    with pytest.raises(ValueError):
         SparseExactMatrix(2, 2, [(0, 0, 0)])  # explicit zero
     with pytest.raises(AttributeError):
         SparseExactMatrix(1, 1, []).n_rows = 5
     # the column constructor: offsets, rows 0..1, values per column
-    A = SparseExactMatrix.from_columns(2, [0, 1, 3], [1, 0, 1], [2, -1, Fraction(1, 2)])
-    assert A.entries == ((0, 1, -1), (1, 0, 2), (1, 1, Fraction(1, 2)))
+    A = SparseExactMatrix.from_columns(2, [0, 1, 3], [1, 0, 1], [2, -1, 3])
+    assert A.entries == ((0, 1, -1), (1, 0, 2), (1, 1, 3))
     with pytest.raises(ValueError):
         SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 2], [1, 1])  # out of range
     with pytest.raises(ValueError):
@@ -37,7 +51,7 @@ def test_constructor_validates():
 
 
 def test_rank_examples():
-    assert rank(SparseExactMatrix.zero(3, 4)) == 0
+    assert rank(SparseExactMatrix(3, 4, ())) == 0
     eye = SparseExactMatrix(3, 3, [(i, i, 1) for i in range(3)])
     assert rank(eye) == 3
     row = SparseExactMatrix.from_dense([[0, 1, 2]])
@@ -46,34 +60,42 @@ def test_rank_examples():
     # proportional rows collapse
     A = SparseExactMatrix.from_dense([[1, 2], [2, 4], [0, 1]])
     assert rank(A) == 2
-    # fractional entries: the first is singular, the second is not
-    B = SparseExactMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)],
-                                      [Fraction(3, 2), 1]])
+    # [[1/2, 1/3], [3/2, 1]] and [[1/2, 1/3], [1/5, 1]] with each row
+    # scaled to integers: the first is singular, the second is not
+    B = SparseExactMatrix.from_dense([[3, 2], [3, 2]])
     assert rank(B) == 1
-    C = SparseExactMatrix.from_dense([[Fraction(1, 2), Fraction(1, 3)],
-                                      [Fraction(1, 5), 1]])
+    C = SparseExactMatrix.from_dense([[15, 10], [1, 5]])
     assert rank(C) == 2
 
 
 def test_matmul_and_transpose():
     A = SparseExactMatrix.from_dense([[1, 2], [0, 1]])
     B = SparseExactMatrix.from_dense([[1, 0], [3, 1]])
-    assert (A @ B).to_dense() == [[Fraction(7), Fraction(2)],
-                                  [Fraction(3), Fraction(1)]]
-    assert A.transpose().to_dense() == [[Fraction(1), Fraction(0)],
-                                        [Fraction(2), Fraction(1)]]
+    assert (A @ B).to_dense() == [[7, 2], [3, 1]]
+    At = transpose(A)
+    assert At.to_dense() == [[1, 0], [2, 1]]
+    assert (A @ At).to_dense() == [[5, 2], [2, 1]]
     with pytest.raises(ValueError):
-        A @ SparseExactMatrix.zero(3, 3)
+        A @ SparseExactMatrix(3, 3, ())
 
 
 def test_int_entries_stay_int():
     A = SparseExactMatrix.from_dense([[1, 2], [0, -1]])
     assert all(type(q) is int for _, _, q in A.entries)
     assert all(type(q) is int for _, _, q in (A @ A).entries)
-    assert all(type(x) is Fraction for row in A.to_dense() for x in row)
-    B = SparseExactMatrix(1, 2, [(0, 1, Fraction(1, 2))])
-    assert B.entries == ((0, 1, Fraction(1, 2)),)
-    assert rank(B) == 1
+    assert all(type(x) is int for row in A.to_dense() for x in row)
+    # every constructor refuses any other value, an integral one included
+    for bad in (Fraction(1, 2), Fraction(2), 2.0, True):
+        with pytest.raises(TypeError):
+            SparseExactMatrix(1, 2, [(0, 1, bad)])
+        with pytest.raises(TypeError):
+            SparseExactMatrix.from_columns(1, [0, 0, 1], [0], [bad])
+        with pytest.raises(TypeError):
+            SparseExactMatrix.from_dense([[0, bad]])
+    # a zero of another type is not silently dropped
+    for bad in (Fraction(0), 0.0, False):
+        with pytest.raises(TypeError):
+            SparseExactMatrix.from_dense([[1, bad]])
 
 
 def test_kernel_basis_exact_on_int_block():
@@ -99,10 +121,7 @@ def test_kernel_basis_spans_kernel():
             assert sum(a * x for a, x in zip(row, vec)) == 0
 
 
-dense_entries = st.one_of(
-    st.integers(min_value=-4, max_value=4),
-    st.fractions(min_value=-2, max_value=2, max_denominator=3),
-)
+dense_entries = st.integers(min_value=-4, max_value=4)
 
 
 @st.composite
@@ -133,9 +152,8 @@ def test_rank_invariant_under_permutation_and_scaling(data, rng):
     rng.shuffle(cols)
     shuffled = [[row[c] for c in cols] for row in perm_rows]
     assert rank(SparseExactMatrix.from_dense(shuffled, n_cols)) == base
-    # scale each row by a nonzero rational
-    scales = [Fraction(rng.choice([1, 2, 3, -1, -5]),
-                       rng.choice([1, 2, 7])) for _ in rows]
+    # scale each row by a nonzero int
+    scales = [rng.choice([1, 2, 3, 7, -1, -5]) for _ in rows]
     scaled = [[s * x for x in row] for s, row in zip(scales, rows)]
     assert rank(SparseExactMatrix.from_dense(scaled, n_cols)) == base
 
@@ -145,7 +163,7 @@ def test_rank_invariant_under_permutation_and_scaling(data, rng):
 def test_rank_of_transpose(data):
     rows, n_cols = data
     A = SparseExactMatrix.from_dense(rows, n_cols)
-    assert rank(A) == rank(A.transpose())
+    assert rank(A) == rank(transpose(A))
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,9 +177,10 @@ def test_kernel_dim_consistent_with_kernel_basis(data):
     for vec in basis:
         for row in dense:
             assert sum(a * x for a, x in zip(row, vec)) == 0
-    # the basis really is independent: stack it and take the rank
+    # the basis really is independent: stack it, each vector scaled to
+    # integers, and take the rank
     if basis:
-        K = SparseExactMatrix.from_dense([list(v) for v in basis], n_cols)
+        K = SparseExactMatrix.from_dense([scaled_to_ints(v) for v in basis], n_cols)
         assert rank(K) == len(basis)
 
 
@@ -175,20 +194,18 @@ def test_rank_deterministic_repeat():
 
 
 nonzero_ints = st.integers(min_value=-3, max_value=3).filter(bool)
-nonzero_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool)
 
 
 @st.composite
 def sparse_with_skip(draw, max_dim=8):
-    """A sparse int or Fraction matrix and a random set of columns to skip."""
+    """A sparse int matrix and a random set of columns to skip."""
     n_rows = draw(st.integers(min_value=0, max_value=max_dim))
     n_cols = draw(st.integers(min_value=0, max_value=max_dim))
     cells = set()
     if n_rows and n_cols:
         cells = draw(st.sets(st.tuples(st.integers(0, n_rows - 1),
                                        st.integers(0, n_cols - 1))))
-    values = nonzero_fractions if draw(st.booleans()) else nonzero_ints
-    entries = [(r, c, draw(values)) for r, c in sorted(cells)]
+    entries = [(r, c, draw(nonzero_ints)) for r, c in sorted(cells)]
     skip = draw(st.sets(st.integers(0, n_cols - 1))) if n_cols else set()
     return SparseExactMatrix(n_rows, n_cols, entries), skip
 
@@ -249,7 +266,7 @@ def test_pivot_rows_without_structural_pivots(monkeypatch):
                                       [1, 1, 0]])
     Y, left = eliminated_columns(monkeypatch, A)
     assert len(Y) == 3 and left == 3
-    B = SparseExactMatrix.from_dense([[1, 2, 3], [2, 4, 6], [Fraction(1, 2), 1, 1]])
+    B = SparseExactMatrix.from_dense([[1, 2, 3], [2, 4, 6], [1, 2, 2]])
     Y, left = eliminated_columns(monkeypatch, B)
     assert len(Y) == 2 and left == 3
 

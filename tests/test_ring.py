@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from configcohom import (InvalidRingError, RingSchemaError,
+from configcohom import (InvalidRingError, RingPresentation, RingSchemaError,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
 from oracles import cp2_ring_doc, pairing_from_products, s4_ring, torus_ring
@@ -98,6 +98,39 @@ def test_validate_missing_product_degenerates_pairing():
     diag = validate_ring(ring_from_dict(doc))
     assert not diag.valid
     assert any(rule == "pairing" for rule, _ in diag.violations)
+
+
+def two_class_ring(aa, ab, bb):
+    """1, a, b, t in degrees 0, 2, 2, 4 with a a = aa t, a b = b a = ab t, b b = bb t."""
+    one, a, b, t = 0, 1, 2, 3
+    table = {(one, j): ((j, 1),) for j in range(4)}
+    table.update({(j, one): ((j, 1),) for j in range(1, 4)})
+    table.update({(a, a): ((t, aa),), (a, b): ((t, ab),), (b, a): ((t, ab),),
+                  (b, b): ((t, bb),)})
+    return RingPresentation(("1", "a", "b", "t"), (0, 2, 2, 4), table, 4)
+
+
+def test_validate_pairing_degenerate_through_fractions():
+    # on (a, b) the pairing is [[1/2, 1], [1, 2]]: singular, but not
+    # once the 1/2 is lost, as by truncating it to an int
+    diag = validate_ring(two_class_ring(Fraction(1, 2), 1, 2))
+    assert not diag.valid
+    assert [rule for rule, _ in diag.violations] == ["pairing"]
+    assert diag.violations[0][1] == "Poincare pairing into t is degenerate"
+    assert validate_ring(two_class_ring(Fraction(1, 2), 1, 3)).valid
+
+
+def test_coefficients_must_be_exact():
+    # ints, Fractions and "p/q" strings are exact rationals
+    for coeff, value in ((2, 2), (Fraction(1, 2), Fraction(1, 2)), ("-3/6", Fraction(-1, 2))):
+        R = two_class_ring(coeff, 0, 1)
+        assert R.product(1, 1) == {3: value}
+        assert type(R.product(1, 1)[3]) is Fraction
+    # floats, bools and float-looking strings are not: 0.1 would become
+    # 3602879701896397/36028797018963968 and True would become 1
+    for bad in (0.1, 0.5, True, "0.5", "1e3"):
+        with pytest.raises(RingSchemaError, match="bad coefficient in a \\* a"):
+            two_class_ring(bad, 0, 1)
 
 
 def test_validate_bad_grading():
