@@ -179,29 +179,47 @@ class DifferentialBlock:
                 % self._astuple())
 
 
-def _sym_count(parities, total):
-    """Closed-form count of the full-mode exponent tuples of length total."""
-    odd = sum(1 for p in parities if p)
-    even = len(parities) - odd
-    count = 0
-    for j in range(min(odd, total) + 1):
-        rest = total - j
-        if even == 0:
-            count += comb(odd, j) if rest == 0 else 0
-        else:
-            count += comb(odd, j) * comb(rest + even - 1, even - 1)
-    return count
+def _exponent_caps(G, k, mode):
+    """Bounds on the exponent of each V- and each W-generator for k points.
+
+    1 for an odd generator, k for an even one; in reduced mode v_top's
+    is 1 and w_top's 0 as well.
+    """
+    v_caps = [1 if p else k for p in G.v_parities]
+    w_caps = [1 if p else k for p in G.w_parities]
+    if mode == "reduced":
+        v_top, w_top = _top_indices(G)
+        v_caps[v_top], w_caps[w_top] = 1, 0
+    elif mode != "full":
+        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    return v_caps, w_caps
 
 
-def monomial_counts(G, k):
-    """Numbers of monomials in the full complex for k points, weight by weight."""
-    return (_sym_count(G.v_parities, k - 2 * w) * _sym_count(G.w_parities, w)
+def _capped_count(caps, total):
+    """Number of exponent vectors of length total, exponent i at most caps[i].
+
+    Every cap is 0, 1 or at least total (a cap of k bounds nothing in a
+    vector of at most k points), so choose j of the cap-1 generators and
+    spread the rest over the unbounded ones.
+    """
+    ones = caps.count(1)
+    free = sum(1 for c in caps if c > 1)
+    if free == 0:
+        return comb(ones, total)
+    return sum(comb(ones, j) * comb(total - j + free - 1, free - 1)
+               for j in range(min(ones, total) + 1))
+
+
+def weight_counts(G, k, mode="full"):
+    """Monomials of enumerate_basis(G, k, mode), weight by weight, counted."""
+    v_caps, w_caps = _exponent_caps(G, k, mode)
+    return (_capped_count(v_caps, k - 2 * w) * _capped_count(w_caps, w)
             for w in range(k // 2 + 1))
 
 
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
-    return sum(monomial_counts(G, k))
+    return sum(weight_counts(G, k))
 
 
 def _coded_exponents(caps, degrees, powers, totals):
@@ -236,13 +254,7 @@ def enumerate_basis(G, k, mode="full"):
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    v_caps = [1 if p else k for p in G.v_parities]
-    w_caps = [1 if p else k for p in G.w_parities]
-    if mode == "reduced":
-        v_top, w_top = _top_indices(G)
-        v_caps[v_top], w_caps[w_top] = 1, 0
-    elif mode != "full":
-        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    v_caps, w_caps = _exponent_caps(G, k, mode)
     n_v = len(G.v_gens)
     powers = [(k + 1) ** j for j in range(n_v + len(G.w_gens))]
     weights = range(k // 2 + 1)

@@ -23,7 +23,7 @@ import json
 import os
 import sys
 
-from .cecomplex import AssemblyError, monomial_counts
+from .cecomplex import AssemblyError, weight_counts
 from .generators import build_generators
 from .homology import betti, consistency_report
 from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
@@ -134,10 +134,14 @@ def _resolve_ring(cfg):
     return load_ring(cfg.ring_path)
 
 
-def _cap_check(R, k, cap):
-    """Monomial-count guard: a message as soon as the count passes cap."""
+def _cap_check(R, k, cap, mode="full"):
+    """Monomial-count guard on the complex of this mode.
+
+    Returns a message as soon as the count passes cap, weight by weight,
+    so a huge k is refused at once.
+    """
     total = 0
-    for n in monomial_counts(build_generators(R), k):
+    for n in weight_counts(build_generators(R), k, mode):
         total += n
         if total > cap:
             return ("complex for k=%d exceeds the cap: more than %d monomials "
@@ -167,7 +171,10 @@ def _run_betti(cfg):
     R = _resolve_ring(cfg)
     if cfg.k is None or cfg.k < 0:
         raise ValueError("--k must be a non-negative integer")
-    msg = _cap_check(R, cfg.k, cfg.max_monomials)
+    # reduced mode is built for CP^m only; any other ring is counted in
+    # full, and betti refuses it after the cap as before
+    counted = "reduced" if cfg.mode == "reduced" and R.cpm is not None else "full"
+    msg = _cap_check(R, cfg.k, cfg.max_monomials, counted)
     if msg:
         sys.stderr.write(msg + "\n")
         return 3
@@ -210,7 +217,7 @@ def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
     R = make_cpm(cfg.cpm)
-    msg = _cap_check(R, cfg.k_max, cfg.max_monomials)
+    msg = _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
     if msg:
         sys.stderr.write(msg + "\n")
         return 3

@@ -8,10 +8,10 @@ contributes
 
 to the Betti number of its degree.  Each (k, mode) is built once, in
 this order: basis (enumerated directly in either mode, so no record
-reads another), blocks, the exact d o d = 0 check on every consecutive
-pair, pruned ranks, and the Betti table.  The record is cached on the
-ring's generator set only when all of these have passed, so nothing
-half built or unchecked is ever reused.
+reads another), blocks, then pruned ranks with the exact d o d = 0
+check of every consecutive pair, and the Betti table.  The record is
+cached on the ring's generator set only when all of these have passed,
+so nothing half built or unchecked is ever reused.
 
 Chain pruning.  The check makes the ranks cheaper.  Blocks are ranked
 in increasing (degree, weight), so along each chain degree + weight = s
@@ -27,17 +27,26 @@ the columns Y of d_TU lie in the span of its other columns, and
 rank(d_TU) = rank(d_TU[:, T - Y]): the columns Y are skipped.  The
 pivots of that pruned elimination are pivots of d_TU itself, so the
 next block along the chain is pruned the same way.  In the vanishing
-ranges most of what is left has full column rank.  The
-argument holds only because the exact d o d = 0 check has passed
-first; complex_data raises AssemblyError before computing any rank
-when it fails.
+ranges most of what is left has full column rank.  The argument uses
+d o d = 0 on the columns X alone.
+
+Checking on pivot columns.  So d o d = 0 is checked on exactly those
+columns: right after d_ST is ranked, d_TU d_ST[:, X] = 0 is tested,
+and only then are the rows Y handed on as d_TU's skip set.  The check
+loses nothing, by induction along the chain.  The first block has no
+skip set, so its pivot columns span all of its columns.  Once
+d_TU d_ST[:, X] = 0 has passed, the skipped columns Y of d_TU lie in
+the span of its kept ones, which its pivot columns X' span; so X'
+spans d_TU's whole column space, and d_UV d_TU = 0 holds exactly when
+d_UV d_TU[:, X'] = 0 does.  A pair that fails raises AssemblyError
+before the block out of its target is ranked.
 """
 
 from collections import namedtuple
 
 from .cecomplex import AssemblyError, assemble_blocks, enumerate_basis
 from .generators import build_generators
-from .linalg import pivot_rows
+from .linalg import pivots
 
 
 class BettiTable(namedtuple("BettiTable", "k ring mode dims euler")):
@@ -78,20 +87,23 @@ class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
 
 
 def _build(G, k, mode):
-    """Basis, blocks, d o d check, pruned ranks and Betti table, in order."""
+    """Basis, blocks, pruned ranks with the d o d check, and Betti table."""
     basis = enumerate_basis(G, k, mode)
     blocks = {b.source: b for b in assemble_blocks(G, basis)}
-    for b in blocks.values():
-        nxt = blocks.get(b.target)
-        if nxt is not None and not (nxt.matrix @ b.matrix).is_zero():
-            raise AssemblyError(
-                "d o d != 0 out of slice %r (k=%d, %s)" % (b.source, k, mode))
     # chain pruning (module docstring): the columns of a block that are
-    # pivot rows of the block into its source are not eliminated
+    # pivot rows of the block into its source are not eliminated, and
+    # d o d = 0 is checked on the pivot columns, before the next block
+    # trusts it
     ranks, into = {}, {}
     for src, b in sorted(blocks.items()):
-        into[b.target] = pivots = pivot_rows(b.matrix, into.pop(src, ()))
-        ranks[src] = len(pivots)
+        rows, cols = pivots(b.matrix, into.pop(src, ()))
+        ranks[src] = len(rows)
+        nxt = blocks.get(b.target)
+        if nxt is not None:
+            if not nxt.matrix.kills(b.matrix, cols):
+                raise AssemblyError(
+                    "d o d != 0 out of slice %r (k=%d, %s)" % (src, k, mode))
+            into[b.target] = rows
 
     dims = {}
     for (i, w), mons in basis.slices.items():

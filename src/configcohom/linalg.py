@@ -14,7 +14,10 @@ sparse column form: column start offsets, row indices and values, the
 form assembly writes (one column per source monomial).  The (row, col,
 value) triples in `entries` are derived from it on demand.  A product
 composes columns: column c of A @ B is the sum over r of
-B[r, c] * A[:, r], accumulated in a dict keyed by row.
+B[r, c] * A[:, r], accumulated in a dict keyed by row.  The same loop
+answers whether A @ B vanishes on a set of columns of B (`kills`),
+stopping at the first column that does not and storing no product;
+the d o d = 0 check asks exactly that, on the pivot columns of B.
 
 Elimination runs over columns too (rank A = rank A^T), in two stages.
 First the structural pivots are peeled: a row held by exactly one live
@@ -30,7 +33,8 @@ chosen sparsity-first (the column with fewest entries, ties to the
 lowest column index, then that column's least-used row, Markowitz
 style), so repeated runs take identical paths.  A heap of live columns
 by length and a row -> columns index make each step touch only the
-columns that hold the pivot row.
+columns that hold the pivot row.  `pivots` returns both sides of the
+elimination, the pivot rows and the pivot columns.
 """
 
 import heapq
@@ -154,8 +158,12 @@ class SparseExactMatrix:
                 dense[r][c] = q
         return dense
 
-    def __matmul__(self, other):
-        """Matrix product self @ other (self applied after other)."""
+    def _product_columns(self, other, cols):
+        """Column c of self @ other for each c in cols, as a row -> value dict.
+
+        The dict keeps the zeros that cancellation leaves.  Both the
+        product and the zero test below run this one loop.
+        """
         if self.n_cols != other.n_rows:
             raise ValueError(
                 "shape mismatch: %dx%d @ %dx%d"
@@ -164,25 +172,34 @@ class SparseExactMatrix:
         # walks the flat arrays by index: slicing out every column costs
         # more than the product when columns hold a few entries
         a_start, a_rows, a_vals = self.col_start, self.row_index, self.values
-        b_rows, b_vals = other.row_index, other.values
+        b_start, b_rows, b_vals = other.col_start, other.row_index, other.values
+        for c in cols:
+            acc = {}
+            for t in range(b_start[c], b_start[c + 1]):
+                k, b = b_rows[t], b_vals[t]
+                for u in range(a_start[k], a_start[k + 1]):
+                    r = a_rows[u]
+                    acc[r] = acc.get(r, 0) + a_vals[u] * b
+            yield acc
+
+    def __matmul__(self, other):
+        """Matrix product self @ other (self applied after other)."""
         starts, rows, vals = [0], [], []
-        t = 0
-        for end in other.col_start[1:]:
-            if t != end:
-                acc = {}
-                while t < end:
-                    k, b = b_rows[t], b_vals[t]
-                    t += 1
-                    for u in range(a_start[k], a_start[k + 1]):
-                        r = a_rows[u]
-                        acc[r] = acc.get(r, 0) + a_vals[u] * b
-                if any(acc.values()):  # d o d products are mostly all-zero
-                    for r, q in acc.items():
-                        if q:
-                            rows.append(r)
-                            vals.append(q)
+        for acc in self._product_columns(other, range(other.n_cols)):
+            for r, q in acc.items():
+                if q:
+                    rows.append(r)
+                    vals.append(q)
             starts.append(len(rows))
         return SparseExactMatrix.from_columns(self.n_rows, starts, rows, vals)
+
+    def kills(self, other, cols):
+        """Whether self @ other is zero on the given columns of other.
+
+        Stops at the first non-zero column and builds no product matrix.
+        """
+        return not any(any(acc.values())
+                       for acc in self._product_columns(other, cols))
 
     def __eq__(self, other):
         if not isinstance(other, SparseExactMatrix):
@@ -200,12 +217,12 @@ class SparseExactMatrix:
         return "SparseExactMatrix(%d, %d, nnz=%d)" % (self.n_rows, self.n_cols, self.nnz)
 
 
-def pivot_rows(A, skip=()):
-    """Pivot rows of a fraction-free elimination over the columns of A.
+def pivots(A, skip=()):
+    """Pivot rows Y and pivot columns X of a fraction-free elimination of A.
 
-    Columns whose index is in skip are left out.  With X the pivot
-    columns, the result Y has |Y| = rank of the columns kept, and the
-    square submatrix A[Y, X] is invertible.
+    Columns whose index is in skip are left out, so X and skip share no
+    column.  |Y| = |X| = rank of the columns kept, the square submatrix
+    A[Y, X] is invertible, and the columns X span the kept ones.
 
     Why, for the two stages (module docstring): each peeled row was
     held by no other live column when it was peeled, so A[Y_peel,
@@ -214,8 +231,9 @@ def pivot_rows(A, skip=()):
     rank(columns left).  In the elimination of those, each pivot
     column, as reduced, is the original plus a combination of earlier
     pivot columns, has a non-zero entry in its own pivot row and none
-    in the earlier ones, so A[Y_elim, X_elim] is invertible too.  A[Y,
-    X] is block triangular with these two blocks on its diagonal.
+    in the earlier ones, so A[Y_elim, X_elim] is invertible too, and a
+    column that reduces to zero is a combination of pivot columns.
+    A[Y, X] is block triangular with these two blocks on its diagonal.
     """
     start, row_index = A.col_start, A.row_index
     # count[r]: live columns holding row r; holder[r]: the XOR of their
@@ -231,22 +249,21 @@ def pivot_rows(A, skip=()):
         for r in row_index[a:b]:
             count[r] += 1
             holder[r] ^= c
-    pivots = set()
-    peeled = set()
+    prows, pcols = set(), set()
     stack = [r for r, n in enumerate(count) if n == 1]
     while stack:
         r = stack.pop()
         if count[r] != 1:
             continue  # its one column was peeled through another row
         c = holder[r]
-        pivots.add(r)
-        peeled.add(c)
+        prows.add(r)
+        pcols.add(c)
         for q in row_index[start[c]:start[c + 1]]:
             count[q] -= 1
             holder[q] ^= c
             if count[q] == 1:
                 stack.append(q)
-    rest = [c for c in live if c not in peeled]
+    rest = [c for c in live if c not in pcols]
     cols = [None] * A.n_cols
     row_cols = {}
     for c in rest:
@@ -271,7 +288,8 @@ def pivot_rows(A, skip=()):
         pr = min(pcol, key=lambda r: (len(row_cols[r]), r))
         p = pcol[pr]
         cols[pj] = None
-        pivots.add(pr)
+        prows.add(pr)
+        pcols.add(pj)
         for r in pcol:
             row_cols[r].discard(pj)
         for j in tuple(row_cols[pr]):
@@ -300,12 +318,12 @@ def pivot_rows(A, skip=()):
                 heapq.heappush(heap, (len(col), j))
             else:
                 cols[j] = None
-    return pivots
+    return prows, pcols
 
 
 def rank(A):
     """Rank of A, by fraction-free sparse Gaussian elimination."""
-    return len(pivot_rows(A))
+    return len(pivots(A)[0])
 
 
 def kernel_dim(A):

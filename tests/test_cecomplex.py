@@ -11,7 +11,8 @@ from configcohom import (assemble_blocks, build_generators, count_monomials,
                          reduce_complex)
 from configcohom.cecomplex import (AssemblyError, BigradedBasis, Monomial,
                                    _Differential, decode_monomial,
-                                   in_reduction_ideal, make_monomial)
+                                   in_reduction_ideal, make_monomial,
+                                   weight_counts)
 from configcohom.generators import GeneratorSet
 from configcohom.homology import complex_data
 from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
@@ -86,9 +87,18 @@ def test_count_matches_enumeration_and_closed_form():
                 for w in range(k // 2 + 1)
             )
             assert n == expect, (m, k)
-    G = build_generators(torus_ring())
-    for k in range(0, 6):
-        assert enumerate_basis(G, k).total_dimension() == count_monomials(G, k)
+
+
+def test_count_matches_enumeration_in_both_modes():
+    # the count reads the exponent caps enumerate_basis uses, per weight
+    for R in (make_cpm(1), make_cpm(3), torus_ring(), s4_ring(), s2xs2_ring()):
+        G = build_generators(R)
+        for k in range(0, 8):
+            for mode in ("full", "reduced"):
+                basis = enumerate_basis(G, k, mode)
+                by_weight = [sum(len(c) for (_, w), c in basis.slices.items() if w == u)
+                             for u in range(k // 2 + 1)]
+                assert list(weight_counts(G, k, mode)) == by_weight, (R.label, k, mode)
 
 
 def test_weights_partition_by_parity():

@@ -84,6 +84,24 @@ def test_monomial_cap_stops_counting_early(capsys):
     assert "more than 2000000 monomials" in err
 
 
+def test_monomial_cap_counts_the_complex_built(capsys):
+    # CP^2, k = 6: 36 monomials reduced, 92 full; a cap of 50 lets the
+    # reduced runs through and refuses the full ones
+    cap = ("--max-monomials", "50")
+    rc, out, _ = run(capsys, "betti", "--cpm", "2", "--k", "6", "--mode", "reduced", *cap)
+    assert rc == 0 and "reduced complex" in out
+    for mode in ("full", "both"):
+        rc, _, err = run(capsys, "betti", "--cpm", "2", "--k", "6", "--mode", mode, *cap)
+        assert rc == 3 and "more than 50 monomials" in err, mode
+    rc, _, _ = run(capsys, "ray", "--cpm", "2", "--i", "1", "--k-max", "6", *cap)
+    assert rc == 0
+    rc, _, err = run(capsys, "ray", "--cpm", "2", "--i", "1", "--k-max", "6",
+                     "--mode", "full", *cap)
+    assert rc == 3 and "cap" in err
+    rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "6", *cap)
+    assert rc == 3 and "cap" in err
+
+
 def test_ray_csv_certificate_on_stderr(capsys):
     rc, out, err = run(capsys, "ray", "--cpm", "2", "--i", "2",
                        "--k-max", "8", "--format", "csv")

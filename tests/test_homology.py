@@ -5,9 +5,10 @@ import pytest
 from configcohom import (SparseExactMatrix, betti, build_generators,
                          cecomplex, consistency_report, enumerate_basis,
                          homology, make_cpm, rank)
-from configcohom.cecomplex import AssemblyError, decode_monomial
+from configcohom.cecomplex import (AssemblyError, DifferentialBlock,
+                                   decode_monomial)
 from configcohom.homology import complex_data
-from configcohom.linalg import pivot_rows
+from configcohom.linalg import pivots
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
                      CP1_K3_DIMS, CP1_K3_MAPS, cp2_half_ring, dense_betti,
                      dense_rank, s2xs2_ring, s4_ring, torus_ring)
@@ -212,9 +213,12 @@ def test_reduced_record_independent_of_full(m, monkeypatch):
         assert (k, "full") not in build_generators(fresh)._complexes
 
 
-def test_dd_check_runs_before_any_rank(monkeypatch):
-    # chain pruning trusts d o d = 0, so a block that breaks it must stop
-    # complex_data before a single rank is computed, and leave no record
+def test_dd_check_runs_before_the_rank_that_trusts_it(monkeypatch):
+    # chain pruning trusts d o d = 0 on each pair, and each pair is
+    # checked on the pivot columns of its first block right after that
+    # block's rank: a pair that breaks it must stop complex_data before
+    # the block out of its target is ranked, no elimination may take a
+    # skip set from a pair not yet checked, and no record is left
     real = homology.assemble_blocks
 
     def one_sign_flipped(G, basis):
@@ -235,20 +239,107 @@ def test_dd_check_runs_before_any_rank(monkeypatch):
                     return blocks
         raise AssertionError("no consecutive blocks to corrupt")
 
-    ranked = []
+    events = []
 
-    def spy_pivot_rows(matrix, skip=()):
-        ranked.append(matrix)
-        return pivot_rows(matrix, skip)
+    def spy_pivots(matrix, skip=()):
+        events.append(("rank", matrix, bool(skip)))
+        return pivots(matrix, skip)
+
+    kills = SparseExactMatrix.kills
+
+    def spy_kills(nxt, matrix, cols):
+        passed = kills(nxt, matrix, cols)
+        events.append(("check", nxt, passed))
+        return passed
 
     monkeypatch.setattr(homology, "assemble_blocks", one_sign_flipped)
-    monkeypatch.setattr(homology, "pivot_rows", spy_pivot_rows)
+    monkeypatch.setattr(homology, "pivots", spy_pivots)
+    monkeypatch.setattr(SparseExactMatrix, "kills", spy_kills)
     for mode in ("full", "reduced"):
         R = make_cpm.__wrapped__(2)
+        events.clear()
         with pytest.raises(AssemblyError, match="d o d"):
             complex_data(R, 5, mode)
-        assert not ranked
+        *before, (kind, nxt, passed) = events
+        assert kind == "check" and not passed
+        assert not any(e[0] == "rank" and e[1] is nxt for e in before)
+        for i, (kind, matrix, pruned) in enumerate(before):
+            if kind == "rank" and pruned:
+                # the pair into this block was checked, and passed, first
+                assert ("check", matrix, True) in before[:i]
         assert build_generators(R)._complexes == {}
+
+
+# the rings and modes on which every consecutive pair is checked, and
+# every single-entry corruption of a block is caught
+CHECK_CASES = [
+    ("CP^2-full", lambda: make_cpm.__wrapped__(2), 5, "full"),
+    ("CP^2-reduced", lambda: make_cpm.__wrapped__(2), 5, "reduced"),
+    ("T^2", torus_ring, 6, "full"),
+    ("S^2xS^2", s2xs2_ring, 4, "full"),
+]
+
+
+@pytest.mark.parametrize("make_ring, k, mode", [case[1:] for case in CHECK_CASES],
+                         ids=[case[0] for case in CHECK_CASES])
+def test_every_consecutive_pair_checked_once(make_ring, k, mode, monkeypatch):
+    checked = []
+    kills = SparseExactMatrix.kills
+
+    def spy(nxt, matrix, cols):
+        checked.append((id(nxt), id(matrix)))
+        return kills(nxt, matrix, cols)
+
+    monkeypatch.setattr(SparseExactMatrix, "kills", spy)
+    _, blocks, _ = complex_data(make_ring(), k, mode)
+    pairs = [(id(blocks[b.target].matrix), id(b.matrix))
+             for b in blocks.values() if b.target in blocks]
+    assert pairs and sorted(checked) == sorted(pairs)
+
+
+@pytest.mark.parametrize("make_ring, k, mode", [case[1:] for case in CHECK_CASES],
+                         ids=[case[0] for case in CHECK_CASES])
+def test_every_entry_that_breaks_dd_is_caught(make_ring, k, mode, monkeypatch):
+    # add 1 to one entry of one block, stored or not, in every way: the
+    # build must raise exactly when the full product of a consecutive
+    # pair through that block is no longer zero.  Columns outside the
+    # pivot columns of the true block are caught only because the
+    # pivot columns span the rest.
+    G = build_generators(make_ring())
+    blocks = homology.assemble_blocks(G, enumerate_basis(G, k, mode))
+    by_source = {b.source: b for b in blocks}
+    into = {b.target: b for b in blocks}
+    outside = {}  # block source -> its columns that are not pivot columns
+    skips = {}
+    for b in sorted(blocks, key=lambda b: b.source):
+        rows, cols = pivots(b.matrix, skips.pop(b.source, ()))
+        skips[b.target] = rows
+        outside[b.source] = set(range(b.matrix.n_cols)) - cols
+    caught = caught_outside = 0
+    for i, b in enumerate(blocks):
+        dense = b.matrix.to_dense()
+        for r in range(b.matrix.n_rows):
+            for c in range(b.matrix.n_cols):
+                dense[r][c] += 1
+                bad = SparseExactMatrix.from_dense(dense, b.matrix.n_cols)
+                dense[r][c] -= 1
+                products = []
+                if b.source in into:
+                    products.append(bad @ into[b.source].matrix)
+                if b.target in by_source:
+                    products.append(by_source[b.target].matrix @ bad)
+                broken = any(not p.is_zero() for p in products)
+                swapped = blocks[:i] + [DifferentialBlock(
+                    b.source, b.target, bad, b.scale)] + blocks[i + 1:]
+                monkeypatch.setattr(homology, "assemble_blocks", lambda G, basis: swapped)
+                if broken:
+                    with pytest.raises(AssemblyError, match="d o d"):
+                        homology._build(G, k, mode)
+                    caught += 1
+                    caught_outside += c in outside[b.source]
+                else:
+                    homology._build(G, k, mode)
+    assert caught and caught_outside
 
 
 PRUNING_CASES = [

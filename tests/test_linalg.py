@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from configcohom import SparseExactMatrix, kernel_dim, make_cpm, rank
 from configcohom import linalg
-from configcohom.linalg import pivot_rows
+from configcohom.linalg import pivots
 from configcohom.homology import complex_data
 from oracles import dense_rank, kernel_basis
 
@@ -77,6 +77,48 @@ def test_matmul_and_transpose():
     assert (A @ At).to_dense() == [[5, 2], [2, 1]]
     with pytest.raises(ValueError):
         A @ SparseExactMatrix(3, 3, ())
+    with pytest.raises(ValueError):
+        A.kills(SparseExactMatrix(3, 3, ()), [0])
+
+
+@st.composite
+def product_with_columns(draw, max_dim=6):
+    """A pair of composable int matrices and a set of columns of the second."""
+    n_rows, n_mid, n_cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+    A = SparseExactMatrix.from_dense(
+        [[draw(st.integers(-2, 2)) for _ in range(n_mid)] for _ in range(n_rows)], n_mid)
+    B = SparseExactMatrix.from_dense(
+        [[draw(st.integers(-2, 2)) for _ in range(n_cols)] for _ in range(n_mid)], n_cols)
+    cols = draw(st.sets(st.integers(0, n_cols - 1))) if n_cols else set()
+    return A, B, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_with_columns())
+def test_kills_is_the_product_restricted_to_columns(data):
+    A, B, cols = data
+    product = (A @ B).to_dense()
+    assert A.kills(B, cols) == all(row[c] == 0 for row in product for c in cols)
+
+
+def test_kills_stops_at_the_first_nonzero_column(monkeypatch):
+    # A @ B is non-zero in column 0 and zero in the other 49, which
+    # cancel: the test reads one column and stores no product matrix
+    A = SparseExactMatrix.from_dense([[1, 1]])
+    B = SparseExactMatrix.from_dense([[1] + [1] * 49, [0] + [-1] * 49])
+    assert A.kills(B, range(1, 50))
+    read = []
+    columns = SparseExactMatrix._product_columns
+
+    def spy(self, other, cols):
+        for acc in columns(self, other, cols):
+            read.append(acc)
+            yield acc
+
+    monkeypatch.setattr(SparseExactMatrix, "_product_columns", spy)
+    monkeypatch.setattr(SparseExactMatrix, "_store", None)  # no matrix is built
+    assert not A.kills(B, range(50))
+    assert read == [{0: 1}]
 
 
 def test_int_entries_stay_int():
@@ -210,24 +252,30 @@ def sparse_with_skip(draw, max_dim=8):
     return SparseExactMatrix(n_rows, n_cols, entries), skip
 
 
-def check_pivot_rows(A, skip):
-    """The pivot_rows contract against the dense oracle."""
-    Y = pivot_rows(A, skip)
+def check_pivots(A, skip):
+    """The pivots contract against the dense oracle; returns the rows."""
+    Y, X = pivots(A, skip)
+    dense = A.to_dense()
     kept = [c for c in range(A.n_cols) if c not in skip]
-    dense = [[row[c] for c in kept] for row in A.to_dense()]
-    assert Y <= set(range(A.n_rows))
-    # |Y| is the rank of the kept columns, and rows Y of them are
-    # independent, so A[Y, X] is invertible for some kept columns X
-    assert len(Y) == dense_rank(dense)
-    assert dense_rank([dense[r] for r in sorted(Y)]) == len(Y)
-    assert rank(A) == len(pivot_rows(A)) == dense_rank(A.to_dense())
+
+    def rank_of(rows, cols):
+        return dense_rank([[dense[r][c] for c in cols] for r in rows])
+
+    everything = range(A.n_rows)
+    assert Y <= set(everything)
+    assert X <= set(kept)  # no skipped column is a pivot
+    assert len(Y) == len(X)
+    assert rank_of(sorted(Y), sorted(X)) == len(X)  # A[Y, X] is invertible
+    # the pivot columns span the kept ones
+    assert rank_of(everything, sorted(X)) == rank_of(everything, kept) == len(X)
+    assert rank(A) == len(pivots(A)[0]) == dense_rank(dense)
     return Y
 
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_with_skip())
-def test_pivot_rows_contract(data):
-    check_pivot_rows(*data)
+def test_pivots_contract(data):
+    check_pivots(*data)
 
 
 def eliminated_columns(monkeypatch, A, skip=()):
@@ -240,7 +288,7 @@ def eliminated_columns(monkeypatch, A, skip=()):
         heapify(heap)
 
     monkeypatch.setattr(linalg.heapq, "heapify", spy)
-    Y = check_pivot_rows(A, skip)
+    Y = check_pivots(A, skip)
     monkeypatch.undo()
     return Y, sizes[0]
 
