@@ -20,7 +20,6 @@ deterministic byte-for-byte for a given configuration, independent of
 
 import argparse
 import json
-import os
 import sys
 
 from .cecomplex import AssemblyError, weight_counts
@@ -29,14 +28,6 @@ from .homology import betti, consistency_report
 from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
 
 DEFAULT_MAX_MONOMIALS = 2_000_000
-
-
-def _default_jobs():
-    raw = os.environ.get("CONFIGCOHOM_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _positive_int(text):
@@ -75,8 +66,8 @@ def build_parser():
         else:
             # ray and verify: the multi-k commands, the only ones that fan out
             p.add_argument("--cpm", type=int, metavar="M", required=True)
-            p.add_argument("--jobs", type=_positive_int, default=None,
-                           help="worker processes (default: CONFIGCOHOM_JOBS or 1)")
+            p.add_argument("--jobs", type=_positive_int, default=1,
+                           help="worker processes (default 1)")
 
     p = sub.add_parser("betti", help="Betti table of C_k(M)")
     common(p, ring=True)
@@ -104,14 +95,6 @@ def build_parser():
     p.add_argument("--output", metavar="FILE")
 
     return top
-
-
-def parse_config(argv):
-    """The parsed namespace of argv, with jobs filled in from the environment."""
-    ns = build_parser().parse_args(argv)
-    if getattr(ns, "jobs", 1) is None:
-        ns.jobs = _default_jobs()
-    return ns
 
 
 def _emit(cfg, text):
@@ -324,8 +307,7 @@ def run(cfg):
 
 
 def main(argv=None):
-    cfg = parse_config(argv if argv is not None else sys.argv[1:])
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -75,8 +75,7 @@ class BettiTable(namedtuple("BettiTable", "k ring mode dims euler")):
 
 
 class ConsistencyReport(namedtuple(
-        "ConsistencyReport", "k ring ok first_mismatch full reduced"
-        " chain_euler_full chain_euler_reduced")):
+        "ConsistencyReport", "k ring ok first_mismatch full reduced")):
     """Full-vs-reduced comparison for one (ring, k)."""
     __slots__ = ()
 
@@ -156,11 +155,7 @@ def betti(R, k, mode="full"):
 
 
 def consistency_report(R, k):
-    """Compare full and reduced tables degree by degree.
-
-    Also reports the chain-level Euler characteristics of both
-    complexes, which must agree with each other and with the tables.
-    """
+    """Compare full and reduced tables degree by degree."""
     full = betti(R, k, "full")
     reduced = betti(R, k, "reduced")
     top = max(full.top_degree(), reduced.top_degree())
@@ -169,18 +164,5 @@ def consistency_report(R, k):
         if full.dim(i) != reduced.dim(i):
             first = i
             break
-    basis_f, _, _ = complex_data(R, k, "full")
-    basis_r, _, _ = complex_data(R, k, "reduced")
-
-    def chain_euler(basis):
-        return sum(
-            len(mons) if i % 2 == 0 else -len(mons)
-            for (i, _), mons in basis.slices.items()
-        )
-
-    return ConsistencyReport(
-        k=k, ring=R.label, ok=first is None, first_mismatch=first,
-        full=full, reduced=reduced,
-        chain_euler_full=chain_euler(basis_f),
-        chain_euler_reduced=chain_euler(basis_r),
-    )
+    return ConsistencyReport(k=k, ring=R.label, ok=first is None, first_mismatch=first,
+                             full=full, reduced=reduced)

@@ -14,6 +14,12 @@ where e_a e_b = sum_c c_{ab}^c e_c is the multiplication table.  The
 structure constants come back transposed: the output above is indexed
 by c, not by (a, b).  Poincare duality guarantees the result is
 homogeneous of homology degree deg(h_c) once the ring validates.
+
+A JSON presentation passes three layers, each rule in one of them:
+ring_from_dict checks the document's shape and resolves names to
+indices, RingPresentation checks every value (names, degrees,
+dimension, indices, coefficients), and both raise RingSchemaError;
+validate_ring then checks the ring axioms and reports, never raises.
 """
 
 import json
@@ -34,6 +40,10 @@ class InvalidRingError(ValueError):
     """Structurally well-formed presentation that fails validation."""
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class RingPresentation:
     """Basis, degrees, multiplication table, and manifold dimension.
 
@@ -52,24 +62,24 @@ class RingPresentation:
         n = len(basis_names)
         if len(degrees) != n:
             raise RingSchemaError("degrees and basis_names disagree in length")
-        if len(set(basis_names)) != n:
-            raise RingSchemaError("duplicate basis names")
         for name in basis_names:
             if not isinstance(name, str) or not name:
                 raise RingSchemaError("basis names must be nonempty strings")
-        for deg in degrees:
-            if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-                raise RingSchemaError("degrees must be non-negative integers")
-        if (not isinstance(manifold_dimension, int) or isinstance(manifold_dimension, bool)
-                or manifold_dimension <= 0 or manifold_dimension % 2):
+        if len(set(basis_names)) != n:
+            raise RingSchemaError("duplicate basis names")
+        for name, deg in zip(basis_names, degrees):
+            if not _is_int(deg) or deg < 0:
+                raise RingSchemaError("basis degree for %r must be a non-negative integer"
+                                      % name)
+        if not _is_int(manifold_dimension) or manifold_dimension <= 0 or manifold_dimension % 2:
             raise RingSchemaError("manifold dimension must be a positive even integer")
         table = {}
         for (i, j), terms in structure_constants.items():
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < n):
+            if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < n):
                 raise RingSchemaError("product indexed outside the basis: (%r, %r)" % (i, j))
             merged = {}
             for l, coeff in terms:
-                if not (isinstance(l, int) and 0 <= l < n):
+                if not (_is_int(l) and 0 <= l < n):
                     raise RingSchemaError("product result outside the basis: %r" % (l,))
                 try:
                     coeff = parse_rational(coeff)
@@ -143,7 +153,7 @@ def make_cpm(m):
     basis 1, x, ..., x^m, manifold dimension 2m, and the fundamental
     class normalized so that x^m evaluates to 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError("m must be a positive integer, got %r" % (m,))
     names = tuple("1" if a == 0 else "x" if a == 1 else "x^%d" % a for a in range(m + 1))
     degrees = tuple(2 * a for a in range(m + 1))
@@ -167,13 +177,11 @@ def validate_ring(R):
     n = R.n
     deg = R.degrees
 
-    zero = [i for i in range(n) if deg[i] == 0]
-    if len(zero) != 1:
-        v.append(("unit", "expected exactly one degree-0 class, found %d" % len(zero)))
-    top = [i for i in range(n) if deg[i] == R.manifold_dimension]
-    if len(top) != 1:
+    if R.unit_index is None:
+        v.append(("unit", "expected exactly one degree-0 class, found %d" % deg.count(0)))
+    if R.top_index is None:
         v.append(("top", "expected exactly one degree-%d class, found %d"
-                  % (R.manifold_dimension, len(top))))
+                  % (R.manifold_dimension, deg.count(R.manifold_dimension))))
 
     for (i, j), terms in sorted(R.structure_constants.items()):
         for l, _ in terms:
@@ -183,8 +191,8 @@ def validate_ring(R):
                           % (R.basis_names[i], R.basis_names[j], R.basis_names[l],
                              deg[i], deg[j], deg[l])))
 
-    if len(zero) == 1:
-        u = zero[0]
+    u = R.unit_index
+    if u is not None:
         for j in range(n):
             expect = {j: Fraction(1)}
             if R.product(u, j) != expect or R.product(j, u) != expect:
@@ -219,8 +227,8 @@ def validate_ring(R):
                               % (R.basis_names[i], R.basis_names[j], R.basis_names[k],
                                  R.basis_names[i], R.basis_names[j], R.basis_names[k])))
 
-    if len(top) == 1 and not any(rule == "grading" for rule, _ in v):
-        t = top[0]
+    t = R.top_index
+    if t is not None and not any(rule == "grading" for rule, _ in v):
         # each row scaled by the lcm of its denominators: an int matrix
         # of the same rank over Q
         P = []
@@ -245,16 +253,11 @@ def diagonal_comultiplication(R):
     diag = validate_ring(R)
     if not diag.valid:
         raise InvalidRingError("; ".join(diag.messages()))
-    out = {}
-    for c in range(R.n):
-        terms = []
-        for (a, b), prods in R.structure_constants.items():
-            for l, q in prods:
-                if l == c and q:
-                    terms.append(((a, b), q))
-        terms.sort(key=lambda t: t[0])
-        out[c] = tuple(terms)
-    return out
+    out = {c: [] for c in range(R.n)}
+    for pair, prods in sorted(R.structure_constants.items()):
+        for c, q in prods:
+            out[c].append((pair, q))
+    return {c: tuple(terms) for c, terms in out.items()}
 
 
 def ring_from_dict(doc, label="custom"):
@@ -269,82 +272,64 @@ def ring_from_dict(doc, label="custom"):
          "top": "x"}
 
     Products omitted from the list are zero, so unit products must be
-    spelled out.  "top" is advisory; the unique top-degree class is
-    recomputed and cross-checked when present.
+    spelled out.  "top" is advisory; when present it must name a class
+    of the top degree.
+
+    This layer checks the document's shape (an object with its keys,
+    lists that are lists, items that are objects with theirs) and
+    resolves every name reference to an index; names must be distinct
+    strings for that.  Every value (names, degrees, dimension,
+    coefficients) is checked once, by RingPresentation.
     """
     if not isinstance(doc, dict):
         raise RingSchemaError("ring document must be a JSON object")
     for key in ("dimension", "basis", "products"):
         if key not in doc:
             raise RingSchemaError("ring document missing %r" % key)
-    dim = doc["dimension"]
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise RingSchemaError("dimension must be an integer")
-    basis = doc["basis"]
+    basis, products = doc["basis"], doc["products"]
     if not isinstance(basis, list) or not basis:
         raise RingSchemaError("basis must be a nonempty list")
-    names, degrees = [], []
     for item in basis:
         if not isinstance(item, dict) or "name" not in item or "degree" not in item:
             raise RingSchemaError("each basis item needs a name and a degree")
-        name, deg = item["name"], item["degree"]
-        if not isinstance(name, str) or not name:
-            raise RingSchemaError("basis names must be nonempty strings")
-        if not isinstance(deg, int) or isinstance(deg, bool) or deg < 0:
-            raise RingSchemaError("basis degree for %r must be a non-negative integer" % name)
-        names.append(name)
-        degrees.append(deg)
-    if len(set(names)) != len(names):
-        raise RingSchemaError("duplicate basis names")
+    names = [item["name"] for item in basis]
+    if not all(isinstance(name, str) for name in names):
+        raise RingSchemaError("basis names must be nonempty strings")
     index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise RingSchemaError("duplicate basis names")
 
-    table = {}
-    products = doc["products"]
+    def lookup(ref, where):
+        if isinstance(ref, str) and ref in index:
+            return index[ref]
+        raise RingSchemaError("%s references unknown basis name %r" % (where, ref))
+
     if not isinstance(products, list):
         raise RingSchemaError("products must be a list")
+    table = {}
     for item in products:
         if not isinstance(item, dict):
             raise RingSchemaError("each product must be an object")
         for key in ("left", "right", "result"):
             if key not in item:
                 raise RingSchemaError("product missing %r" % key)
-        left, right = item["left"], item["right"]
-        if left not in index:
-            raise RingSchemaError("product references unknown basis name %r" % left)
-        if right not in index:
-            raise RingSchemaError("product references unknown basis name %r" % right)
-        pair = (index[left], index[right])
+        left, right, result = item["left"], item["right"], item["result"]
+        pair = (lookup(left, "product"), lookup(right, "product"))
         if pair in table:
             raise RingSchemaError("duplicate product entry for %s * %s" % (left, right))
-        if not isinstance(item["result"], list):
+        if not isinstance(result, list):
             raise RingSchemaError("product result for %s * %s must be a list" % (left, right))
-        terms = []
-        for term in item["result"]:
+        for term in result:
             if not isinstance(term, dict) or "basis" not in term or "coeff" not in term:
                 raise RingSchemaError("result terms need a basis and a coeff")
-            if term["basis"] not in index:
-                raise RingSchemaError("result references unknown basis name %r" % term["basis"])
-            try:
-                coeff = parse_rational(term["coeff"])
-            except ValueError as exc:
-                raise RingSchemaError("bad coefficient in %s * %s: %s" % (left, right, exc))
-            terms.append((index[term["basis"]], coeff))
-        table[pair] = tuple(terms)
+        table[pair] = [(lookup(term["basis"], "result"), term["coeff"]) for term in result]
 
-    try:
-        R = RingPresentation(names, degrees, table, dim, label=label)
-    except RingSchemaError:
-        raise
-    except ValueError as exc:
-        raise RingSchemaError(str(exc))
-
-    declared_top = doc.get("top")
-    if declared_top is not None:
-        if declared_top not in index:
-            raise RingSchemaError("top references unknown basis name %r" % declared_top)
-        if degrees[index[declared_top]] != dim:
-            raise RingSchemaError("declared top class %r does not have degree %d"
-                                  % (declared_top, dim))
+    R = RingPresentation(names, [item["degree"] for item in basis], table,
+                         doc["dimension"], label=label)
+    top = doc.get("top")
+    if top is not None and R.degrees[lookup(top, "top")] != R.manifold_dimension:
+        raise RingSchemaError("declared top class %r does not have degree %d"
+                              % (top, R.manifold_dimension))
     return R
 
 

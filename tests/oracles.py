@@ -290,3 +290,75 @@ def cp2_ring_doc():
         ],
         "top": "x^2",
     }
+
+
+def malformed_ring_docs():
+    """(rule, document, message regex) for one malformed document per rule.
+
+    Each document is cp2_ring_doc with one fault, so the message of the
+    rule it breaks is the only one it can raise.
+    """
+    def altered(path, value):
+        doc = cp2_ring_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+
+    def without(key):
+        return {k: v for k, v in cp2_ring_doc().items() if k != key}
+
+    name, degree = ("basis", 1, "name"), ("basis", 1, "degree")
+    coeff = ("products", 5, "result", 0, "coeff")
+    bad_name = "basis names must be nonempty strings"
+    bad_degree = "basis degree for 'x' must be a non-negative integer"
+    bad_dimension = "manifold dimension must be a positive even integer"
+    bad_coeff = r"bad coefficient in x \* x"
+    return [
+        ("not-an-object", [cp2_ring_doc()], "must be a JSON object"),
+        ("missing-dimension", without("dimension"), "missing 'dimension'"),
+        ("empty-basis", altered(("basis",), []), "basis must be a nonempty list"),
+        ("basis-item-without-degree", altered(("basis", 1), {"name": "x"}),
+         "each basis item needs a name and a degree"),
+        ("products-not-a-list", altered(("products",), {}), "products must be a list"),
+        ("product-without-result", altered(("products", 5), {"left": "x", "right": "x"}),
+         "product missing 'result'"),
+        ("result-not-a-list", altered(("products", 5, "result"), {"basis": "x^2"}),
+         r"product result for x \* x must be a list"),
+        ("term-without-coeff", altered(("products", 5, "result", 0), {"basis": "x^2"}),
+         "result terms need a basis and a coeff"),
+        ("list-left", altered(("products", 0, "left"), ["1"]),
+         r"product references unknown basis name \['1'\]"),
+        ("object-right", altered(("products", 0, "right"), {"name": "1"}),
+         r"product references unknown basis name \{'name': '1'\}"),
+        ("list-result-basis", altered(("products", 5, "result", 0, "basis"), ["x^2"]),
+         r"result references unknown basis name \['x\^2'\]"),
+        ("list-top", altered(("top",), ["x^2"]), r"top references unknown basis name \['x\^2'\]"),
+        ("unknown-left", altered(("products", 0, "left"), "zz"),
+         "product references unknown basis name 'zz'"),
+        ("int-reference", altered(("products", 0, "left"), 1),
+         "product references unknown basis name 1"),
+        ("int-name", altered(name, 1), bad_name),
+        ("list-name", altered(name, ["x"]), bad_name),
+        ("empty-name", altered(("basis",), cp2_ring_doc()["basis"] + [{"name": "", "degree": 2}]),
+         bad_name),
+        ("duplicate-name", altered(name, "1"), "duplicate basis names"),
+        ("negative-degree", altered(degree, -2), bad_degree),
+        ("string-degree", altered(degree, "2"), bad_degree),
+        ("bool-degree", altered(degree, True), bad_degree),
+        ("odd-dimension", altered(("dimension",), 5), bad_dimension),
+        ("zero-dimension", altered(("dimension",), 0), bad_dimension),
+        ("string-dimension", altered(("dimension",), "4"), bad_dimension),
+        ("bool-dimension", altered(("dimension",), True), bad_dimension),
+        ("float-coefficient", altered(coeff, 0.5), bad_coeff),
+        ("float-string-coefficient", altered(coeff, "0.5"), bad_coeff),
+        ("bool-coefficient", altered(coeff, True), bad_coeff),
+        ("zero-denominator", altered(coeff, "1/0"), bad_coeff),
+        ("list-coefficient", altered(coeff, ["1"]), bad_coeff),
+        ("duplicate-product", altered(("products", 0), cp2_ring_doc()["products"][5]),
+         r"duplicate product entry for x \* x"),
+        ("top-of-wrong-degree", altered(("top",), "x"),
+         "declared top class 'x' does not have degree 4"),
+        ("unknown-top", altered(("top",), "zz"), "top references unknown basis name 'zz'"),
+    ]

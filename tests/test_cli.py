@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -9,8 +10,8 @@ import pytest
 import configcohom
 from configcohom import build_generators, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
-from configcohom.cli import main, parse_config
-from oracles import cp2_ring_doc
+from configcohom.cli import build_parser, main
+from oracles import cp2_ring_doc, malformed_ring_docs
 
 
 def run(capsys, *argv):
@@ -170,6 +171,19 @@ def test_ring_check_paths(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(doc, message, id=rule) for rule, doc, message in malformed_ring_docs()])
+def test_malformed_ring_file_exits_two(tmp_path, capsys, doc, message):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(doc))
+    for argv, prefix in ((["ring-check"], "malformed ring presentation: "),
+                         (["betti", "--k", "3"], "error: ")):
+        rc, out, err = run(capsys, *argv, "--ring", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(prefix) and "Traceback" not in err
+        assert re.search(message, err)
+
+
 def test_ring_check_json_format(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(cp2_ring_doc()))
@@ -241,14 +255,10 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
             cache[k, "reduced"] = saved
 
 
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("CONFIGCOHOM_JOBS", "4")
-    cfg = parse_config(["verify", "--cpm", "2", "--k-max", "8"])
-    assert cfg.jobs == 4
-    monkeypatch.setenv("CONFIGCOHOM_JOBS", "junk")
-    cfg = parse_config(["verify", "--cpm", "2", "--k-max", "8"])
+def test_jobs_default():
+    cfg = build_parser().parse_args(["verify", "--cpm", "2", "--k-max", "8"])
     assert cfg.jobs == 1
-    cfg = parse_config(["verify", "--cpm", "2", "--k-max", "8", "--jobs", "2"])
+    cfg = build_parser().parse_args(["verify", "--cpm", "2", "--k-max", "8", "--jobs", "2"])
     assert cfg.jobs == 2
 
 

@@ -43,16 +43,17 @@ def test_connected_in_degree_zero():
             assert betti(R, k).dim(0) == 1
 
 
+def chain_euler(R, k, mode="full"):
+    basis, _, _ = complex_data(R, k, mode)
+    return sum(len(mons) if i % 2 == 0 else -len(mons)
+               for (i, _), mons in basis.slices.items())
+
+
 def test_euler_characteristic_matches_chain_level():
     for R in (make_cpm(1), make_cpm(2), torus_ring()):
         for k in (2, 3, 4, 5):
             table = betti(R, k)
-            basis, _, _ = complex_data(R, k, "full")
-            chain = sum(
-                len(mons) if i % 2 == 0 else -len(mons)
-                for (i, _), mons in basis.slices.items()
-            )
-            assert table.euler == chain, (R.label, k)
+            assert table.euler == chain_euler(R, k), (R.label, k)
 
 
 def test_full_vs_reduced_consistency():
@@ -61,8 +62,8 @@ def test_full_vs_reduced_consistency():
         for k in range(2, 9):
             rep = consistency_report(R, k)
             assert rep.ok, (m, k, rep.first_mismatch)
-            assert rep.chain_euler_full == rep.chain_euler_reduced
-            assert rep.full.euler == rep.chain_euler_full
+            assert chain_euler(R, k, "full") == chain_euler(R, k, "reduced")
+            assert rep.full.euler == chain_euler(R, k, "full")
 
 
 def test_cp1_reduced_k3():

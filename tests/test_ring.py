@@ -6,7 +6,8 @@ import pytest
 from configcohom import (InvalidRingError, RingPresentation, RingSchemaError,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
-from oracles import cp2_ring_doc, pairing_from_products, s4_ring, torus_ring
+from oracles import (cp2_ring_doc, malformed_ring_docs, pairing_from_products, s4_ring,
+                     torus_ring)
 
 
 def test_cpm_shape():
@@ -199,6 +200,22 @@ def test_schema_errors():
     doc["top"] = "x"
     with pytest.raises(RingSchemaError):
         ring_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(doc, message, id=rule) for rule, doc, message in malformed_ring_docs()])
+def test_malformed_document_raises_schema_error(doc, message):
+    with pytest.raises(RingSchemaError, match=message):
+        ring_from_dict(doc)
+
+
+def test_product_indices_must_be_ints():
+    # a bool is an int to Python, but not an index here, as it is not a degree
+    for key in ((0, True), (False, 1), (0, 1.0)):
+        with pytest.raises(RingSchemaError, match="product indexed outside the basis"):
+            RingPresentation(("1", "x"), (0, 2), {key: ((1, 1),)}, 2)
+    with pytest.raises(RingSchemaError, match="product result outside the basis"):
+        RingPresentation(("1", "x"), (0, 2), {(0, 1): ((True, 1),)}, 2)
 
 
 def test_json_round_trip(tmp_path):
