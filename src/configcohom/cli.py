@@ -11,9 +11,11 @@ Each run imports only what its subcommand runs: the extremal module is
 imported by ray and verify alone, and the process pool only where one
 is started, so a betti or ring-check run skips both.
 
-Exit codes: 0 success, 1 a verified claim failed, 2 input error,
-3 monomial cap exceeded, 4 internal error (a failed consistency check
-inside the engine, or a worker process that died).  Output is
+Exit codes: 0 success, 1 a verified claim failed, 2 input error
+(ring-check's verdict on an invalid ring, too), 3 monomial cap
+exceeded, 4 internal error (any RuntimeError: a failed consistency
+check inside the engine, or a worker process that died).  run() alone
+maps a failure to its code and its one stderr line.  Output is
 deterministic byte-for-byte for a given configuration, independent of
 --jobs.
 """
@@ -22,12 +24,16 @@ import argparse
 import json
 import sys
 
-from .cecomplex import AssemblyError, weight_counts
+from .cecomplex import weight_counts
 from .generators import build_generators
 from .homology import betti, consistency_report
 from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
 
 DEFAULT_MAX_MONOMIALS = 2_000_000
+
+
+class _CapExceeded(Exception):
+    """The complex asked for has more monomials than --max-monomials."""
 
 
 def _positive_int(text):
@@ -50,9 +56,8 @@ def build_parser():
         description="Exact cohomology of unordered configuration spaces.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=False):
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text",
-                       dest="fmt")
+    def common(p, ring=False, formats=("text", "csv", "json")):
+        p.add_argument("--format", choices=formats, default="text", dest="fmt")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
         p.add_argument("--max-monomials", type=_nonnegative_int,
                        default=DEFAULT_MAX_MONOMIALS,
@@ -86,7 +91,7 @@ def build_parser():
     p.add_argument("--deg-max", type=int, default=4)
 
     p = sub.add_parser("verify", help="extremal vanishing report for CP^m")
-    common(p)
+    common(p, formats=("text", "json"))
     p.add_argument("--k-max", type=int, required=True)
 
     p = sub.add_parser("ring-check", help="validate a ring presentation file")
@@ -109,27 +114,18 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _resolve_ring(cfg):
-    if cfg.cpm is not None:
-        if cfg.cpm < 1:
-            raise ValueError("--cpm must be a positive integer")
-        return make_cpm(cfg.cpm)
-    return load_ring(cfg.ring_path)
-
-
 def _cap_check(R, k, cap, mode="full"):
     """Monomial-count guard on the complex of this mode.
 
-    Returns a message as soon as the count passes cap, weight by weight,
-    so a huge k is refused at once.
+    Raises _CapExceeded as soon as the count passes cap, weight by
+    weight, so a huge k is refused at once.
     """
     total = 0
     for n in weight_counts(build_generators(R), k, mode):
         total += n
         if total > cap:
-            return ("complex for k=%d exceeds the cap: more than %d monomials "
-                    "(raise --max-monomials to proceed)" % (k, cap))
-    return None
+            raise _CapExceeded("complex for k=%d exceeds the cap: more than %d "
+                               "monomials (raise --max-monomials to proceed)" % (k, cap))
 
 
 def _betti_text(table, indexing="cohomological"):
@@ -151,16 +147,11 @@ def _betti_csv(table):
 
 
 def _run_betti(cfg):
-    R = _resolve_ring(cfg)
-    if cfg.k is None or cfg.k < 0:
-        raise ValueError("--k must be a non-negative integer")
+    R = make_cpm(cfg.cpm) if cfg.cpm is not None else load_ring(cfg.ring_path)
     # reduced mode is built for CP^m only; any other ring is counted in
     # full, and betti refuses it after the cap as before
     counted = "reduced" if cfg.mode == "reduced" and R.cpm is not None else "full"
-    msg = _cap_check(R, cfg.k, cfg.max_monomials, counted)
-    if msg:
-        sys.stderr.write(msg + "\n")
-        return 3
+    _cap_check(R, cfg.k, cfg.max_monomials, counted)
     if cfg.mode == "both":
         report = consistency_report(R, cfg.k)
         if cfg.fmt == "json":
@@ -200,10 +191,7 @@ def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
     R = make_cpm(cfg.cpm)
-    msg = _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
-    if msg:
-        sys.stderr.write(msg + "\n")
-        return 3
+    _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
     ray = hilbert_ray(R, cfg.i, cfg.k_min, cfg.k_max, mode=cfg.mode, jobs=cfg.jobs)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
     if cfg.fmt == "json":
@@ -242,12 +230,7 @@ def _run_verify(cfg):
     from .extremal import verify_vanishing_ranges
 
     R = make_cpm(cfg.cpm)
-    msg = _cap_check(R, cfg.k_max, cfg.max_monomials)
-    if msg:
-        sys.stderr.write(msg + "\n")
-        return 3
-    if cfg.fmt == "csv":
-        raise ValueError("verify has no CSV schema; use text or json")
+    _cap_check(R, cfg.k_max, cfg.max_monomials)
     report = verify_vanishing_ranges(cfg.cpm, cfg.k_max, jobs=cfg.jobs)
     if cfg.fmt == "json":
         _emit(cfg, _json_text(report.to_json_dict()))
@@ -257,11 +240,7 @@ def _run_verify(cfg):
 
 
 def _run_ring_check(cfg):
-    try:
-        R = load_ring(cfg.ring_path)
-    except RingSchemaError as exc:
-        sys.stderr.write("malformed ring presentation: %s\n" % exc)
-        return 2
+    R = load_ring(cfg.ring_path)
     diag = validate_ring(R)
     if cfg.fmt == "json":
         doc = {"valid": diag.valid,
@@ -272,17 +251,6 @@ def _run_ring_check(cfg):
         lines += ["  [%s] %s" % v for v in diag.violations]
         _emit(cfg, "\n".join(lines) + "\n")
     return 0 if diag.valid else 2
-
-
-def _pool_errors():
-    """BrokenProcessPool, once a process pool has been imported.
-
-    The pool module (and multiprocessing with it) is imported only where
-    a pool is started, so that every other run skips the import; before
-    that no pool can have broken.
-    """
-    pool = sys.modules.get("concurrent.futures.process")
-    return (pool.BrokenProcessPool,) if pool is not None else ()
 
 
 def run(cfg):
@@ -297,11 +265,19 @@ def run(cfg):
         if cfg.command == "ring-check":
             return _run_ring_check(cfg)
         raise ValueError("unknown command %r" % cfg.command)
+    except RingSchemaError as exc:
+        # before ValueError, of which it is one
+        sys.stderr.write("malformed ring presentation: %s\n" % exc)
+        return 2
+    except _CapExceeded as exc:
+        sys.stderr.write("%s\n" % exc)
+        return 3
     except (OSError, ValueError) as exc:
-        # the ring errors and extremal's UnderDeterminedError are ValueErrors
+        # InvalidRingError and extremal's UnderDeterminedError are ValueErrors
         sys.stderr.write("error: %s\n" % exc)
         return 2
-    except (AssemblyError, *_pool_errors()) as exc:
+    except RuntimeError as exc:
+        # AssemblyError and BrokenProcessPool are RuntimeErrors
         sys.stderr.write("internal error: %s: %s\n" % (type(exc).__name__, exc))
         return 4
 

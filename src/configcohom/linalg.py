@@ -277,7 +277,10 @@ def pivots(A, skip=()):
     # died or changed length since are stale and skipped when popped
     heap = [(len(cols[j]), j) for j in rest]
     heapq.heapify(heap)
-    while heap:
+    # rows not yet pivot rows; fill-in stays inside row_cols, so once
+    # every row is a pivot row each column left reduces to zero
+    rows_left = len(row_cols)
+    while heap and rows_left:
         n, pj = heapq.heappop(heap)
         pcol = cols[pj]
         if pcol is None or len(pcol) != n:
@@ -290,6 +293,7 @@ def pivots(A, skip=()):
         cols[pj] = None
         prows.add(pr)
         pcols.add(pj)
+        rows_left -= 1
         for r in pcol:
             row_cols[r].discard(pj)
         for j in tuple(row_cols[pr]):

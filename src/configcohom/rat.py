@@ -40,7 +40,4 @@ def parse_rational(value):
 
 def format_rational(q):
     """Format a Fraction (or int) as "p" or "p/q", lowest terms."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return str(Fraction(q))

@@ -334,10 +334,20 @@ def ring_from_dict(doc, label="custom"):
 
 
 def load_ring(path, label=None):
-    """Read a presentation from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise RingSchemaError("not valid JSON: %s" % exc)
+    """Read a presentation from a JSON file.
+
+    Any file that is not a ring document raises RingSchemaError: bytes
+    that are not UTF-8, text that is not JSON or is nested past the
+    parser's recursion limit, and every fault ring_from_dict finds.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise RingSchemaError("not valid UTF-8: %s" % exc)
+    except json.JSONDecodeError as exc:
+        raise RingSchemaError("not valid JSON: %s" % exc)
+    except RecursionError:
+        raise RingSchemaError("not valid JSON: nested too deeply")
     return ring_from_dict(doc, label=label if label is not None else str(path))

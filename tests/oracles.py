@@ -362,3 +362,13 @@ def malformed_ring_docs():
          "declared top class 'x' does not have degree 4"),
         ("unknown-top", altered(("top",), "zz"), "top references unknown basis name 'zz'"),
     ]
+
+
+def unreadable_ring_files():
+    """(fault, file bytes, message regex) for files that hold no document."""
+    return [
+        ("truncated", b'{"dimension": 2, "basis": [', "not valid JSON: "),
+        ("not-utf8", b'{"a": "\xff"}', "not valid UTF-8: "),
+        ("nested-too-deeply", b"[" * 100000 + b"]" * 100000,
+         "not valid JSON: nested too deeply"),
+    ]

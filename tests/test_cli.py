@@ -11,7 +11,7 @@ import configcohom
 from configcohom import build_generators, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
-from oracles import cp2_ring_doc, malformed_ring_docs
+from oracles import cp2_ring_doc, malformed_ring_docs, unreadable_ring_files
 
 
 def run(capsys, *argv):
@@ -140,10 +140,11 @@ def test_verify_text(capsys):
 
 
 def test_verify_rejects_csv(capsys):
-    rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "8",
-                     "--format", "csv")
-    assert rc == 2
-    assert "CSV" in err or "csv" in err
+    # verify has no CSV schema, so argparse refuses it before any ring is built
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--cpm", "2", "--k-max", "8", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "csv" in capsys.readouterr().err
 
 
 def test_ring_check_paths(tmp_path, capsys):
@@ -171,16 +172,17 @@ def test_ring_check_paths(tmp_path, capsys):
     assert rc == 2
 
 
-@pytest.mark.parametrize("doc, message", [
-    pytest.param(doc, message, id=rule) for rule, doc, message in malformed_ring_docs()])
-def test_malformed_ring_file_exits_two(tmp_path, capsys, doc, message):
+@pytest.mark.parametrize("data, message", [
+    pytest.param(json.dumps(doc).encode(), message, id=rule)
+    for rule, doc, message in malformed_ring_docs()] + [
+    pytest.param(data, message, id=fault) for fault, data, message in unreadable_ring_files()])
+def test_malformed_ring_file_exits_two(tmp_path, capsys, data, message):
     path = tmp_path / "ring.json"
-    path.write_text(json.dumps(doc))
-    for argv, prefix in ((["ring-check"], "malformed ring presentation: "),
-                         (["betti", "--k", "3"], "error: ")):
+    path.write_bytes(data)
+    for argv in (["ring-check"], ["betti", "--k", "3"]):
         rc, out, err = run(capsys, *argv, "--ring", str(path))
         assert rc == 2 and out == ""
-        assert err.startswith(prefix) and "Traceback" not in err
+        assert err.startswith("malformed ring presentation: ") and "Traceback" not in err
         assert re.search(message, err)
 
 
@@ -282,15 +284,18 @@ def test_worker_count_is_clamped(monkeypatch):
 
 
 def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
-    def broken_assembly(G, basis):
-        raise AssemblyError("d o d != 0 out of slice (3, 1)")
-
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(cp2_ring_doc()))  # a fresh ring, no cached blocks
-    monkeypatch.setattr(homology, "assemble_blocks", broken_assembly)
-    rc, out, err = run(capsys, "betti", "--ring", str(path), "--k", "3")
-    assert rc == 4 and out == ""
-    assert err == "internal error: AssemblyError: d o d != 0 out of slice (3, 1)\n"
+    # a failed engine check, and any other RuntimeError
+    for exc in (AssemblyError("d o d != 0 out of slice (3, 1)"),
+                RuntimeError("no blocks today")):
+        def broken_assembly(G, basis):
+            raise exc
+
+        monkeypatch.setattr(homology, "assemble_blocks", broken_assembly)
+        rc, out, err = run(capsys, "betti", "--ring", str(path), "--k", "3")
+        assert rc == 4 and out == ""
+        assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
     def broken_pool(m, ks, mode, jobs):
         raise BrokenProcessPool("a worker died")

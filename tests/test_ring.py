@@ -7,7 +7,7 @@ from configcohom import (InvalidRingError, RingPresentation, RingSchemaError,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
 from oracles import (cp2_ring_doc, malformed_ring_docs, pairing_from_products, s4_ring,
-                     torus_ring)
+                     torus_ring, unreadable_ring_files)
 
 
 def test_cpm_shape():
@@ -233,4 +233,13 @@ def test_load_ring_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(RingSchemaError):
+        load_ring(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    pytest.param(data, message, id=fault) for fault, data, message in unreadable_ring_files()])
+def test_load_ring_unreadable_file(tmp_path, data, message):
+    path = tmp_path / "ring.json"
+    path.write_bytes(data)
+    with pytest.raises(RingSchemaError, match=message):
         load_ring(path)
