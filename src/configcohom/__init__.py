@@ -8,10 +8,9 @@ Hilbert functions near the top of the complex, fitting exact
 quasi-polynomial certificates to their tails.
 """
 
-from .cecomplex import (BigradedBasis, DifferentialBlock, Monomial,
-                        assemble_blocks, count_monomials, decode_monomial,
-                        differential_of_monomial, dump_complex,
-                        enumerate_basis, homotopy_check, reduce_complex)
+from .cecomplex import (BigradedBasis, DifferentialBlock, assemble_blocks,
+                        count_monomials, dump_complex, enumerate_basis,
+                        homotopy_check, monomial_label, reduce_complex)
 from .generators import Generator, GeneratorSet, build_generators
 from .homology import (BettiTable, ConsistencyReport, betti,
                        consistency_report)
@@ -24,15 +23,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "BigradedBasis", "ConsistencyReport", "DifferentialBlock",
-    "Generator", "GeneratorSet", "HilbertRay", "InvalidRingError", "Monomial",
+    "Generator", "GeneratorSet", "HilbertRay", "InvalidRingError",
     "QuasiPolynomial", "RangeReport", "RingDiagnostics", "RingPresentation",
     "RingSchemaError", "SparseExactMatrix", "UnderDeterminedError",
     "assemble_blocks", "betti", "build_generators", "consistency_report",
-    "count_monomials", "decode_monomial", "detect_quasi_polynomial",
-    "diagonal_comultiplication", "differential_of_monomial", "dump_complex",
-    "enumerate_basis", "hilbert_ray", "homotopy_check", "kernel_dim",
-    "load_ring", "make_cpm", "rank", "reduce_complex", "ring_from_dict",
-    "validate_ring", "verify_vanishing_ranges",
+    "count_monomials", "detect_quasi_polynomial", "diagonal_comultiplication",
+    "dump_complex", "enumerate_basis", "hilbert_ray", "homotopy_check",
+    "kernel_dim", "load_ring", "make_cpm", "monomial_label", "rank",
+    "reduce_complex", "ring_from_dict", "validate_ring", "verify_vanishing_ranges",
 ]
 
 # exported, but imported only when one of them is first asked for

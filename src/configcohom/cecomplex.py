@@ -9,12 +9,13 @@ sending weight w to weight w-1 and raising degree by one.  Monomials
 are words in the generators; the graded-symmetric algebra means even
 generators commute, odd generators anticommute and square to zero.
 
-Codes.  enumerate_basis lists each (degree, weight) slice once, in
-canonical order, as a tuple of mixed-radix codes (the exponents, V-
-then W-slots, as digits in base k + 1), decoded to a Monomial only to
-be read.  Each term of d moves a code by a fixed delta, with a sign
-and coefficient set by the code's W-part and odd V-factors alone, so
-the terms are tabled per such (odd-V mask, W-part) key.
+Codes.  A basis element is its mixed-radix code: the exponents, V-
+then W-slots, as digits in base k + 1.  enumerate_basis lists each
+(degree, weight) slice once, in canonical order, as a tuple of codes;
+monomial_label names a code, for messages and dumps.  Each term of d
+moves a code by a fixed delta, with a sign and coefficient set by the
+code's W-part and odd V-factors alone, so the terms are tabled per
+such (odd-V mask, W-part) key.
 
 Signs.  Every monomial is stored in canonical order (V-factors first,
 then W-factors, each block sorted by generator position) with
@@ -62,78 +63,26 @@ class AssemblyError(RuntimeError):
     """Internal consistency failure while assembling differential blocks."""
 
 
-class Monomial:
-    """Canonical monomial: exponent tuples over the V- and W-generators.
+def monomial_label(G, k, code):
+    """Name of the monomial of k points with this code, e.g. 'v2^2 v4 w7'.
 
-    degree, weight (total W-exponent) and v_length (total V-exponent)
-    are precomputed.  code is the mixed-radix code of the exponents
-    (V-slots, then W-slots, as digits in base k + 1 with
-    k = v_length + 2 * weight); it is the hash, and the basis element
-    the monomial was decoded from.  Identity is by exponents alone.
+    The base-(k + 1) digits of code, V-slots first, are the exponents
+    of G.v_gens, then of G.w_gens; the empty monomial is '1'.
     """
-
-    __slots__ = ("v_exps", "w_exps", "degree", "weight", "v_length", "code")
-
-    def __init__(self, v_exps, w_exps, degree, weight, v_length, code):
-        self.v_exps = v_exps
-        self.w_exps = w_exps
-        self.degree = degree
-        self.weight = weight
-        self.v_length = v_length
-        self.code = code
-
-    def __eq__(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return self.v_exps == other.v_exps and self.w_exps == other.w_exps
-
-    def __hash__(self):
-        return self.code
-
-    def key(self):
-        """Canonical sort key within a (degree, weight) slice."""
-        return (self.v_exps, self.w_exps)
-
-    def label(self, G):
-        """Human-readable form, e.g. 'v2^2 v4 w7'."""
-        parts = []
-        for gens, exps in ((G.v_gens, self.v_exps), (G.w_gens, self.w_exps)):
-            for g, e in zip(gens, exps):
-                if e == 1:
-                    parts.append(g.name)
-                elif e > 1:
-                    parts.append("%s^%d" % (g.name, e))
-        return " ".join(parts) if parts else "1"
-
-    def __repr__(self):
-        return "Monomial(v=%r, w=%r)" % (self.v_exps, self.w_exps)
-
-
-def make_monomial(G, v_exps, w_exps):
-    v_exps = tuple(v_exps)
-    w_exps = tuple(w_exps)
-    degree = sum(e * d for e, d in zip(v_exps, G.v_degrees)) \
-        + sum(e * d for e, d in zip(w_exps, G.w_degrees))
-    weight = sum(w_exps)
-    v_length = sum(v_exps)
-    radix = v_length + 2 * weight + 1
-    code = sum(e * radix ** j for j, e in enumerate(v_exps + w_exps))
-    return Monomial(v_exps, w_exps, degree, weight, v_length, code)
-
-
-def decode_monomial(G, k, code):
-    """The Monomial of k points with the given code."""
-    n_v = len(G.v_gens)
-    exps = [code // (k + 1) ** j % (k + 1) for j in range(n_v + len(G.w_gens))]
-    return make_monomial(G, exps[:n_v], exps[n_v:])
+    parts = []
+    for g in G.v_gens + G.w_gens:
+        code, e = divmod(code, k + 1)
+        if e:
+            parts.append(g.name if e == 1 else "%s^%d" % (g.name, e))
+    return " ".join(parts) or "1"
 
 
 class BigradedBasis(namedtuple("BigradedBasis", "k mode slices")):
     """Monomial bases of all (degree, weight) slices for one k.
 
-    slices maps (degree, weight) to a tuple of Monomial codes in
-    canonical order (decode_monomial gives the Monomial of one); empty
-    slices are absent.  mode is "full" or "reduced".
+    slices maps (degree, weight) to a tuple of monomial codes in
+    canonical order, lexicographic on (V-exponent tuple, W-exponent
+    tuple); empty slices are absent.  mode is "full" or "reduced".
     """
     __slots__ = ()
 
@@ -146,37 +95,16 @@ class BigradedBasis(namedtuple("BigradedBasis", "k mode slices")):
     def top_degree(self):
         return max((i for i, _ in self.slices), default=0)
 
-    def degree_dimensions(self):
-        """Total dimension per degree, summed over weights."""
-        out = {}
-        for (i, _), mons in self.slices.items():
-            out[i] = out.get(i, 0) + len(mons)
-        return out
 
-
-class DifferentialBlock:
+class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix scale",
+                                   defaults=(1,))):
     """One matrix of the differential, from slice source to slice target.
 
     Columns index the source slice, rows the target slice, both in
     canonical monomial order.  matrix holds scale * d with int entries,
     scale being the ring's denominator D.
     """
-    __slots__ = ("source", "target", "matrix", "scale")
-
-    def __init__(self, source, target, matrix, scale=1):
-        self.source, self.target, self.matrix, self.scale = source, target, matrix, scale
-
-    def _astuple(self):
-        return (self.source, self.target, self.matrix, self.scale)
-
-    def __eq__(self, other):
-        if type(other) is not DifferentialBlock:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self):
-        return ("DifferentialBlock(source=%r, target=%r, matrix=%r, scale=%r)"
-                % self._astuple())
+    __slots__ = ()
 
 
 def _exponent_caps(G, k, mode):
@@ -247,10 +175,10 @@ def enumerate_basis(G, k, mode="full"):
 
     Each slice is a tuple of codes in canonical order, without sorting:
     V-parts run in lexicographic order and, for each, the W-parts in
-    lexicographic order, which is Monomial.key order.  Odd generators
-    have exponent at most 1; in reduced mode v_top's is at most 1 and
-    w_top's 0 as well.  Degrees and partial codes of the parts are
-    built once per k.
+    lexicographic order, so the slice is lexicographic on (V-exponent
+    tuple, W-exponent tuple).  Odd generators have exponent at most 1;
+    in reduced mode v_top's is at most 1 and w_top's 0 as well.
+    Degrees and partial codes of the parts are built once per k.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -350,21 +278,6 @@ class _Differential:
         return out
 
 
-def differential_of_monomial(G, mon):
-    """d(mon) as a sorted list of (Monomial, Fraction) with exact signs.
-
-    V-factors are cycles; each W-factor is replaced in turn by its
-    quadratic boundary, with the Koszul and normalization signs of the
-    module docstring.
-    """
-    k = mon.v_length + 2 * mon.weight
-    d = _Differential(G, k)
-    terms = [(decode_monomial(G, k, mon.code + delta), Fraction(q, d.scale))
-             for delta, q in d.terms(mon.code)]
-    terms.sort(key=lambda t: t[0].key())
-    return terms
-
-
 def _top_indices(G):
     """Positions of the degree-d V-generator and degree-(2d-1) W-generator.
 
@@ -391,11 +304,6 @@ def _ideal_test(G, k):
     v_unit, w_unit = radix ** v_top, radix ** (len(G.v_gens) + w_top)
     v_mod, v_two, w_mod = v_unit * radix, 2 * v_unit, w_unit * radix
     return lambda code: code % v_mod >= v_two or code % w_mod >= w_unit
-
-
-def in_reduction_ideal(G, mon):
-    """True when mon is divisible by v_top^2 or by w_top."""
-    return _ideal_test(G, mon.v_length + 2 * mon.weight)(mon.code)
 
 
 def reduce_complex(G, basis):
@@ -441,8 +349,8 @@ def assemble_blocks(G, basis):
                 elif in_ideal is None or not in_ideal(code + delta):
                     raise AssemblyError(
                         "d(%s) produced %s outside slice %r"
-                        % (decode_monomial(G, basis.k, code).label(G),
-                           decode_monomial(G, basis.k, code + delta).label(G),
+                        % (monomial_label(G, basis.k, code),
+                           monomial_label(G, basis.k, code + delta),
                            target_key))
             col_start.append(len(rows))
         matrix = SparseExactMatrix.from_columns(len(target), col_start, rows, values)
@@ -460,7 +368,8 @@ def homotopy_check(G, k):
     (degree 2d - 1), so the sign counts the odd factors of A it passes:
     the odd V-factors and the odd W-factors before it.
 
-    Returns (True, None) on success, else (False, witness_monomial).
+    Returns (True, None) on success, else (False, label), label the
+    monomial_label of the first ideal monomial where the identity fails.
     The check is vacuous for k < 2 where the ideal is empty.
     """
     v_top, w_top = _top_indices(G)
@@ -477,7 +386,7 @@ def homotopy_check(G, k):
             return 0, 0
         if code // v_unit % d.radix < 2:
             raise ValueError("h applied outside the ideal: %s"
-                             % decode_monomial(G, k, code).label(G))
+                             % monomial_label(G, k, code))
         odd = sum(code // p % d.radix for p in passed)
         return code + w_unit - 2 * v_unit, -1 if odd & 1 else 1
 
@@ -489,7 +398,7 @@ def homotopy_check(G, k):
                 image, sign = h(code + delta)
                 lhs[image] = lhs.get(image, 0) + sign * q
             if {c: q for c, q in lhs.items() if q} != {code: d.scale}:
-                return False, decode_monomial(G, k, code)
+                return False, monomial_label(G, k, code)
     return True, None
 
 
@@ -502,7 +411,7 @@ def dump_complex(G, basis, blocks):
         "mode": basis.mode,
         "slices": [
             {"degree": i, "weight": w,
-             "monomials": [decode_monomial(G, basis.k, c).label(G)
+             "monomials": [monomial_label(G, basis.k, c)
                            for c in basis.slices[(i, w)]]}
             for (i, w) in sorted(basis.slices)
         ],

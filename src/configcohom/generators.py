@@ -28,10 +28,6 @@ class Generator(namedtuple("Generator", "name degree homology_degree ring_index"
     """
     __slots__ = ()
 
-    @property
-    def parity(self):
-        return self.degree % 2
-
 
 class GeneratorSet:
     """V- and W-generators plus the boundary table on W.

@@ -5,9 +5,10 @@ the rank routine is dense fraction-free (Bareiss) elimination and the
 kernel basis dense Gaussian elimination over Fraction, the Poincare
 pairing is read off the ring's own product table, the differential of
 a monomial is the textbook word-based Leibniz rule over Fraction, the
-monomial basis is a brute-force search over all exponent vectors, and
-the two small configuration-space complexes of CP^1 are written out by
-hand (monomial bases listed degree by degree, differentials entered as
+monomial basis is a brute-force search over all exponent vectors, a
+code is split into its exponents digit by digit, and the two small
+configuration-space complexes of CP^1 are written out by hand
+(monomial bases listed degree by degree, differentials entered as
 explicit matrices).  Agreement between these and the engine is what
 the tests are for.
 """
@@ -187,6 +188,13 @@ def brute_force_basis(G, k):
                     + sum(x * g.degree for x, g in zip(w_exps, G.w_gens))
                 slices.setdefault((degree, w), []).append((v_exps, w_exps))
     return {key: sorted(mons) for key, mons in slices.items()}
+
+
+def exponents(G, k, code):
+    """The (v_exps, w_exps) of a code: its base-(k + 1) digits, V-slots first."""
+    n_v, n = len(G.v_degrees), len(G.v_degrees) + len(G.w_degrees)
+    digits = tuple(code // (k + 1) ** j % (k + 1) for j in range(n))
+    return digits[:n_v], digits[n_v:]
 
 
 def dense_betti(dims, maps):

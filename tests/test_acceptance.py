@@ -38,7 +38,7 @@ def test_criterion_02_contracting_homotopy():
         G = build_generators(make_cpm(m))
         for k in range(2, 9):
             ok, witness = homotopy_check(G, k)
-            assert ok, (m, k, witness.label(G))
+            assert ok, (m, k, witness)
     _verdict(2, "(dh + hd) = id on the acyclic ideal, m=1..3, k=2..8")
 
 

@@ -6,21 +6,18 @@ from math import comb
 import pytest
 
 from configcohom import (assemble_blocks, build_generators, count_monomials,
-                         differential_of_monomial, dump_complex,
-                         enumerate_basis, homotopy_check, make_cpm,
-                         reduce_complex)
-from configcohom.cecomplex import (AssemblyError, BigradedBasis, Monomial,
-                                   _Differential, decode_monomial,
-                                   in_reduction_ideal, make_monomial,
-                                   weight_counts)
+                         dump_complex, enumerate_basis, homotopy_check,
+                         make_cpm, monomial_label, reduce_complex)
+from configcohom.cecomplex import (AssemblyError, BigradedBasis, _Differential,
+                                   _ideal_test, weight_counts)
 from configcohom.generators import GeneratorSet
 from configcohom.homology import complex_data
-from oracles import (brute_force_basis, cp2_half_ring, leibniz_differential,
-                     s2xs2_ring, s4_ring, torus_ring)
+from oracles import (brute_force_basis, cp2_half_ring, exponents,
+                     leibniz_differential, s2xs2_ring, s4_ring, torus_ring)
 
 
 def mono(G, exps):
-    """Monomial from a name -> exponent dict, e.g. {"v2": 2, "w3": 1}."""
+    """(k, code) from a name -> exponent dict, e.g. {"v2": 2, "w3": 1}."""
     v = [0] * len(G.v_gens)
     w = [0] * len(G.w_gens)
     for name, e in exps.items():
@@ -34,37 +31,39 @@ def mono(G, exps):
                 w[i] = e
                 hit = True
         assert hit, name
-    return make_monomial(G, v, w)
+    k = sum(v) + 2 * sum(w)
+    return k, sum(e * (k + 1) ** j for j, e in enumerate(v + w))
 
 
-def decoded(G, basis):
-    """(degree, weight) -> the slice's Monomials, decoded from its codes."""
-    return {key: [decode_monomial(G, basis.k, code) for code in codes]
+def labels(G, basis):
+    """(degree, weight) -> the labels of the slice's codes."""
+    return {key: [monomial_label(G, basis.k, code) for code in codes]
             for key, codes in basis.slices.items()}
 
 
 def diff_labels(G, m):
-    return {out.label(G): q for out, q in differential_of_monomial(G, m)}
+    """d of the (k, code) m, as label -> Fraction."""
+    k, code = m
+    d = _Differential(G, k)
+    return {monomial_label(G, k, code + delta): Fraction(q, d.scale)
+            for delta, q in d.terms(code)}
 
 
 def test_enumerate_cp1_k2():
     G = build_generators(make_cpm(1))
     basis = enumerate_basis(G, 2)
-    labels = {key: [m.label(G) for m in mons]
-              for key, mons in decoded(G, basis).items()}
-    assert labels == {
+    assert labels(G, basis) == {
         (0, 0): ["v0^2"], (2, 0): ["v0 v2"], (4, 0): ["v2^2"],
         (1, 1): ["w1"], (3, 1): ["w3"],
     }
     assert basis.total_dimension() == 5
-    assert basis.degree_dimensions() == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
 
 
 def test_enumerate_edge_cases():
     G = build_generators(make_cpm(2))
     b0 = enumerate_basis(G, 0)
     assert b0.total_dimension() == 1
-    assert decode_monomial(G, 0, b0.slice(0, 0)[0]).label(G) == "1"
+    assert monomial_label(G, 0, b0.slice(0, 0)[0]) == "1"
     b1 = enumerate_basis(G, 1)
     # k = 1 is just V itself
     assert b1.total_dimension() == 3
@@ -104,17 +103,18 @@ def test_count_matches_enumeration_in_both_modes():
 def test_weights_partition_by_parity():
     G = build_generators(make_cpm(2))
     basis = enumerate_basis(G, 6)
-    for (i, w), mons in decoded(G, basis).items():
-        for m in mons:
-            assert m.weight == w
-            assert m.degree == i
-            assert m.v_length == 6 - 2 * w
+    for (i, w), codes in basis.slices.items():
+        for code in codes:
+            v, ws = exponents(G, 6, code)
+            assert sum(ws) == w
+            assert sum(e * g.degree for e, g in zip(v + ws, G.v_gens + G.w_gens)) == i
+            assert sum(v) == 6 - 2 * w
 
 
 def test_differential_of_v_monomial_is_zero():
     G = build_generators(make_cpm(2))
-    assert differential_of_monomial(G, mono(G, {"v2": 3})) == []
-    assert differential_of_monomial(G, mono(G, {"v0": 1, "v4": 1})) == []
+    assert diff_labels(G, mono(G, {"v2": 3})) == {}
+    assert diff_labels(G, mono(G, {"v0": 1, "v4": 1})) == {}
 
 
 def test_differential_single_w():
@@ -137,14 +137,15 @@ def test_differential_leibniz_pair_of_ws():
 def test_differential_squares_to_zero_pointwise():
     for R in (make_cpm(1), make_cpm(2), torus_ring(), s4_ring()):
         G = build_generators(R)
-        basis = enumerate_basis(G, 5)
-        for mons in decoded(G, basis).values():
-            for m in mons:
+        d = _Differential(G, 5)
+        for codes in enumerate_basis(G, 5).slices.values():
+            for code in codes:
                 acc = {}
-                for out, q in differential_of_monomial(G, m):
-                    for out2, q2 in differential_of_monomial(G, out):
-                        acc[out2] = acc.get(out2, Fraction(0)) + q * q2
-                assert all(v == 0 for v in acc.values()), m.label(G)
+                for delta, q in d.terms(code):
+                    for delta2, q2 in d.terms(code + delta):
+                        out = code + delta + delta2
+                        acc[out] = acc.get(out, 0) + q * q2
+                assert all(v == 0 for v in acc.values()), monomial_label(G, 5, code)
 
 
 def test_recomputed_two_w_differential_cp3():
@@ -168,8 +169,7 @@ def test_assemble_cp2_k2():
     b = blocks[(3, 1)]
     assert b.target == (4, 0)
     # target slice in canonical order: v2^2 before v0 v4
-    tgt = [m.label(G) for m in decoded(G, basis)[(4, 0)]]
-    assert tgt == ["v2^2", "v0 v4"]
+    assert labels(G, basis)[(4, 0)] == ["v2^2", "v0 v4"]
     assert b.matrix.to_dense() == [[Fraction(1)], [Fraction(2)]]
     assert blocks[(7, 1)].matrix.to_dense() == [[Fraction(1)]]
 
@@ -187,11 +187,10 @@ def test_blocks_shift_degree_and_weight():
 def test_reduce_cp1_k2_and_k3():
     G = build_generators(make_cpm(1))
     red2 = reduce_complex(G, enumerate_basis(G, 2))
-    labels = sorted(m.label(G) for mons in decoded(G, red2).values() for m in mons)
-    assert labels == ["v0 v2", "v0^2", "w1"]
+    assert sorted(sum(labels(G, red2).values(), [])) == ["v0 v2", "v0^2", "w1"]
     red3 = reduce_complex(G, enumerate_basis(G, 3))
-    labels3 = sorted(m.label(G) for mons in decoded(G, red3).values() for m in mons)
-    assert labels3 == ["v0 w1", "v0^2 v2", "v0^3", "v2 w1"]
+    assert sorted(sum(labels(G, red3).values(), [])) == \
+        ["v0 w1", "v0^2 v2", "v0^3", "v2 w1"]
     assert red3.mode == "reduced"
 
 
@@ -210,7 +209,7 @@ def test_reduced_top_degree():
             expect = {"v%d" % (2 * m - 2): k - 3, "v%d" % (2 * m): 1,
                       "w%d" % (4 * m - 3): 1}
             expect = {n: e for n, e in expect.items() if e}
-            assert decode_monomial(G, k, top_mons[0]) == mono(G, expect)
+            assert (k, top_mons[0]) == mono(G, expect)
 
 
 def _nonzero_dims(R, k, mode):
@@ -242,7 +241,7 @@ def test_reduction_by_degree(name):
     G = build_generators(R)
     for k in range(2, k_max + 1):
         ok, witness = homotopy_check(G, k)
-        assert ok, (name, k, witness.label(G))
+        assert ok, (name, k, witness)
         assert _nonzero_dims(R, k, "reduced") == _nonzero_dims(R, k, "full"), (name, k)
 
 
@@ -264,23 +263,23 @@ def test_corrupted_top_boundary_raises():
 
 def test_ideal_membership():
     G = build_generators(make_cpm(2))
-    assert in_reduction_ideal(G, mono(G, {"v4": 2}))
-    assert in_reduction_ideal(G, mono(G, {"v0": 1, "w7": 1}))
-    assert not in_reduction_ideal(G, mono(G, {"v4": 1, "w5": 1}))
+    for exps, inside in (({"v4": 2}, True), ({"v0": 1, "w7": 1}, True),
+                         ({"v4": 1, "w5": 1}, False)):
+        k, code = mono(G, exps)
+        assert _ideal_test(G, k)(code) == inside, exps
 
 
 def test_ideal_is_closed_under_differential():
     for m in (1, 2):
         G = build_generators(make_cpm(m))
         for k in (2, 3, 4, 5, 6):
-            basis = enumerate_basis(G, k)
-            for mons in decoded(G, basis).values():
-                for x in mons:
-                    if not in_reduction_ideal(G, x):
-                        continue
-                    for out, _ in differential_of_monomial(G, x):
-                        assert in_reduction_ideal(G, out), \
-                            (x.label(G), out.label(G))
+            in_ideal, d = _ideal_test(G, k), _Differential(G, k)
+            for codes in enumerate_basis(G, k).slices.values():
+                for code in filter(in_ideal, codes):
+                    for delta, _ in d.terms(code):
+                        assert in_ideal(code + delta), (
+                            monomial_label(G, k, code),
+                            monomial_label(G, k, code + delta))
 
 
 def test_homotopy_identity_small():
@@ -288,14 +287,14 @@ def test_homotopy_identity_small():
         G = build_generators(make_cpm(m))
         for k in (2, 3, 4, 5):
             ok, witness = homotopy_check(G, k)
-            assert ok, (m, k, witness.label(G))
+            assert ok, (m, k, witness)
 
 
 def test_homotopy_on_the_square_itself():
     # d(v4^2) = 0, so (dh + hd)(v4^2) = d(w7) = v4^2
     G = build_generators(make_cpm(2))
-    sq = mono(G, {"v4": 2})
-    assert diff_labels(G, mono(G, {"w7": 1})) == {sq.label(G): 1}
+    sq = monomial_label(G, *mono(G, {"v4": 2}))
+    assert diff_labels(G, mono(G, {"w7": 1})) == {sq: 1}
 
 
 def test_dump_complex_shape():
@@ -326,6 +325,9 @@ def test_blocks_match_word_oracle(name):
     # missing from the block are exactly those in the reduction ideal
     make_ring, ks, modes = ORACLE_CASES[name]
     G = build_generators(make_ring())
+    d = G.manifold_dimension
+    v_top = [g.degree for g in G.v_gens].index(d)
+    w_top = [g.degree for g in G.w_gens].index(2 * d - 1)
     for mode in modes:
         for k in ks:
             if mode == "reduced" and k < 2:
@@ -334,22 +336,21 @@ def test_blocks_match_word_oracle(name):
             if mode == "reduced":
                 basis = reduce_complex(G, basis)
             blocks = {b.source: b for b in assemble_blocks(G, basis)}
-            slices = decoded(G, basis)
-            for (i, w), source in slices.items():
+            for (i, w), source in basis.slices.items():
                 if w == 0:
                     continue
                 b = blocks[(i, w)]
                 assert all(type(q) is int for _, _, q in b.matrix.entries)
-                target = slices.get((i + 1, w - 1), [])
+                target = basis.slice(i + 1, w - 1)
                 got = [{} for _ in source]
                 for r, c, q in b.matrix.entries:
-                    got[c][target[r].key()] = Fraction(q, b.scale)
-                for col, mon in enumerate(source):
-                    want = leibniz_differential(G, mon.v_exps, mon.w_exps)
-                    if mode == "reduced":
-                        want = {key: q for key, q in want.items()
-                                if not in_reduction_ideal(G, make_monomial(G, *key))}
-                    assert got[col] == want, (name, k, mode, mon.label(G))
+                    got[c][exponents(G, k, target[r])] = Fraction(q, b.scale)
+                for col, code in enumerate(source):
+                    want = leibniz_differential(G, *exponents(G, k, code))
+                    if mode == "reduced":  # drop the ideal (v_top^2, w_top)
+                        want = {(v, ws): q for (v, ws), q in want.items()
+                                if v[v_top] <= 1 and ws[w_top] == 0}
+                    assert got[col] == want, (name, k, mode, monomial_label(G, k, code))
 
 
 TARGET_RINGS = {
@@ -381,16 +382,15 @@ def test_differential_one_term_per_target(name):
                     assert not (a == b and par[a])  # v_a^2 = 0 for odd v_a
                     pairs.append((a, b))
                 assert len(set(pairs)) == len(pairs), (name, t)
-        for mons in decoded(G, enumerate_basis(G, k)).values():
-            for mon in mons:
-                terms = [(mon.code + delta, q) for delta, q in d.terms(mon.code)]
-                codes = [code for code, _ in terms]
-                assert len(set(codes)) == len(codes), (name, k, mon)
+        for codes in enumerate_basis(G, k).slices.values():
+            for code in codes:
+                terms = [(code + delta, q) for delta, q in d.terms(code)]
+                targets = [out for out, _ in terms]
+                assert len(set(targets)) == len(targets), (name, k, code)
                 assert all(type(q) is int and q for _, q in terms)
-                got = {decode_monomial(G, k, code).key(): Fraction(q, d.scale)
-                       for code, q in terms}
-                assert got == leibniz_differential(G, mon.v_exps, mon.w_exps), \
-                    (name, k, mon.label(G))
+                got = {exponents(G, k, out): Fraction(q, d.scale) for out, q in terms}
+                assert got == leibniz_differential(G, *exponents(G, k, code)), \
+                    (name, k, monomial_label(G, k, code))
 
 
 def test_stray_terms_raise_in_both_modes():
@@ -401,12 +401,10 @@ def test_stray_terms_raise_in_both_modes():
     for basis in (full, reduce_complex(G, full)):
         assemble_blocks(G, basis)
         slices = dict(basis.slices)
-        w3 = mono(G, {"v0": 1, "w3": 1})
-        assert w3 in decoded(G, basis)[(3, 1)]
+        assert mono(G, {"v0": 1, "w3": 1})[1] in slices[(3, 1)]
         # d(v0 w3) = 2 v0^2 v4 + v0 v2^2: drop v0 v2^2 from its slice
-        hit = mono(G, {"v0": 1, "v2": 2})
-        slices[(4, 0)] = tuple(c for c in slices[(4, 0)]
-                               if decode_monomial(G, basis.k, c) != hit)
+        _, hit = mono(G, {"v0": 1, "v2": 2})
+        slices[(4, 0)] = tuple(c for c in slices[(4, 0)] if c != hit)
         broken = BigradedBasis(k=basis.k, mode=basis.mode, slices=slices)
         with pytest.raises(AssemblyError, match="v0 v2\\^2 outside slice"):
             assemble_blocks(G, broken)
@@ -438,23 +436,24 @@ GUARD_RINGS = {
 
 @pytest.mark.parametrize("name", sorted(GUARD_RINGS))
 def test_enumeration_order_and_codes(name):
-    # slices come out in canonical order, equal to a brute-force search,
-    # and every code decodes to the monomial whose base-(k+1) code and
-    # hash it is
+    # slices come out in canonical order, equal to a brute-force search;
+    # every code is the base-(k+1) code of its exponents, and
+    # monomial_label names them
     G = build_generators(GUARD_RINGS[name]())
+    gens = G.v_gens + G.w_gens
     for k in range(7):
         basis = enumerate_basis(G, k)
         oracle = brute_force_basis(G, k)
         assert sorted(basis.slices) == sorted(oracle), (name, k)
-        for key, mons in decoded(G, basis).items():
-            assert [m.code for m in mons] == list(basis.slices[key])
-            assert list(mons) == sorted(mons, key=Monomial.key), (name, k, key)
-            assert [m.key() for m in mons] == oracle[key], (name, k, key)
-            for m in mons:
-                assert m.code == sum(e * (k + 1) ** j
-                                     for j, e in enumerate(m.v_exps + m.w_exps))
-                same = make_monomial(G, m.v_exps, m.w_exps)
-                assert same == m and hash(same) == hash(m) == m.code
+        for key, codes in basis.slices.items():
+            exps = [exponents(G, k, code) for code in codes]
+            assert exps == oracle[key], (name, k, key)
+            for code, (v, w) in zip(codes, exps):
+                assert code == sum(e * (k + 1) ** j for j, e in enumerate(v + w))
+                name_of = " ".join(g.name if e == 1 else "%s^%d" % (g.name, e)
+                                   for g, e in zip(gens, v + w) if e)
+                assert monomial_label(G, k, code) == (name_of or "1"), (name, k, code)
+    assert monomial_label(G, 0, 0) == "1"
 
 
 REDUCED_ORACLE_RINGS = dict(GUARD_RINGS, **{"CP^4": lambda: make_cpm(4),
@@ -488,31 +487,16 @@ def test_reduced_enumeration_is_filtered_brute_force(name):
         assert reduce_complex(G, basis) == basis
 
 
-def test_monomial_compares_unequal_to_other_objects():
+def test_homotopy_check_reports_failure(monkeypatch):
+    # with every coefficient of d doubled, (dh + hd) is twice the
+    # identity: the check fails and names the first ideal monomial
+    real = _Differential.terms
+    monkeypatch.setattr(_Differential, "terms", lambda self, code: tuple(
+        (delta, 2 * q) for delta, q in real(self, code)))
     G = build_generators(make_cpm(2))
-    m = decode_monomial(G, 3, enumerate_basis(G, 3).slice(5, 1)[0])
-    assert m != 5 and not (m == 5)
-    assert m != (m.v_exps, m.w_exps)
-    assert m in [None, m] and None not in [m]
-    assert m == make_monomial(G, m.v_exps, m.w_exps)
-
-
-def test_complex_data_builds_no_monomial(monkeypatch):
-    # the basis is its codes: building, checking and ranking a complex
-    # decodes no Monomial, in either mode, with or without odd V-factors
-    made = []
-    real = Monomial.__init__
-
-    def spy(self, *args):
-        made.append(args)
-        real(self, *args)
-
-    monkeypatch.setattr(Monomial, "__init__", spy)
-    for R in (make_cpm.__wrapped__(3), torus_ring()):
-        for mode in ("full", "reduced"):
-            for k in range(2, 7):
-                complex_data(R, k, mode)
-    assert made == []
+    assert homotopy_check(G, 3) == (False, "v4^3")
+    monkeypatch.undo()
+    assert homotopy_check(G, 3) == (True, None)
 
 
 # sha256 of json.dumps(dump_complex(...), sort_keys=True): engine

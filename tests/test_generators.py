@@ -79,7 +79,6 @@ def test_generator_homology_bookkeeping():
         assert g.degree + g.homology_degree == 4
     for g in G.w_gens:
         assert g.degree + g.homology_degree == 7
-    assert all(g.parity == g.degree % 2 for g in G.v_gens + G.w_gens)
 
 
 def test_generator_set_cached_on_ring():

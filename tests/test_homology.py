@@ -5,8 +5,7 @@ import pytest
 from configcohom import (SparseExactMatrix, betti, build_generators,
                          cecomplex, consistency_report, enumerate_basis,
                          homology, make_cpm, rank)
-from configcohom.cecomplex import (AssemblyError, DifferentialBlock,
-                                   decode_monomial)
+from configcohom.cecomplex import AssemblyError
 from configcohom.homology import complex_data
 from configcohom.linalg import pivots
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
@@ -183,8 +182,7 @@ def test_euler_is_binomial_of_manifold_euler(make_ring, k_max):
 def _reduced_data(R, k):
     """Slices (in order), blocks and ranks of complex_data in reduced mode."""
     basis, blocks, ranks = complex_data(R, k, "reduced")
-    slices = [(key, [decode_monomial(build_generators(R), k, c).key() for c in codes])
-              for key, codes in basis.slices.items()]
+    slices = list(basis.slices.items())
     blocks = {src: (b.target, b.matrix.n_rows, b.matrix.n_cols, b.matrix.entries, b.scale)
               for src, b in blocks.items()}
     return slices, blocks, ranks
@@ -225,18 +223,18 @@ def test_dd_check_runs_before_the_rank_that_trusts_it(monkeypatch):
     def one_sign_flipped(G, basis):
         blocks = real(G, basis)
         by_source = {b.source: b for b in blocks}
-        for b in blocks:
+        for i, b in enumerate(blocks):
             nxt = by_source.get(b.target)
             if nxt is None:
                 continue
             used = {r for r, (rows, _) in enumerate(nxt.matrix.columns()) if rows}
             for r, c, q in b.matrix.entries:
                 if r in used:  # flipping (r, c) changes column c of nxt @ b
-                    b.matrix = SparseExactMatrix(
+                    blocks[i] = b._replace(matrix=SparseExactMatrix(
                         b.matrix.n_rows, b.matrix.n_cols,
                         [(r2, c2, -q2 if (r2, c2) == (r, c) else q2)
-                         for r2, c2, q2 in b.matrix.entries])
-                    assert not (nxt.matrix @ b.matrix).is_zero()
+                         for r2, c2, q2 in b.matrix.entries]))
+                    assert not (nxt.matrix @ blocks[i].matrix).is_zero()
                     return blocks
         raise AssertionError("no consecutive blocks to corrupt")
 
@@ -330,8 +328,7 @@ def test_every_entry_that_breaks_dd_is_caught(make_ring, k, mode, monkeypatch):
                 if b.target in by_source:
                     products.append(by_source[b.target].matrix @ bad)
                 broken = any(not p.is_zero() for p in products)
-                swapped = blocks[:i] + [DifferentialBlock(
-                    b.source, b.target, bad, b.scale)] + blocks[i + 1:]
+                swapped = blocks[:i] + [b._replace(matrix=bad)] + blocks[i + 1:]
                 monkeypatch.setattr(homology, "assemble_blocks", lambda G, basis: swapped)
                 if broken:
                     with pytest.raises(AssemblyError, match="d o d"):
