@@ -107,19 +107,16 @@ class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix sc
     __slots__ = ()
 
 
-def _exponent_caps(G, k, mode):
+def _exponent_caps(v_parities, w_parities, k, top=None):
     """Bounds on the exponent of each V- and each W-generator for k points.
 
-    1 for an odd generator, k for an even one; in reduced mode v_top's
-    is 1 and w_top's 0 as well.
+    1 for an odd generator, k for an even one; top = (v_top, w_top)
+    caps v_top's at 1 and w_top's at 0, as the reduced complex does.
     """
-    v_caps = [1 if p else k for p in G.v_parities]
-    w_caps = [1 if p else k for p in G.w_parities]
-    if mode == "reduced":
-        v_top, w_top = _top_indices(G)
-        v_caps[v_top], w_caps[w_top] = 1, 0
-    elif mode != "full":
-        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    v_caps = [1 if p else k for p in v_parities]
+    w_caps = [1 if p else k for p in w_parities]
+    if top is not None:
+        v_caps[top[0]], w_caps[top[1]] = 1, 0
     return v_caps, w_caps
 
 
@@ -138,16 +135,29 @@ def _capped_count(caps, total):
                for j in range(min(ones, total) + 1))
 
 
-def weight_counts(G, k, mode="full"):
-    """Monomials of enumerate_basis(G, k, mode), weight by weight, counted."""
-    v_caps, w_caps = _exponent_caps(G, k, mode)
+def _weight_counts(v_caps, w_caps, k):
     return (_capped_count(v_caps, k - 2 * w) * _capped_count(w_caps, w)
             for w in range(k // 2 + 1))
 
 
+def weight_counts(R, k, mode="full"):
+    """Monomials of the complex of ring R for k points, weight by weight.
+
+    Counts what enumerate_basis(build_generators(R), k, mode) holds
+    from the ring's degrees alone, without validating R, so the CLI's
+    cap can run before the ring check: class i gives a V-generator of
+    parity deg_i mod 2 and a W-generator of the other parity (the
+    dimension is even), and the unit class gives v_top and w_top.
+    """
+    v_parities = [deg % 2 for deg in R.degrees]
+    top = (R.unit_index,) * 2 if mode == "reduced" else None
+    caps = _exponent_caps(v_parities, [1 - p for p in v_parities], k, top)
+    return _weight_counts(*caps, k)
+
+
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
-    return sum(weight_counts(G, k))
+    return sum(_weight_counts(*_exponent_caps(G.v_parities, G.w_parities, k), k))
 
 
 def _coded_exponents(caps, degrees, powers, totals):
@@ -182,7 +192,10 @@ def enumerate_basis(G, k, mode="full"):
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    v_caps, w_caps = _exponent_caps(G, k, mode)
+    if mode not in ("full", "reduced"):
+        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+    top = _top_indices(G) if mode == "reduced" else None
+    v_caps, w_caps = _exponent_caps(G.v_parities, G.w_parities, k, top)
     n_v = len(G.v_gens)
     powers = [(k + 1) ** j for j in range(n_v + len(G.w_gens))]
     weights = range(k // 2 + 1)
@@ -353,7 +366,7 @@ def assemble_blocks(G, basis):
                            monomial_label(G, basis.k, code + delta),
                            target_key))
             col_start.append(len(rows))
-        matrix = SparseExactMatrix.from_columns(len(target), col_start, rows, values)
+        matrix = SparseExactMatrix(len(target), col_start, rows, values)
         blocks.append(DifferentialBlock(source=(i, w), target=target_key,
                                         matrix=matrix, scale=d.scale))
     return blocks

@@ -12,12 +12,12 @@ imported by ray and verify alone, and the process pool only where one
 is started, so a betti or ring-check run skips both.
 
 Exit codes: 0 success, 1 a verified claim failed, 2 input error
-(ring-check's verdict on an invalid ring, too), 3 monomial cap
-exceeded, 4 internal error (any RuntimeError: a failed consistency
-check inside the engine, or a worker process that died).  run() alone
-maps a failure to its code and its one stderr line.  Output is
-deterministic byte-for-byte for a given configuration, independent of
---jobs.
+(ring-check's verdict on an invalid ring, too), 3 cap exceeded (by
+the complex's monomials or the ring check's n^3 triples), 4 internal
+error (any RuntimeError: a failed consistency check inside the
+engine, or a worker process that died).  run() alone maps a failure
+to its code and its one stderr line.  Output is deterministic
+byte-for-byte for a given configuration, independent of --jobs.
 """
 
 import argparse
@@ -25,7 +25,6 @@ import json
 import sys
 
 from .cecomplex import weight_counts
-from .generators import build_generators
 from .homology import betti, consistency_report
 from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
 
@@ -33,7 +32,7 @@ DEFAULT_MAX_MONOMIALS = 2_000_000
 
 
 class _CapExceeded(Exception):
-    """The complex asked for has more monomials than --max-monomials."""
+    """The complex or the ring check asked for passes --max-monomials."""
 
 
 def _positive_int(text):
@@ -61,8 +60,8 @@ def build_parser():
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
         p.add_argument("--max-monomials", type=_nonnegative_int,
                        default=DEFAULT_MAX_MONOMIALS,
-                       help="refuse complexes larger than this (default %d)"
-                            % DEFAULT_MAX_MONOMIALS)
+                       help="refuse complexes, and rings of n^3 basis triples, "
+                            "larger than this (default %d)" % DEFAULT_MAX_MONOMIALS)
         if ring:
             g = p.add_mutually_exclusive_group(required=True)
             g.add_argument("--cpm", type=int, metavar="M", help="use the built-in CP^M ring")
@@ -114,14 +113,33 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _ring(cfg):
+    """The ring asked for, once its check fits in --max-monomials.
+
+    validate_ring visits all n^3 triples of basis classes, so a ring
+    with more triples than the cap is refused before it is validated,
+    and a built-in CP^m before it is even built ((m + 1)^2 products).
+    """
+    if cfg.cpm is None:
+        R = load_ring(cfg.ring_path)
+        n, label = R.n, R.label
+    else:
+        n, label = cfg.cpm + 1, "CP^%d" % cfg.cpm
+    if n ** 3 > cfg.max_monomials:
+        raise _CapExceeded("ring %s has %d basis triples to check, more than the cap "
+                           "of %d (raise --max-monomials to proceed)"
+                           % (label, n ** 3, cfg.max_monomials))
+    return R if cfg.cpm is None else make_cpm(cfg.cpm)
+
+
 def _cap_check(R, k, cap, mode="full"):
     """Monomial-count guard on the complex of this mode.
 
-    Raises _CapExceeded as soon as the count passes cap, weight by
-    weight, so a huge k is refused at once.
+    Counts from the ring's degrees, so it runs before the ring is
+    validated, and weight by weight, so a huge k is refused at once.
     """
     total = 0
-    for n in weight_counts(build_generators(R), k, mode):
+    for n in weight_counts(R, k, mode):
         total += n
         if total > cap:
             raise _CapExceeded("complex for k=%d exceeds the cap: more than %d "
@@ -147,7 +165,7 @@ def _betti_csv(table):
 
 
 def _run_betti(cfg):
-    R = make_cpm(cfg.cpm) if cfg.cpm is not None else load_ring(cfg.ring_path)
+    R = _ring(cfg)
     # reduced mode is built for CP^m only; any other ring is counted in
     # full, and betti refuses it after the cap as before
     counted = "reduced" if cfg.mode == "reduced" and R.cpm is not None else "full"
@@ -190,7 +208,7 @@ def _run_betti(cfg):
 def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
-    R = make_cpm(cfg.cpm)
+    R = _ring(cfg)
     _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
     ray = hilbert_ray(R, cfg.i, cfg.k_min, cfg.k_max, mode=cfg.mode, jobs=cfg.jobs)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
@@ -229,7 +247,7 @@ def _run_ray(cfg):
 def _run_verify(cfg):
     from .extremal import verify_vanishing_ranges
 
-    R = make_cpm(cfg.cpm)
+    R = _ring(cfg)
     _cap_check(R, cfg.k_max, cfg.max_monomials)
     report = verify_vanishing_ranges(cfg.cpm, cfg.k_max, jobs=cfg.jobs)
     if cfg.fmt == "json":

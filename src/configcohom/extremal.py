@@ -41,9 +41,6 @@ class HilbertRay(namedtuple("HilbertRay", "m i samples")):
     """
     __slots__ = ()
 
-    def dims(self):
-        return tuple(d for _, d in self.samples)
-
     def k_range(self):
         return (self.samples[0][0], self.samples[-1][0])
 

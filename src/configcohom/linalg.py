@@ -9,10 +9,12 @@ when it is non-zero in Q, so its rank over Z equals its rank over Q,
 and a rational matrix has the rank of the integer matrix made by
 scaling each row by the lcm of its denominators.
 
-Columns are the one representation.  A matrix is stored in compressed
-sparse column form: column start offsets, row indices and values, the
-form assembly writes (one column per source monomial).  The (row, col,
-value) triples in `entries` are derived from it on demand.  A product
+Columns are the one representation, and the one way in.  A matrix is
+stored in compressed sparse column form: column start offsets, row
+indices and values, the form assembly writes (one column per source
+monomial), and its one constructor takes exactly these arrays;
+`from_dense` writes them from a list of rows.  The (row, col, value)
+triples in `entries` are derived from them on demand.  A product
 composes columns: column c of A @ B is the sum over r of
 B[r, c] * A[:, r], accumulated in a dict keyed by row.  The same loop
 answers whether A @ B vanishes on a set of columns of B (`kills`),
@@ -38,7 +40,6 @@ elimination, the pivot rows and the pivot columns.
 """
 
 import heapq
-from itertools import accumulate
 from math import gcd
 from operator import le
 
@@ -46,39 +47,23 @@ from operator import le
 class SparseExactMatrix:
     """Immutable compressed-sparse-column matrix with integer entries.
 
-    Column c holds the rows row_index[col_start[c]:col_start[c + 1]]
-    with the matching values, no row twice and no zero value.  Every
-    value is an int (not a bool); its rank over Z is its rank over Q.
-    Both constructors end in one check of the column arrays (_store).
+    SparseExactMatrix(n_rows, col_start, row_index, values): column c
+    holds the rows row_index[col_start[c]:col_start[c + 1]] with the
+    matching values, and col_start has one offset per column plus the
+    end.  Every value is a non-zero int (not a bool); the rank over Z
+    is the rank over Q.  The constructor checks, in O(nnz), the
+    offsets, the row bounds, that rows and values are ints and that no
+    value is zero.  Rows may come in any order within a column but
+    must not repeat, which is not checked (a scan per column would
+    cost more than it guards): every caller meets it by construction,
+    since assembly's rows come from a one-to-one code -> row map, a
+    product's from the keys of a dict and from_dense's from the
+    distinct positions of a column.
     """
 
     __slots__ = ("n_rows", "n_cols", "col_start", "row_index", "values")
 
-    def __init__(self, n_rows, n_cols, entries):
-        """Build from (row, col, value) triples in any order.
-
-        Rejects duplicates and columns out of bounds; the column arrays
-        then pass the checks of from_columns (rows, types, zeros).
-        """
-        triples = sorted(entries, key=lambda e: (e[1], e[0]))
-        for (r, c, _), (r2, c2, _) in zip(triples, triples[1:]):
-            if r == r2 and c == c2:
-                raise ValueError("duplicate entry at (%r, %r)" % (r, c))
-        counts = [0] * (n_cols + 1)
-        for _, c, _ in triples:
-            if not 0 <= c < n_cols:
-                raise ValueError("column %r outside a matrix with %d columns" % (c, n_cols))
-            counts[c + 1] += 1
-        self._store(n_rows, tuple(accumulate(counts)),
-                    tuple(r for r, _, _ in triples), tuple(q for _, _, q in triples))
-
-    def _store(self, n_rows, col_start, row_index, values):
-        """Check the column arrays in O(nnz), then store them.
-
-        Checks the offsets, row bounds, that rows and values are ints
-        and that no value is zero.  Rows may come in any order within a
-        column; they must not repeat, which is not checked here.
-        """
+    def __init__(self, n_rows, col_start, row_index, values):
         n_cols = len(col_start) - 1
         if n_rows < 0 or n_cols < 0:
             raise ValueError("negative matrix dimensions")
@@ -104,31 +89,21 @@ class SparseExactMatrix:
         raise AttributeError("SparseExactMatrix is immutable")
 
     @classmethod
-    def from_columns(cls, n_rows, col_start, row_index, values):
-        """Build from the column arrays themselves, without sorting.
-
-        col_start has one offset per column plus the end.  The arrays
-        are checked as in _store; assembly's rows come from a
-        one-to-one code -> row map, so they do not repeat.
-        """
-        self = cls.__new__(cls)
-        self._store(n_rows, col_start, row_index, values)
-        return self
-
-    @classmethod
     def from_dense(cls, rows, n_cols=None):
         """Build from a list of lists; zeros are dropped."""
-        n_rows = len(rows)
         if n_cols is None:
             n_cols = len(rows[0]) if rows else 0
-        entries = []
-        for r, row in enumerate(rows):
-            if len(row) != n_cols:
-                raise ValueError("ragged rows")
-            for c, q in enumerate(row):
+        if any(len(row) != n_cols for row in rows):
+            raise ValueError("ragged rows")
+        col_start, row_index, values = [0], [], []
+        for c in range(n_cols):
+            for r, row in enumerate(rows):
+                q = row[c]
                 if q or type(q) is not int:  # a zero of another type fails the type check
-                    entries.append((r, c, q))
-        return cls(n_rows, n_cols, entries)
+                    row_index.append(r)
+                    values.append(q)
+            col_start.append(len(row_index))
+        return cls(len(rows), col_start, row_index, values)
 
     @property
     def nnz(self):
@@ -191,7 +166,7 @@ class SparseExactMatrix:
                     rows.append(r)
                     vals.append(q)
             starts.append(len(rows))
-        return SparseExactMatrix.from_columns(self.n_rows, starts, rows, vals)
+        return SparseExactMatrix(self.n_rows, starts, rows, vals)
 
     def kills(self, other, cols):
         """Whether self @ other is zero on the given columns of other.
@@ -200,18 +175,6 @@ class SparseExactMatrix:
         """
         return not any(any(acc.values())
                        for acc in self._product_columns(other, cols))
-
-    def __eq__(self, other):
-        if not isinstance(other, SparseExactMatrix):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.n_rows, self.n_cols, self.entries))
 
     def __repr__(self):
         return "SparseExactMatrix(%d, %d, nnz=%d)" % (self.n_rows, self.n_cols, self.nnz)

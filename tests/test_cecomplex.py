@@ -89,7 +89,8 @@ def test_count_matches_enumeration_and_closed_form():
 
 
 def test_count_matches_enumeration_in_both_modes():
-    # the count reads the exponent caps enumerate_basis uses, per weight
+    # the count reads only the ring's degrees, and gives what
+    # enumerate_basis builds, weight by weight
     for R in (make_cpm(1), make_cpm(3), torus_ring(), s4_ring(), s2xs2_ring()):
         G = build_generators(R)
         for k in range(0, 8):
@@ -97,7 +98,7 @@ def test_count_matches_enumeration_in_both_modes():
                 basis = enumerate_basis(G, k, mode)
                 by_weight = [sum(len(c) for (_, w), c in basis.slices.items() if w == u)
                              for u in range(k // 2 + 1)]
-                assert list(weight_counts(G, k, mode)) == by_weight, (R.label, k, mode)
+                assert list(weight_counts(R, k, mode)) == by_weight, (R.label, k, mode)
 
 
 def test_weights_partition_by_parity():
@@ -364,9 +365,9 @@ TARGET_RINGS = {
 
 @pytest.mark.parametrize("name", sorted(TARGET_RINGS))
 def test_differential_one_term_per_target(name):
-    # assembly writes apply's terms straight into columns, and
-    # from_columns does not look for repeated rows: every term of d(mon)
-    # must have its own target and a non-zero value
+    # assembly writes apply's terms straight into columns, and the
+    # matrix constructor does not look for repeated rows: every term of
+    # d(mon) must have its own target and a non-zero value
     G = build_generators(TARGET_RINGS[name]())
     par = G.v_parities
     for k in range(7):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -101,6 +102,46 @@ def test_monomial_cap_counts_the_complex_built(capsys):
     assert rc == 3 and "cap" in err
     rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "6", *cap)
     assert rc == 3 and "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti", "--cpm", "300", "--k", "2"),
+    ("verify", "--cpm", "300", "--k-max", "8"),
+], ids=["betti", "verify"])
+def test_cap_bounds_the_ring_check(argv):
+    # CP^300 has 301^3 basis triples, more than the default cap: the run
+    # is refused before the ring is built or validated
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "configcohom", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("ring CP^300 has 27270901 basis triples to check, more than "
+                           "the cap of 2000000 (raise --max-monomials to proceed)\n")
+    assert elapsed < 1.0
+
+
+def test_cap_on_ring_check_counts_triples(tmp_path, capsys):
+    # CP^60 has 61^3 = 226,981 triples, within the default cap
+    rc, out, _ = run(capsys, "betti", "--cpm", "60", "--k", "2")
+    assert rc == 0 and out.startswith("Betti numbers of C_2(CP^60)")
+    rc, _, err = run(capsys, "betti", "--cpm", "2", "--k", "2", "--max-monomials", "26")
+    assert rc == 3 and "27 basis triples" in err
+    # a ring file is refused on its triples before it is validated, and
+    # an invalid one within the cap keeps its diagnostic
+    doc = cp2_ring_doc()
+    doc["products"] = [p for p in doc["products"]
+                       if (p["left"], p["right"]) != ("x", "x")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "betti", "--ring", str(bad), "--k", "3", "--max-monomials", "26")
+    assert rc == 3 and err == ("ring %s has 27 basis triples to check, more than the "
+                               "cap of 26 (raise --max-monomials to proceed)\n" % bad)
+    rc, out, err = run(capsys, "betti", "--ring", str(bad), "--k", "3")
+    assert rc == 2 and out == ""
+    assert err == "error: Poincare pairing into x^2 is degenerate\n"
 
 
 def test_ray_csv_certificate_on_stderr(capsys):

@@ -230,10 +230,10 @@ def test_dd_check_runs_before_the_rank_that_trusts_it(monkeypatch):
             used = {r for r, (rows, _) in enumerate(nxt.matrix.columns()) if rows}
             for r, c, q in b.matrix.entries:
                 if r in used:  # flipping (r, c) changes column c of nxt @ b
-                    blocks[i] = b._replace(matrix=SparseExactMatrix(
-                        b.matrix.n_rows, b.matrix.n_cols,
-                        [(r2, c2, -q2 if (r2, c2) == (r, c) else q2)
-                         for r2, c2, q2 in b.matrix.entries]))
+                    dense = b.matrix.to_dense()
+                    dense[r][c] = -q
+                    blocks[i] = b._replace(matrix=SparseExactMatrix.from_dense(
+                        dense, b.matrix.n_cols))
                     assert not (nxt.matrix @ blocks[i].matrix).is_zero()
                     return blocks
         raise AssertionError("no consecutive blocks to corrupt")

@@ -14,8 +14,15 @@ from oracles import dense_rank, kernel_basis
 
 
 def transpose(A):
-    """A^T, built from the triples of A."""
-    return SparseExactMatrix(A.n_cols, A.n_rows, [(c, r, q) for r, c, q in A.entries])
+    """A^T: row c is column c of A."""
+    dense = A.to_dense()
+    return SparseExactMatrix.from_dense(
+        [[row[c] for row in dense] for c in range(A.n_cols)], A.n_rows)
+
+
+def zero(n_rows, n_cols):
+    """The zero matrix, straight from its column arrays."""
+    return SparseExactMatrix(n_rows, [0] * (n_cols + 1), (), ())
 
 
 def scaled_to_ints(row):
@@ -25,34 +32,37 @@ def scaled_to_ints(row):
 
 
 def test_constructor_validates():
-    with pytest.raises(ValueError):
-        SparseExactMatrix(2, 2, [(0, 0, 1), (0, 0, 2)])  # duplicate
-    with pytest.raises(ValueError):
-        SparseExactMatrix(2, 2, [(2, 0, 1)])  # out of range
-    with pytest.raises(ValueError):
-        SparseExactMatrix(2, 2, [(0, 2, 1)])  # column out of range
-    with pytest.raises(ValueError):
-        SparseExactMatrix(2, 2, [(0, 0, 0)])  # explicit zero
-    with pytest.raises(AttributeError):
-        SparseExactMatrix(1, 1, []).n_rows = 5
-    # the column constructor: offsets, rows 0..1, values per column
-    A = SparseExactMatrix.from_columns(2, [0, 1, 3], [1, 0, 1], [2, -1, 3])
+    # the column arrays: offsets, rows 0..1, values per column
+    A = SparseExactMatrix(2, [0, 1, 3], [1, 0, 1], [2, -1, 3])
     assert A.entries == ((0, 1, -1), (1, 0, 2), (1, 1, 3))
+    assert (A.n_rows, A.n_cols, A.nnz) == (2, 2, 3)
     with pytest.raises(ValueError):
-        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 2], [1, 1])  # out of range
+        SparseExactMatrix(2, [0, 2, 1], [0, 1], [1, 1])  # offsets out of order
     with pytest.raises(ValueError):
-        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, -1], [1, 1])  # negative row
+        SparseExactMatrix(2, [0, 1, 3], [0, 1], [1, 1])  # offsets past the entries
     with pytest.raises(ValueError):
-        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 1], [1, 0])  # explicit zero
+        SparseExactMatrix(2, [1, 1, 2], [0, 1], [1, 1])  # offsets not from 0
+    with pytest.raises(ValueError):
+        SparseExactMatrix(2, [0, 1, 2], [0, 1], [1])  # a row without a value
+    with pytest.raises(ValueError):
+        SparseExactMatrix(2, [0, 1, 2], [0, 2], [1, 1])  # out of range
+    with pytest.raises(ValueError):
+        SparseExactMatrix(2, [0, 1, 2], [0, -1], [1, 1])  # negative row
     with pytest.raises(TypeError):
-        SparseExactMatrix.from_columns(2, [0, 1, 2], [0, 1], [1, "1"])  # not a number
+        SparseExactMatrix(2, [0, 1, 2], [0, 1.0], [1, 1])  # not an int row
+    with pytest.raises(TypeError):
+        SparseExactMatrix(2, [0, 1, 2], [0, True], [1, 1])  # a bool row
     with pytest.raises(ValueError):
-        SparseExactMatrix.from_columns(2, [0, 2, 1], [0, 1], [1, 1])  # offsets
+        SparseExactMatrix(2, [0, 1, 2], [0, 1], [1, 0])  # explicit zero
+    with pytest.raises(TypeError):
+        SparseExactMatrix(2, [0, 1, 2], [0, 1], [1, "1"])  # not a number
+    with pytest.raises(AttributeError):
+        zero(1, 1).n_rows = 5
 
 
 def test_rank_examples():
-    assert rank(SparseExactMatrix(3, 4, ())) == 0
-    eye = SparseExactMatrix(3, 3, [(i, i, 1) for i in range(3)])
+    assert rank(zero(3, 4)) == 0
+    eye = SparseExactMatrix(3, [0, 1, 2, 3], [0, 1, 2], [1, 1, 1])
     assert rank(eye) == 3
     row = SparseExactMatrix.from_dense([[0, 1, 2]])
     assert rank(row) == 1
@@ -76,9 +86,9 @@ def test_matmul_and_transpose():
     assert At.to_dense() == [[1, 0], [2, 1]]
     assert (A @ At).to_dense() == [[5, 2], [2, 1]]
     with pytest.raises(ValueError):
-        A @ SparseExactMatrix(3, 3, ())
+        A @ zero(3, 3)
     with pytest.raises(ValueError):
-        A.kills(SparseExactMatrix(3, 3, ()), [0])
+        A.kills(zero(3, 3), [0])
 
 
 @st.composite
@@ -116,7 +126,7 @@ def test_kills_stops_at_the_first_nonzero_column(monkeypatch):
             yield acc
 
     monkeypatch.setattr(SparseExactMatrix, "_product_columns", spy)
-    monkeypatch.setattr(SparseExactMatrix, "_store", None)  # no matrix is built
+    monkeypatch.setattr(SparseExactMatrix, "__init__", None)  # no matrix is built
     assert not A.kills(B, range(50))
     assert read == [{0: 1}]
 
@@ -126,12 +136,10 @@ def test_int_entries_stay_int():
     assert all(type(q) is int for _, _, q in A.entries)
     assert all(type(q) is int for _, _, q in (A @ A).entries)
     assert all(type(x) is int for row in A.to_dense() for x in row)
-    # every constructor refuses any other value, an integral one included
+    # the constructor refuses any other value, an integral one included
     for bad in (Fraction(1, 2), Fraction(2), 2.0, True):
         with pytest.raises(TypeError):
-            SparseExactMatrix(1, 2, [(0, 1, bad)])
-        with pytest.raises(TypeError):
-            SparseExactMatrix.from_columns(1, [0, 0, 1], [0], [bad])
+            SparseExactMatrix(1, [0, 0, 1], [0], [bad])
         with pytest.raises(TypeError):
             SparseExactMatrix.from_dense([[0, bad]])
     # a zero of another type is not silently dropped
@@ -239,17 +247,33 @@ nonzero_ints = st.integers(min_value=-3, max_value=3).filter(bool)
 
 
 @st.composite
-def sparse_with_skip(draw, max_dim=8):
-    """A sparse int matrix and a random set of columns to skip."""
+def sparse_matrices(draw, max_dim=8):
+    """A sparse int matrix drawn as its column arrays, rows in any order."""
     n_rows = draw(st.integers(min_value=0, max_value=max_dim))
     n_cols = draw(st.integers(min_value=0, max_value=max_dim))
-    cells = set()
-    if n_rows and n_cols:
-        cells = draw(st.sets(st.tuples(st.integers(0, n_rows - 1),
-                                       st.integers(0, n_cols - 1))))
-    entries = [(r, c, draw(nonzero_ints)) for r, c in sorted(cells)]
-    skip = draw(st.sets(st.integers(0, n_cols - 1))) if n_cols else set()
-    return SparseExactMatrix(n_rows, n_cols, entries), skip
+    col_start, row_index, values = [0], [], []
+    for _ in range(n_cols):
+        rows = draw(st.lists(st.integers(0, n_rows - 1), unique=True)) if n_rows else []
+        row_index += rows
+        values += [draw(nonzero_ints) for _ in rows]
+        col_start.append(len(row_index))
+    return SparseExactMatrix(n_rows, col_start, row_index, values)
+
+
+@st.composite
+def sparse_with_skip(draw, max_dim=8):
+    """A sparse int matrix and a random set of columns to skip."""
+    A = draw(sparse_matrices(max_dim))
+    skip = draw(st.sets(st.integers(0, A.n_cols - 1))) if A.n_cols else set()
+    return A, skip
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_column_arrays_round_trip_through_dense(A):
+    B = SparseExactMatrix.from_dense(A.to_dense(), A.n_cols)
+    assert (B.n_rows, B.n_cols, B.entries) == (A.n_rows, A.n_cols, A.entries)
+    assert rank(A) == dense_rank(A.to_dense())
 
 
 def check_pivots(A, skip):
