@@ -47,11 +47,12 @@ degree 2d - 1, both coming from the point class, so d(w_top) = v_top^2
 — is a subcomplex, acyclic for k >= 2 via the explicit homotopy
 h(v_top^2 A + B w_top) = w_top A,  so the quotient complex (monomials
 with v_top-exponent <= 1 and no w_top) has the same cohomology.  The
-generators are found by degree alone; the public API still offers the
-reduced complex for the built-in CP^m rings only.  homotopy_check
-verifies (dh + hd) = id on the ideal exactly.  The quotient basis is
-enumerated directly, by capping the v_top-exponent at 1 and the
-w_top-exponent at 0, so it never passes through the full basis.
+generators are found by degree alone, so every validated ring has
+the reduced complex; below k = 2 the ideal is empty and the quotient
+is the full complex.  homotopy_check verifies (dh + hd) = id on the
+ideal exactly.  The quotient basis is enumerated directly, by capping
+the v_top-exponent at 1 and the w_top-exponent at 0, so it never
+passes through the full basis.
 """
 
 from collections import defaultdict, namedtuple
@@ -147,10 +148,12 @@ def weight_counts(R, k, mode="full"):
     from the ring's degrees alone, without validating R, so the CLI's
     cap can run before the ring check: class i gives a V-generator of
     parity deg_i mod 2 and a W-generator of the other parity (the
-    dimension is even), and the unit class gives v_top and w_top.
+    dimension is even), and the unit class gives v_top and w_top.  A
+    ring without a unique unit class, which fails validation right
+    after the cap, is counted in full.
     """
     v_parities = [deg % 2 for deg in R.degrees]
-    top = (R.unit_index,) * 2 if mode == "reduced" else None
+    top = (R.unit_index,) * 2 if mode == "reduced" and R.unit_index is not None else None
     caps = _exponent_caps(v_parities, [1 - p for p in v_parities], k, top)
     return _weight_counts(*caps, k)
 

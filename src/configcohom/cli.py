@@ -86,8 +86,8 @@ def build_parser():
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--mode", choices=("full", "reduced"), default="reduced")
-    p.add_argument("--p-max", type=int, default=6)
-    p.add_argument("--deg-max", type=int, default=4)
+    p.add_argument("--p-max", type=_positive_int, default=6)
+    p.add_argument("--deg-max", type=_nonnegative_int, default=4)
 
     p = sub.add_parser("verify", help="extremal vanishing report for CP^m")
     common(p, formats=("text", "json"))
@@ -166,10 +166,7 @@ def _betti_csv(table):
 
 def _run_betti(cfg):
     R = _ring(cfg)
-    # reduced mode is built for CP^m only; any other ring is counted in
-    # full, and betti refuses it after the cap as before
-    counted = "reduced" if cfg.mode == "reduced" and R.cpm is not None else "full"
-    _cap_check(R, cfg.k, cfg.max_monomials, counted)
+    _cap_check(R, cfg.k, cfg.max_monomials, cfg.mode)
     if cfg.mode == "both":
         report = consistency_report(R, cfg.k)
         if cfg.fmt == "json":
@@ -210,7 +207,7 @@ def _run_ray(cfg):
 
     R = _ring(cfg)
     _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
-    ray = hilbert_ray(R, cfg.i, cfg.k_min, cfg.k_max, mode=cfg.mode, jobs=cfg.jobs)
+    ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max, mode=cfg.mode, jobs=cfg.jobs)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
     if cfg.fmt == "json":
         doc = {

@@ -122,17 +122,18 @@ def _betti_dims_range(m, ks, mode, jobs):
         return dict(pool.map(_dims_for_k, tasks[::-1]))
 
 
-def hilbert_ray(R, i, k_min, k_max, mode="reduced", jobs=1):
-    """Sample the offset-i extremal ray of CP^m over k_min..k_max."""
-    if R.cpm is None:
-        raise ValueError("extremal rays are defined for the built-in CP^m rings")
+def hilbert_ray(m, i, k_min, k_max, mode="reduced", jobs=1):
+    """Sample the offset-i extremal ray of CP^m over k_min..k_max.
+
+    Takes m, the ring it computes on: the edge k(2m-2) is CP^m's, and
+    each task rebuilds make_cpm(m).  Any k >= 0 works in either mode
+    (below k = 2 the reduced complex is the full one).
+    """
+    make_cpm(m)  # cached; checks m
     if i < 0:
         raise ValueError("offset i must be non-negative")
     if k_min > k_max:
         raise ValueError("empty k range")
-    if mode == "reduced" and k_min < 2:
-        raise ValueError("reduced mode requires k >= 2")
-    m = R.cpm
     ks = list(range(k_min, k_max + 1))
     dims = _betti_dims_range(m, ks, mode, jobs)
     samples = tuple((k, dims[k].get(k * (2 * m - 2) + i, 0)) for k in ks)
@@ -321,9 +322,10 @@ def _vanishing_check(check_id, description, flags, claimed):
 def verify_vanishing_ranges(m, k_max, jobs=1):
     """Check the expected extremal vanishing behaviour of CP^m.
 
-    Betti tables are computed from the full complex (where the degrees
-    above the extremal edge actually exist) and cross-checked against
-    the reduced complex degree by degree (consistency_report).
+    Takes m, as hilbert_ray does.  Betti tables are computed from the
+    full complex (where the degrees above the extremal edge actually
+    exist) and cross-checked against the reduced complex degree by
+    degree (consistency_report).
     Vanishing claims come with a claimed onset; the report records the
     onset actually observed in the window and marks the check
     "sharper" when vanishing starts earlier than claimed, "fail" when a
@@ -332,8 +334,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     process, and the task at k_max also returns the structural facts,
     so nothing is computed twice under jobs > 1.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ValueError("m must be a positive integer")
+    make_cpm(m)  # cached; checks m
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))

@@ -142,15 +142,10 @@ def complex_data(R, k, mode="full"):
 def betti(R, k, mode="full"):
     """Betti table of C_k(M) for the manifold presented by R.
 
-    Reduced mode is only available for the built-in CP^m rings and for
-    k >= 2 (below that the reduction ideal is empty and the quotient
-    statement is about nothing).
+    Either mode works for every ring and every k: the reduced complex
+    is the quotient by the acyclic ideal (v_top^2, w_top), which is
+    empty below k = 2, so there the two complexes are the same.
     """
-    if mode == "reduced":
-        if R.cpm is None:
-            raise ValueError("reduced mode requires a built-in CP^m ring")
-        if k < 2:
-            raise ValueError("reduced mode requires k >= 2")
     return _cached(R, k, mode).table
 
 

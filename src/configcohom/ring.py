@@ -50,13 +50,11 @@ class RingPresentation:
     structure_constants maps an ordered index pair (i, j) to a tuple of
     (result_index, coefficient); absent pairs multiply to zero.  The
     object is immutable by convention; derived caches hang off private
-    attributes.  cpm is set to m for the built-in CP^m presentations
-    and None otherwise; the public API offers reduced mode and the
-    extremal analysis for those only.
+    attributes.
     """
 
     def __init__(self, basis_names, degrees, structure_constants,
-                 manifold_dimension, label="custom", cpm=None):
+                 manifold_dimension, label="custom"):
         basis_names = tuple(basis_names)
         degrees = tuple(degrees)
         n = len(basis_names)
@@ -86,7 +84,7 @@ class RingPresentation:
                 except ValueError as exc:
                     raise RingSchemaError("bad coefficient in %s * %s: %s"
                                           % (basis_names[i], basis_names[j], exc))
-                merged[l] = merged.get(l, Fraction(0)) + coeff
+                merged[l] = merged[l] + coeff if l in merged else coeff
             cleaned = tuple(sorted((l, q) for l, q in merged.items() if q))
             if cleaned:
                 table[(i, j)] = cleaned
@@ -96,7 +94,6 @@ class RingPresentation:
         self.structure_constants = table
         self.manifold_dimension = manifold_dimension
         self.label = label
-        self.cpm = cpm
         zero = [i for i, deg in enumerate(degrees) if deg == 0]
         top = [i for i, deg in enumerate(degrees) if deg == manifold_dimension]
         self.unit_index = zero[0] if len(zero) == 1 else None
@@ -161,8 +158,8 @@ def make_cpm(m):
     for a in range(m + 1):
         for b in range(m + 1):
             if a + b <= m:
-                table[(a, b)] = ((a + b, Fraction(1)),)
-    return RingPresentation(names, degrees, table, 2 * m, label="CP^%d" % m, cpm=m)
+                table[(a, b)] = ((a + b, 1),)
+    return RingPresentation(names, degrees, table, 2 * m, label="CP^%d" % m)
 
 
 def validate_ring(R):

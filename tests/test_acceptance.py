@@ -141,16 +141,14 @@ def test_criterion_08_sparse_rank_matches_dense_oracle():
 def test_criterion_09_quasi_polynomial_certificates():
     # extremal rays of CP^2 and CP^3 vanish identically once k is large
     for m in (2, 3):
-        R = make_cpm(m)
         for i in range(1, 6):
-            ray = hilbert_ray(R, i, 2, 12)
+            ray = hilbert_ray(m, i, 2, 12)
             qp = detect_quasi_polynomial(ray.samples)
             assert qp is not None, (m, i)
             assert qp.period == 1 and qp.is_zero(), (m, i, qp)
     # CP^1 rays are eventually constant
-    R1 = make_cpm(1)
     for i in range(0, 6):
-        ray = hilbert_ray(R1, i, 2, 12)
+        ray = hilbert_ray(1, i, 2, 12)
         qp = detect_quasi_polynomial(ray.samples)
         assert qp is not None and (qp.period, qp.degree) == (1, 0), (i, qp)
     # and a genuinely periodic sequence gets its exact certificate

@@ -331,8 +331,6 @@ def test_blocks_match_word_oracle(name):
     w_top = [g.degree for g in G.w_gens].index(2 * d - 1)
     for mode in modes:
         for k in ks:
-            if mode == "reduced" and k < 2:
-                continue
             basis = enumerate_basis(G, k)
             if mode == "reduced":
                 basis = reduce_complex(G, basis)

@@ -12,7 +12,8 @@ import configcohom
 from configcohom import build_generators, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
-from oracles import cp2_ring_doc, malformed_ring_docs, unreadable_ring_files
+from oracles import (cp2_ring_doc, malformed_ring_docs, torus_ring,
+                     unreadable_ring_files)
 
 
 def run(capsys, *argv):
@@ -51,13 +52,38 @@ def test_betti_both_mode(capsys):
     assert "consistent: yes" in out
 
 
-def test_betti_reduced_needs_cpm(tmp_path, capsys):
+def test_betti_custom_ring_reduced_mode(tmp_path, capsys):
+    # the reduction holds for every ring, so a ring file runs in reduced
+    # mode and gives the built-in ring's table
     path = tmp_path / "cp2.json"
     path.write_text(json.dumps(cp2_ring_doc()))
+    rc, out, _ = run(capsys, "betti", "--ring", str(path), "--k", "3",
+                     "--mode", "reduced", "--format", "csv")
+    assert rc == 0
+    rc2, out2, _ = run(capsys, "betti", "--cpm", "2", "--k", "3",
+                       "--mode", "reduced", "--format", "csv")
+    assert rc2 == 0 and out == out2
+
+
+def test_betti_torus_file_both_modes(tmp_path, capsys):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps(torus_ring().to_dict()))
+    rc, out, _ = run(capsys, "betti", "--ring", str(path), "--k", "6", "--mode", "both")
+    assert rc == 0
+    assert out.endswith("consistent: yes\n")
+
+
+def test_betti_reduced_ring_without_unit_exits_two(tmp_path, capsys):
+    # the cap counts a ring with two degree-0 classes in full; validation
+    # then refuses it
+    doc = cp2_ring_doc()
+    doc["basis"].append({"name": "u", "degree": 0})
+    path = tmp_path / "two_units.json"
+    path.write_text(json.dumps(doc))
     rc, _, err = run(capsys, "betti", "--ring", str(path), "--k", "3",
                      "--mode", "reduced")
     assert rc == 2
-    assert "CP^m" in err
+    assert "expected exactly one degree-0 class" in err
 
 
 def test_betti_custom_ring_full_mode(tmp_path, capsys):
@@ -260,6 +286,10 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--cpm", "2", "--k", "3", "--jobs", "2"])
     assert exc.value.code == 2
+    for flag, bad in (("--p-max", "0"), ("--deg-max", "-1")):
+        with pytest.raises(SystemExit) as exc:
+            main(["ray", "--cpm", "2", "--i", "1", "--k-max", "12", flag, bad])
+        assert exc.value.code == 2
 
 
 def test_table_consistency_fail_path(monkeypatch, capsys):

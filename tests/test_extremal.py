@@ -12,7 +12,7 @@ from oracles import torus_ring
 
 def test_ray_matches_betti_directly():
     R = make_cpm(2)
-    ray = hilbert_ray(R, 1, 2, 6)
+    ray = hilbert_ray(2, 1, 2, 6)
     assert ray.m == 2 and ray.i == 1
     for k, d in ray.samples:
         assert d == betti(R, k, "reduced").dim(2 * k + 1)
@@ -20,28 +20,34 @@ def test_ray_matches_betti_directly():
 
 
 def test_ray_guards():
-    with pytest.raises(ValueError):
+    # a ray takes m; a ring in its place fails make_cpm's check on m
+    with pytest.raises(ValueError, match="m must be a positive integer"):
         hilbert_ray(torus_ring(), 1, 2, 5)
+    make_cpm(1), make_cpm(2)  # cached: True and 2.0 must not find them
+    for bad in (0, True, 2.0):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            hilbert_ray(bad, 1, 2, 5)
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            verify_vanishing_ranges(bad, 10)
     with pytest.raises(ValueError):
-        hilbert_ray(make_cpm(2), -1, 2, 5)
+        hilbert_ray(2, -1, 2, 5)
     with pytest.raises(ValueError):
-        hilbert_ray(make_cpm(2), 1, 5, 2)
-    with pytest.raises(ValueError):
-        hilbert_ray(make_cpm(2), 1, 0, 5, mode="reduced")
+        hilbert_ray(2, 1, 5, 2)
+    # below k = 2 the reduction ideal is empty: the reduced ray is the full one
+    assert (hilbert_ray(2, 1, 0, 5, mode="reduced").samples
+            == hilbert_ray(2, 1, 0, 5, mode="full").samples)
 
 
 def test_ray_full_vs_reduced_agree():
-    R = make_cpm(2)
     for i in (0, 1, 2):
-        full = hilbert_ray(R, i, 2, 7, mode="full")
-        red = hilbert_ray(R, i, 2, 7, mode="reduced")
+        full = hilbert_ray(2, i, 2, 7, mode="full")
+        red = hilbert_ray(2, i, 2, 7, mode="reduced")
         assert full.samples == red.samples
 
 
 def test_ray_parallel_matches_serial():
-    R = make_cpm(2)
-    serial = hilbert_ray(R, 1, 2, 9, jobs=1)
-    parallel = hilbert_ray(R, 1, 2, 9, jobs=4)
+    serial = hilbert_ray(2, 1, 2, 9, jobs=1)
+    parallel = hilbert_ray(2, 1, 2, 9, jobs=4)
     assert serial.samples == parallel.samples
 
 
@@ -124,10 +130,9 @@ def test_detect_requires_consecutive_k():
 
 def test_certificate_stable_under_extension():
     # a certificate fitted on a short window keeps matching new samples
-    R = make_cpm(2)
-    short = hilbert_ray(R, 3, 2, 10)
+    short = hilbert_ray(2, 3, 2, 10)
     qp = detect_quasi_polynomial(short.samples)
-    longer = hilbert_ray(R, 3, 2, 14)
+    longer = hilbert_ray(2, 3, 2, 14)
     assert qp is not None and qp.matches(longer.samples)
 
 

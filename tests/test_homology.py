@@ -85,15 +85,31 @@ def test_cp1_stability_window():
     assert tables[12].dim(1) == tables[12].dim(2) == tables[12].dim(4) == 0
 
 
-def test_reduced_mode_guards():
-    with pytest.raises(ValueError):
-        betti(torus_ring(), 3, "reduced")
-    with pytest.raises(ValueError):
-        betti(make_cpm(2), 1, "reduced")
+def test_betti_argument_checks():
     with pytest.raises(ValueError):
         betti(make_cpm(2), 3, "sideways")
     with pytest.raises(ValueError):
         betti(make_cpm(2), -1)
+
+
+SMALL_K_RINGS = {
+    "CP^2": lambda: make_cpm(2),
+    "CP^3": lambda: make_cpm(3),
+    "T^2": torus_ring,
+    "S^4": s4_ring,
+    "S^2xS^2": s2xs2_ring,
+    "CP^2 x^2=y/2": cp2_half_ring,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_K_RINGS))
+def test_reduced_equals_full_below_k2(name):
+    # the reduction ideal (v_top^2, w_top) needs two points, so at k = 0
+    # and 1 the reduced complex is the full one, on every ring
+    R = SMALL_K_RINGS[name]()
+    for k in (0, 1):
+        full, reduced = betti(R, k, "full"), betti(R, k, "reduced")
+        assert (reduced.dims, reduced.euler) == (full.dims, full.euler), (name, k)
 
 
 def test_table_shape():

@@ -17,8 +17,10 @@ def test_cpm_shape():
     assert R.manifold_dimension == 4
     assert R.unit_index == 0
     assert R.top_index == 2
-    assert R.cpm == 2
     assert R.product(1, 1) == {2: Fraction(1)}
+    # make_cpm passes int coefficients; the table holds Fractions
+    assert all(type(q) is Fraction
+               for terms in R.structure_constants.values() for _, q in terms)
     assert R.product(1, 2) == {}
 
 
