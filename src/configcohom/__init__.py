@@ -11,7 +11,7 @@ quasi-polynomial certificates to their tails.
 from .cecomplex import (BigradedBasis, DifferentialBlock, assemble_blocks,
                         count_monomials, dump_complex, enumerate_basis,
                         homotopy_check, monomial_label, reduce_complex)
-from .generators import Generator, GeneratorSet, build_generators
+from .generators import GeneratorSet, build_generators
 from .homology import (BettiTable, ConsistencyReport, betti,
                        consistency_report)
 from .linalg import SparseExactMatrix, kernel_dim, rank
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BettiTable", "BigradedBasis", "ConsistencyReport", "DifferentialBlock",
-    "Generator", "GeneratorSet", "HilbertRay", "InvalidRingError",
+    "GeneratorSet", "HilbertRay", "InvalidRingError",
     "QuasiPolynomial", "RangeReport", "RingDiagnostics", "RingPresentation",
     "RingSchemaError", "SparseExactMatrix", "UnderDeterminedError",
     "assemble_blocks", "betti", "build_generators", "consistency_report",

@@ -59,6 +59,8 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 from math import comb, lcm
 
+from .linalg import SparseExactMatrix
+
 
 class AssemblyError(RuntimeError):
     """Internal consistency failure while assembling differential blocks."""
@@ -68,13 +70,13 @@ def monomial_label(G, k, code):
     """Name of the monomial of k points with this code, e.g. 'v2^2 v4 w7'.
 
     The base-(k + 1) digits of code, V-slots first, are the exponents
-    of G.v_gens, then of G.w_gens; the empty monomial is '1'.
+    of G.v_names, then of G.w_names; the empty monomial is '1'.
     """
     parts = []
-    for g in G.v_gens + G.w_gens:
+    for name in G.v_names + G.w_names:
         code, e = divmod(code, k + 1)
         if e:
-            parts.append(g.name if e == 1 else "%s^%d" % (g.name, e))
+            parts.append(name if e == 1 else "%s^%d" % (name, e))
     return " ".join(parts) or "1"
 
 
@@ -199,8 +201,8 @@ def enumerate_basis(G, k, mode="full"):
         raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
     top = _top_indices(G) if mode == "reduced" else None
     v_caps, w_caps = _exponent_caps(G.v_parities, G.w_parities, k, top)
-    n_v = len(G.v_gens)
-    powers = [(k + 1) ** j for j in range(n_v + len(G.w_gens))]
+    n_v = len(G.v_degrees)
+    powers = [(k + 1) ** j for j in range(n_v + len(G.w_degrees))]
     weights = range(k // 2 + 1)
     v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
                                [k - 2 * w for w in weights])
@@ -229,9 +231,9 @@ class _Differential:
         self.scale = lcm(*(q.denominator for terms in G.boundary_on_w
                            for _, q in terms))
         self.radix = k + 1
-        self.n_v = len(G.v_gens)
+        self.n_v = len(G.v_degrees)
         self.powers = tuple(self.radix ** j
-                            for j in range(self.n_v + len(G.w_gens)))
+                            for j in range(self.n_v + len(G.w_degrees)))
         self.w_unit = self.powers[self.n_v]
         # (mask bit, place value) of each odd V-generator
         self.odd_v = tuple((1 << a, self.powers[a])
@@ -303,9 +305,9 @@ def _top_indices(G):
     d = G.manifold_dimension
     v_top = G.v_degrees.index(d)
     w_top = G.w_degrees.index(2 * d - 1)
-    if G.boundary(w_top) != (((v_top, v_top), 1),):
-        raise AssemblyError("d(%s) is not %s^2" % (G.w_gens[w_top].name,
-                                                   G.v_gens[v_top].name))
+    if G.boundary_on_w[w_top] != (((v_top, v_top), 1),):
+        raise AssemblyError("d(%s) is not %s^2" % (G.w_names[w_top],
+                                                   G.v_names[v_top]))
     return v_top, w_top
 
 
@@ -317,7 +319,7 @@ def _ideal_test(G, k):
     """
     v_top, w_top = _top_indices(G)
     radix = k + 1
-    v_unit, w_unit = radix ** v_top, radix ** (len(G.v_gens) + w_top)
+    v_unit, w_unit = radix ** v_top, radix ** (len(G.v_degrees) + w_top)
     v_mod, v_two, w_mod = v_unit * radix, 2 * v_unit, w_unit * radix
     return lambda code: code % v_mod >= v_two or code % w_mod >= w_unit
 
@@ -341,8 +343,6 @@ def assemble_blocks(G, basis):
     reduction ideal — anything else is a grading bug and raises
     AssemblyError, as does any stray term in full mode.
     """
-    from .linalg import SparseExactMatrix
-
     d = _Differential(G, basis.k)
     in_ideal = _ideal_test(G, basis.k) if basis.mode == "reduced" else None
     terms = d.terms
@@ -420,8 +420,6 @@ def homotopy_check(G, k):
 
 def dump_complex(G, basis, blocks):
     """JSON-ready dump: slice monomial names plus coordinate triples."""
-    from .rat import format_rational
-
     return {
         "k": basis.k,
         "mode": basis.mode,
@@ -434,7 +432,7 @@ def dump_complex(G, basis, blocks):
         "blocks": [
             {"source": list(b.source), "target": list(b.target),
              "shape": [b.matrix.n_rows, b.matrix.n_cols],
-             "entries": [[r, c, format_rational(Fraction(q, b.scale))]
+             "entries": [[r, c, str(Fraction(q, b.scale))]
                          for r, c, q in b.matrix.entries]}
             for b in blocks
         ],

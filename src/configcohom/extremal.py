@@ -24,9 +24,8 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .homology import betti, complex_data, consistency_report
+from .homology import _first_mismatch, betti, complex_data
 from .linalg import kernel_dim
-from .rat import format_rational
 from .ring import make_cpm
 
 
@@ -76,26 +75,22 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coeffic
             "period": self.period,
             "onset": self.onset,
             "degree": self.degree,
-            "classes": [[format_rational(c) for c in coeffs]
+            "classes": [[str(c) for c in coeffs]
                         for coeffs in self.coefficients],
         }
 
 
 def _dims_for_k(args):
-    """Worker: Betti dims of C_k(CP^m).  Top-level so it pickles.
+    """Worker: Betti dims of C_k(CP^m) per mode.  Top-level so it pickles.
 
-    Mode "both" runs consistency_report (full table, then reduced) and
-    returns (full dims, first mismatching degree or None, facts); facts
-    holds the structural facts of the reduced complex at this k when
-    asked for, else None.
+    Returns (k, (dims, facts)): dims holds one table per mode, in the
+    order of modes; facts holds the structural facts of the reduced
+    complex at this k when asked for, else None.
     """
-    m, k, mode, facts = args
+    m, k, modes, facts = args
     R = make_cpm(m)
-    if mode != "both":
-        return k, betti(R, k, mode).dims
-    report = consistency_report(R, k)
-    return k, (report.full.dims, report.first_mismatch,
-               _structural_facts(R, m, k) if facts else None)
+    dims = tuple(betti(R, k, mode).dims for mode in modes)
+    return k, (dims, _structural_facts(R, m, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
@@ -103,16 +98,15 @@ def worker_count(jobs, n_tasks):
     return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
 
 
-def _betti_dims_range(m, ks, mode, jobs):
-    """dims per k over a list of k, optionally fanned out to processes.
+def _betti_dims_range(m, ks, modes, jobs, facts=False):
+    """_dims_for_k over a list of k, optionally fanned out to processes.
 
-    One task per k; in mode "both" (see _dims_for_k) the task at the
-    largest k also returns the structural facts when m >= 2.  Workers
+    One task per k computes every mode in one process; with facts, the
+    task at the largest k also returns the structural facts.  Workers
     take the largest k first, and results are keyed by k, so the
     outcome is byte-identical for any job count.
     """
-    facts_at = max(ks) if mode == "both" and m >= 2 else None
-    tasks = [(m, k, mode, k == facts_at) for k in ks]
+    tasks = [(m, k, modes, facts and k == max(ks)) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
@@ -130,13 +124,14 @@ def hilbert_ray(m, i, k_min, k_max, mode="reduced", jobs=1):
     (below k = 2 the reduced complex is the full one).
     """
     make_cpm(m)  # cached; checks m
-    if i < 0:
-        raise ValueError("offset i must be non-negative")
+    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
+        raise ValueError("offset i must be a non-negative integer, got %r" % (i,))
     if k_min > k_max:
         raise ValueError("empty k range")
     ks = list(range(k_min, k_max + 1))
-    dims = _betti_dims_range(m, ks, mode, jobs)
-    samples = tuple((k, dims[k].get(k * (2 * m - 2) + i, 0)) for k in ks)
+    results = _betti_dims_range(m, ks, (mode,), jobs)
+    samples = tuple((k, dims.get(k * (2 * m - 2) + i, 0))
+                    for k, ((dims,), _) in sorted(results.items()))
     return HilbertRay(m=m, i=i, samples=samples)
 
 
@@ -325,7 +320,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     Takes m, as hilbert_ray does.  Betti tables are computed from the
     full complex (where the degrees above the extremal edge actually
     exist) and cross-checked against the reduced complex degree by
-    degree (consistency_report).
+    degree (the comparison consistency_report makes).
     Vanishing claims come with a claimed onset; the report records the
     onset actually observed in the window and marks the check
     "sharper" when vanishing starts earlier than claimed, "fail" when a
@@ -338,12 +333,13 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
-    both = _betti_dims_range(m, ks, "both", jobs)
-    dims_by_k = {k: full for k, (full, _, _) in both.items()}
+    results = _betti_dims_range(m, ks, ("full", "reduced"), jobs, facts=m >= 2)
+    dims_by_k = {k: full for k, ((full, _), _) in results.items()}
     edge = {k: k * (2 * m - 2) for k in ks}
     checks = []
 
-    mismatches = [[k, both[k][1]] for k in ks if both[k][1] is not None]
+    first = {k: _first_mismatch(*results[k][0]) for k in ks}
+    mismatches = [[k, first[k]] for k in ks if first[k] is not None]
     checks.append(RangeCheck(
         check_id="table-consistency",
         description="full and reduced Betti tables agree for k = 2..%d" % k_max,
@@ -366,7 +362,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
         "dim H^{k(2m-2)+i}(C_k(CP^%d)) = 0 for every i >= 4" % m, flags, claimed=4))
 
     if m >= 2:
-        checks.extend(both[k_max][2])
+        checks.extend(results[k_max][1])
 
     i0 = tuple((k, dims_by_k[k].get(edge[k], 0)) for k in ks)
     return RangeReport(m=m, k_max=k_max, checks=tuple(checks), i0_samples=i0)

@@ -149,15 +149,17 @@ def betti(R, k, mode="full"):
     return _cached(R, k, mode).table
 
 
+def _first_mismatch(full, reduced):
+    """First degree where two dims tables differ, or None."""
+    top = max(max(full, default=0), max(reduced, default=0))
+    return next((i for i in range(top + 1)
+                 if full.get(i, 0) != reduced.get(i, 0)), None)
+
+
 def consistency_report(R, k):
     """Compare full and reduced tables degree by degree."""
     full = betti(R, k, "full")
     reduced = betti(R, k, "reduced")
-    top = max(full.top_degree(), reduced.top_degree())
-    first = None
-    for i in range(top + 1):
-        if full.dim(i) != reduced.dim(i):
-            first = i
-            break
+    first = _first_mismatch(full.dims, reduced.dims)
     return ConsistencyReport(k=k, ring=R.label, ok=first is None, first_mismatch=first,
                              full=full, reduced=reduced)

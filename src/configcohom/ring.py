@@ -20,6 +20,11 @@ ring_from_dict checks the document's shape and resolves names to
 indices, RingPresentation checks every value (names, degrees,
 dimension, indices, coefficients), and both raise RingSchemaError;
 validate_ring then checks the ring axioms and reports, never raises.
+
+Everything is exact: coefficients are ints or fractions.Fraction,
+never floats.  JSON carries a rational as a string "p" or "p/q"
+(written with str of a Fraction), so nothing is ever rounded on the
+way in or out.
 """
 
 import json
@@ -29,7 +34,6 @@ from functools import lru_cache
 from math import lcm
 
 from .linalg import SparseExactMatrix, rank
-from .rat import format_rational, parse_rational
 
 
 class RingSchemaError(ValueError):
@@ -42,6 +46,36 @@ class InvalidRingError(ValueError):
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_text(text):
+    """An optional sign followed by ASCII digits, and nothing else."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def parse_rational(value):
+    """Parse an int, a Fraction or a string "p" / "p/q" into a Fraction.
+
+    Floats (and float-looking strings) are rejected outright: a value
+    like 0.1 has no exact binary representation and would silently
+    poison every downstream rank computation.
+    """
+    if isinstance(value, bool):
+        raise ValueError("rational expected, got a bool")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        parts = value.strip().split("/")
+        if len(parts) == 1 and _is_int_text(parts[0]):
+            return Fraction(int(parts[0]))
+        if len(parts) == 2 and _is_int_text(parts[0]) and _is_int_text(parts[1]):
+            num, den = int(parts[0]), int(parts[1])
+            if den == 0:
+                raise ValueError("rational with zero denominator: %r" % value)
+            return Fraction(num, den)
+        raise ValueError("not a rational string: %r" % value)
+    raise ValueError("rational expected, got %s" % type(value).__name__)
 
 
 class RingPresentation:
@@ -115,7 +149,7 @@ class RingPresentation:
                 "left": self.basis_names[i],
                 "right": self.basis_names[j],
                 "result": [
-                    {"basis": self.basis_names[l], "coeff": format_rational(q)}
+                    {"basis": self.basis_names[l], "coeff": str(q)}
                     for l, q in self.structure_constants[(i, j)]
                 ],
             })

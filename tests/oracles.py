@@ -184,8 +184,8 @@ def brute_force_basis(G, k):
     for w in range(k // 2 + 1):
         for v_exps in vectors(G.v_parities, k - 2 * w):
             for w_exps in vectors(G.w_parities, w):
-                degree = sum(x * g.degree for x, g in zip(v_exps, G.v_gens)) \
-                    + sum(x * g.degree for x, g in zip(w_exps, G.w_gens))
+                degree = sum(x * deg for x, deg in zip(v_exps, G.v_degrees)) \
+                    + sum(x * deg for x, deg in zip(w_exps, G.w_degrees))
                 slices.setdefault((degree, w), []).append((v_exps, w_exps))
     return {key: sorted(mons) for key, mons in slices.items()}
 

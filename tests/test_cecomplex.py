@@ -18,16 +18,16 @@ from oracles import (brute_force_basis, cp2_half_ring, exponents,
 
 def mono(G, exps):
     """(k, code) from a name -> exponent dict, e.g. {"v2": 2, "w3": 1}."""
-    v = [0] * len(G.v_gens)
-    w = [0] * len(G.w_gens)
+    v = [0] * len(G.v_names)
+    w = [0] * len(G.w_names)
     for name, e in exps.items():
         hit = False
-        for i, g in enumerate(G.v_gens):
-            if g.name == name:
+        for i, gname in enumerate(G.v_names):
+            if gname == name:
                 v[i] = e
                 hit = True
-        for i, g in enumerate(G.w_gens):
-            if g.name == name:
+        for i, gname in enumerate(G.w_names):
+            if gname == name:
                 w[i] = e
                 hit = True
         assert hit, name
@@ -108,7 +108,7 @@ def test_weights_partition_by_parity():
         for code in codes:
             v, ws = exponents(G, 6, code)
             assert sum(ws) == w
-            assert sum(e * g.degree for e, g in zip(v + ws, G.v_gens + G.w_gens)) == i
+            assert sum(e * deg for e, deg in zip(v + ws, G.v_degrees + G.w_degrees)) == i
             assert sum(v) == 6 - 2 * w
 
 
@@ -255,7 +255,8 @@ def test_corrupted_top_boundary_raises():
                   (((0, v_top), 1), ((v_top, v_top), 1))):
         table = list(G.boundary_on_w)
         table[w_top] = wrong
-        bad = GeneratorSet(G.v_gens, G.w_gens, table, G.manifold_dimension)
+        bad = GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees, table,
+                           G.manifold_dimension)
         with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
             reduce_complex(bad, enumerate_basis(bad, 3))
         with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
@@ -327,8 +328,8 @@ def test_blocks_match_word_oracle(name):
     make_ring, ks, modes = ORACLE_CASES[name]
     G = build_generators(make_ring())
     d = G.manifold_dimension
-    v_top = [g.degree for g in G.v_gens].index(d)
-    w_top = [g.degree for g in G.w_gens].index(2 * d - 1)
+    v_top = G.v_degrees.index(d)
+    w_top = G.w_degrees.index(2 * d - 1)
     for mode in modes:
         for k in ks:
             basis = enumerate_basis(G, k)
@@ -439,7 +440,7 @@ def test_enumeration_order_and_codes(name):
     # every code is the base-(k+1) code of its exponents, and
     # monomial_label names them
     G = build_generators(GUARD_RINGS[name]())
-    gens = G.v_gens + G.w_gens
+    gens = G.v_names + G.w_names
     for k in range(7):
         basis = enumerate_basis(G, k)
         oracle = brute_force_basis(G, k)
@@ -449,7 +450,7 @@ def test_enumeration_order_and_codes(name):
             assert exps == oracle[key], (name, k, key)
             for code, (v, w) in zip(codes, exps):
                 assert code == sum(e * (k + 1) ** j for j, e in enumerate(v + w))
-                name_of = " ".join(g.name if e == 1 else "%s^%d" % (g.name, e)
+                name_of = " ".join(g if e == 1 else "%s^%d" % (g, e)
                                    for g, e in zip(gens, v + w) if e)
                 assert monomial_label(G, k, code) == (name_of or "1"), (name, k, code)
     assert monomial_label(G, 0, 0) == "1"
@@ -466,9 +467,9 @@ def test_reduced_enumeration_is_filtered_brute_force(name):
     # the same order, read off the base-(k+1) digits of each code
     G = build_generators(REDUCED_ORACLE_RINGS[name]())
     d = G.manifold_dimension
-    v_top = [g.degree for g in G.v_gens].index(d)
-    w_top = [g.degree for g in G.w_gens].index(2 * d - 1)
-    n_v, n = len(G.v_gens), len(G.v_gens) + len(G.w_gens)
+    v_top = G.v_degrees.index(d)
+    w_top = G.w_degrees.index(2 * d - 1)
+    n_v, n = len(G.v_degrees), len(G.v_degrees) + len(G.w_degrees)
     for k in range(6):
         oracle = {}
         for key, mons in brute_force_basis(G, k).items():

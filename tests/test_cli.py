@@ -12,7 +12,7 @@ import configcohom
 from configcohom import build_generators, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
-from oracles import (cp2_ring_doc, malformed_ring_docs, torus_ring,
+from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, torus_ring,
                      unreadable_ring_files)
 
 
@@ -68,6 +68,20 @@ def test_betti_custom_ring_reduced_mode(tmp_path, capsys):
 def test_betti_torus_file_both_modes(tmp_path, capsys):
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(torus_ring().to_dict()))
+    rc, out, _ = run(capsys, "betti", "--ring", str(path), "--k", "6", "--mode", "both")
+    assert rc == 0
+    assert out.endswith("consistent: yes\n")
+
+
+def test_ring_file_with_a_fractional_coefficient(tmp_path, capsys):
+    # "1/2" in a ring file is read exactly: the file validates, and its
+    # full and reduced tables agree
+    doc = cp2_half_ring().to_dict()
+    assert {"basis": "y", "coeff": "1/2"} in [t for p in doc["products"] for t in p["result"]]
+    path = tmp_path / "cp2-half.json"
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "ring-check", "--ring", str(path))
+    assert rc == 0 and out == "ring %s: valid\n" % path
     rc, out, _ = run(capsys, "betti", "--ring", str(path), "--k", "6", "--mode", "both")
     assert rc == 0
     assert out.endswith("consistent: yes\n")
@@ -368,7 +382,7 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
         assert rc == 4 and out == ""
         assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
-    def broken_pool(m, ks, mode, jobs):
+    def broken_pool(m, ks, modes, jobs, facts=False):
         raise BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)
@@ -446,3 +460,15 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "degree,dim\n0,1\n1,0\n2,0\n3,1\n4,0\n5,0\n6,0\n"
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block of README's Library section runs as written
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.startswith("extremal range verification: CP^2, k up to 10\n")
+    assert out.endswith("overall: pass\n")

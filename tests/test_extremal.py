@@ -29,8 +29,12 @@ def test_ray_guards():
             hilbert_ray(bad, 1, 2, 5)
         with pytest.raises(ValueError, match="m must be a positive integer"):
             verify_vanishing_ranges(bad, 10)
-    with pytest.raises(ValueError):
-        hilbert_ray(2, -1, 2, 5)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="offset i must be a non-negative integer"):
+            hilbert_ray(2, bad, 2, 5)
+    # "both" is a betti mode, not a ray's
+    with pytest.raises(ValueError, match="mode must be 'full' or 'reduced'"):
+        hilbert_ray(2, 1, 2, 5, mode="both")
     with pytest.raises(ValueError):
         hilbert_ray(2, 1, 5, 2)
     # below k = 2 the reduction ideal is empty: the reduced ray is the full one

@@ -1,38 +1,39 @@
 from fractions import Fraction
 
-from configcohom import build_generators, make_cpm
+import pytest
+
+from configcohom import GeneratorSet, build_generators, make_cpm
 from oracles import s4_ring, torus_ring
 
 
 def test_cpm_degrees():
     for m in (1, 2, 3):
         G = build_generators(make_cpm(m))
-        assert [g.degree for g in G.v_gens] == list(range(0, 2 * m + 1, 2))
-        assert [g.degree for g in G.w_gens] == \
-            list(range(2 * m - 1, 4 * m, 2))
-        assert len(G.v_gens) == len(G.w_gens) == m + 1
+        assert list(G.v_degrees) == list(range(0, 2 * m + 1, 2))
+        assert list(G.w_degrees) == list(range(2 * m - 1, 4 * m, 2))
+        assert len(G.v_names) == len(G.w_names) == m + 1
 
 
 def test_cpm_names():
     G = build_generators(make_cpm(2))
-    assert [g.name for g in G.v_gens] == ["v0", "v2", "v4"]
-    assert [g.name for g in G.w_gens] == ["w3", "w5", "w7"]
+    assert G.v_names == ("v0", "v2", "v4")
+    assert G.w_names == ("w3", "w5", "w7")
 
 
 def test_boundary_cp2():
     G = build_generators(make_cpm(2))
-    by_name = {g.name: t for t, g in enumerate(G.w_gens)}
-    v = {g.name: t for t, g in enumerate(G.v_gens)}
+    by_name = {name: t for t, name in enumerate(G.w_names)}
+    v = {name: t for t, name in enumerate(G.v_names)}
 
     # top W-generator maps to the square of the top V-generator
-    assert G.boundary(by_name["w7"]) == (((v["v4"], v["v4"]), Fraction(1)),)
+    assert G.boundary_on_w[by_name["w7"]] == (((v["v4"], v["v4"]), Fraction(1)),)
     # the middle one to both orders of v2 v4
-    assert G.boundary(by_name["w5"]) == (
+    assert G.boundary_on_w[by_name["w5"]] == (
         ((v["v2"], v["v4"]), Fraction(1)),
         ((v["v4"], v["v2"]), Fraction(1)),
     )
     # the bottom one picks up the square term
-    assert G.boundary(by_name["w3"]) == (
+    assert G.boundary_on_w[by_name["w3"]] == (
         ((v["v0"], v["v4"]), Fraction(1)),
         ((v["v2"], v["v2"]), Fraction(1)),
         ((v["v4"], v["v0"]), Fraction(1)),
@@ -42,17 +43,17 @@ def test_boundary_cp2():
 def test_boundary_cp1_doubles():
     G = build_generators(make_cpm(1))
     # d(w1) = v0 v2 + v2 v0 = 2 v0 v2 once multiplicities are merged
-    assert G.boundary(0) == (((0, 1), Fraction(1)), ((1, 0), Fraction(1)))
-    assert G.boundary(1) == (((1, 1), Fraction(1)),)
+    assert G.boundary_on_w[0] == (((0, 1), Fraction(1)), ((1, 0), Fraction(1)))
+    assert G.boundary_on_w[1] == (((1, 1), Fraction(1)),)
 
 
 def test_boundary_degree_shift():
     # every boundary term has degree exactly one above its W-generator
     for R in (make_cpm(3), torus_ring(), s4_ring()):
         G = build_generators(R)
-        for t, g in enumerate(G.w_gens):
-            for (a, b), _ in G.boundary(t):
-                assert G.v_degrees[a] + G.v_degrees[b] == g.degree + 1
+        for t, terms in enumerate(G.boundary_on_w):
+            for (a, b), _ in terms:
+                assert G.v_degrees[a] + G.v_degrees[b] == G.w_degrees[t] + 1
 
 
 def test_torus_mixed_parity():
@@ -60,8 +61,7 @@ def test_torus_mixed_parity():
     assert sorted(G.v_degrees) == [0, 1, 1, 2]
     assert sorted(G.w_degrees) == [1, 2, 2, 3]
     # repeated degrees get disambiguated names
-    names = [g.name for g in G.v_gens]
-    assert names == ["v0", "v1_1", "v1_2", "v2"]
+    assert G.v_names == ("v0", "v1_1", "v1_2", "v2")
 
 
 def test_s4_generators():
@@ -69,16 +69,18 @@ def test_s4_generators():
     assert G.v_degrees == (0, 4)
     assert G.w_degrees == (3, 7)
     # d(w3) = 2 v0 v4 as ordered pairs, d(w7) = v4^2
-    assert G.boundary(0) == (((0, 1), Fraction(1)), ((1, 0), Fraction(1)))
-    assert G.boundary(1) == (((1, 1), Fraction(1)),)
+    assert G.boundary_on_w[0] == (((0, 1), Fraction(1)), ((1, 0), Fraction(1)))
+    assert G.boundary_on_w[1] == (((1, 1), Fraction(1)),)
 
 
-def test_generator_homology_bookkeeping():
+def test_names_and_degrees_must_agree_in_length():
     G = build_generators(make_cpm(2))
-    for g in G.v_gens:
-        assert g.degree + g.homology_degree == 4
-    for g in G.w_gens:
-        assert g.degree + g.homology_degree == 7
+    for v_names, w_names in ((G.v_names[:2], G.w_names), (G.v_names, G.w_names + ("w9",))):
+        with pytest.raises(ValueError, match="names and degrees disagree"):
+            GeneratorSet(v_names, G.v_degrees, w_names, G.w_degrees, G.boundary_on_w, 4)
+    with pytest.raises(ValueError, match="boundary table length"):
+        GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees,
+                     G.boundary_on_w[:2], 4)
 
 
 def test_generator_set_cached_on_ring():

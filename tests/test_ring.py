@@ -6,6 +6,7 @@ import pytest
 from configcohom import (InvalidRingError, RingPresentation, RingSchemaError,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
+from configcohom.ring import parse_rational
 from oracles import (cp2_ring_doc, malformed_ring_docs, pairing_from_products, s4_ring,
                      torus_ring, unreadable_ring_files)
 
@@ -245,3 +246,26 @@ def test_load_ring_unreadable_file(tmp_path, data, message):
     path.write_bytes(data)
     with pytest.raises(RingSchemaError, match=message):
         load_ring(path)
+
+
+def test_parse_ints_and_strings():
+    assert parse_rational(3) == Fraction(3)
+    assert parse_rational(-2) == Fraction(-2)
+    assert parse_rational("7") == Fraction(7)
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational(" 5/10 ") == Fraction(1, 2)
+
+
+def test_parse_rejects_junk():
+    for bad in (0.5, "0.5", "1/0", "1/2/3", "a", "", True, None, "1_0",
+                "1\n/2", "+", "-/2", "\u0663"):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+
+
+def test_format_round_trip():
+    # JSON writes a rational as str of its Fraction: "p" or "p/q", lowest terms
+    for q in (Fraction(0), Fraction(5), Fraction(-1, 2), Fraction(22, 7)):
+        assert parse_rational(str(q)) == q
+    assert str(Fraction(4, 2)) == "2"
+    assert str(Fraction(-6, 4)) == "-3/2"
