@@ -85,7 +85,6 @@ def build_parser():
     p.add_argument("--i", type=int, required=True, metavar="OFFSET")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--mode", choices=("full", "reduced"), default="reduced")
     p.add_argument("--p-max", type=_positive_int, default=6)
     p.add_argument("--deg-max", type=_nonnegative_int, default=4)
 
@@ -206,14 +205,14 @@ def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
     R = _ring(cfg)
-    _cap_check(R, cfg.k_max, cfg.max_monomials, cfg.mode)
-    ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max, mode=cfg.mode, jobs=cfg.jobs)
+    _cap_check(R, cfg.k_max, cfg.max_monomials, "reduced")
+    ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max, jobs=cfg.jobs)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
     if cfg.fmt == "json":
         doc = {
             "ring": "CP^%d" % ray.m,
             "offset": ray.i,
-            "mode": cfg.mode,
+            "mode": "reduced",
             "samples": [list(s) for s in ray.samples],
             "certificate": cert.to_json_dict() if cert is not None else None,
         }
@@ -233,8 +232,8 @@ def _run_ray(cfg):
         _emit(cfg, "\n".join(lines) + "\n")
         sys.stderr.write(cert_line + "\n")
         return 0
-    lines = ["extremal ray: CP^%d, offset %d, %s complex, k = %d..%d"
-             % (ray.m, ray.i, cfg.mode, cfg.k_min, cfg.k_max)]
+    lines = ["extremal ray: CP^%d, offset %d, reduced complex, k = %d..%d"
+             % (ray.m, ray.i, cfg.k_min, cfg.k_max)]
     lines += ["k=%d: %d" % s for s in ray.samples]
     lines.append(cert_line)
     _emit(cfg, "\n".join(lines) + "\n")

@@ -24,7 +24,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .homology import _first_mismatch, betti, complex_data
+from .homology import _check_k, _first_mismatch, _record
 from .linalg import kernel_dim
 from .ring import make_cpm
 
@@ -84,13 +84,14 @@ def _dims_for_k(args):
     """Worker: Betti dims of C_k(CP^m) per mode.  Top-level so it pickles.
 
     Returns (k, (dims, facts)): dims holds one table per mode, in the
-    order of modes; facts holds the structural facts of the reduced
-    complex at this k when asked for, else None.
+    order of modes; facts holds the structural facts read off this
+    task's reduced build when asked for, else None.
     """
     m, k, modes, facts = args
     R = make_cpm(m)
-    dims = tuple(betti(R, k, mode).dims for mode in modes)
-    return k, (dims, _structural_facts(R, m, k) if facts else None)
+    records = {mode: _record(R, k, mode) for mode in modes}
+    dims = tuple(record.table.dims for record in records.values())
+    return k, (dims, _structural_facts(records["reduced"], m, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
@@ -116,20 +117,22 @@ def _betti_dims_range(m, ks, modes, jobs, facts=False):
         return dict(pool.map(_dims_for_k, tasks[::-1]))
 
 
-def hilbert_ray(m, i, k_min, k_max, mode="reduced", jobs=1):
+def hilbert_ray(m, i, k_min, k_max, jobs=1):
     """Sample the offset-i extremal ray of CP^m over k_min..k_max.
 
     Takes m, the ring it computes on: the edge k(2m-2) is CP^m's, and
-    each task rebuilds make_cpm(m).  Any k >= 0 works in either mode
-    (below k = 2 the reduced complex is the full one).
+    each task rebuilds make_cpm(m).  It reads the reduced complex,
+    which is the full one below k = 2, so any k >= 0 works.
     """
     make_cpm(m)  # cached; checks m
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ValueError("offset i must be a non-negative integer, got %r" % (i,))
+    _check_k(k_min)
+    _check_k(k_max)
     if k_min > k_max:
         raise ValueError("empty k range")
     ks = list(range(k_min, k_max + 1))
-    results = _betti_dims_range(m, ks, (mode,), jobs)
+    results = _betti_dims_range(m, ks, ("reduced",), jobs)
     samples = tuple((k, dims.get(k * (2 * m - 2) + i, 0))
                     for k, ((dims,), _) in sorted(results.items()))
     return HilbertRay(m=m, i=i, samples=samples)
@@ -325,11 +328,12 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     onset actually observed in the window and marks the check
     "sharper" when vanishing starts earlier than claimed, "fail" when a
     claimed-zero value is nonzero.
-    Each k is one task, full table then reduced table in the same
-    process, and the task at k_max also returns the structural facts,
-    so nothing is computed twice under jobs > 1.
+    Each k is one task that builds its full and then its reduced
+    complex in one process; the task at k_max reads the structural
+    facts off its own reduced build, so nothing is built twice.
     """
     make_cpm(m)  # cached; checks m
+    _check_k(k_max)
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
@@ -368,9 +372,9 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     return RangeReport(m=m, k_max=k_max, checks=tuple(checks), i0_samples=i0)
 
 
-def _structural_facts(R, m, k):
+def _structural_facts(record, m, k):
     """Rank facts about the reduced complex near its top, at one k."""
-    basis, blocks, ranks = complex_data(R, k, "reduced")
+    basis, blocks, ranks, _ = record
     e = k * (2 * m - 2)
     out = []
 

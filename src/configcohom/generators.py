@@ -24,10 +24,8 @@ class GeneratorSet:
     W, each in the same order; degree is the cohomological degree used
     for all sign and grading bookkeeping.  boundary_on_w[t] lists
     ((a, b), coeff) terms meaning the W-generator at position t maps to
-    sum coeff * v_a v_b over ordered position pairs.  _complexes is the
-    engine's one cache: it maps (k, mode) to the complex record
-    homology builds (basis, blocks, ranks and Betti table), stored only
-    once every check on it passed.
+    sum coeff * v_a v_b over ordered position pairs.  It holds no
+    complex: homology builds one per call and keeps none.
     """
 
     def __init__(self, v_names, v_degrees, w_names, w_degrees, boundary_on_w,
@@ -44,7 +42,6 @@ class GeneratorSet:
             raise ValueError("generator names and degrees disagree in length")
         if len(self.boundary_on_w) != len(self.w_degrees):
             raise ValueError("boundary table length disagrees with W")
-        self._complexes = {}
 
     def __repr__(self):
         return "GeneratorSet(%s, |V|=%d, |W|=%d)" % (
@@ -71,9 +68,8 @@ def build_generators(R):
     """Derive the generator set of a validated ring presentation.
 
     V and W each list the ring's classes in (generator degree, basis
-    index) order.  The result is cached on the presentation, so
-    repeated calls with the same object share all downstream complex
-    caches too.
+    index) order.  The result is cached on the presentation, so each
+    ring is validated once, however many complexes are built on it.
     """
     cached = getattr(R, "_generator_set", None)
     if cached is not None:

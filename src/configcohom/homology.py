@@ -6,12 +6,11 @@ contributes
 
     dim slice - rank(block out of it) - rank(block into it)
 
-to the Betti number of its degree.  Each (k, mode) is built once, in
-this order: basis (enumerated directly in either mode, so no record
-reads another), blocks, then pruned ranks with the exact d o d = 0
-check of every consecutive pair, and the Betti table.  The record is
-cached on the ring's generator set only when all of these have passed,
-so nothing half built or unchecked is ever reused.
+to the Betti number of its degree.  Each call builds the complex of its
+(k, mode) in this order: basis (enumerated directly in either mode, so
+no build reads another), blocks, then pruned ranks with the exact
+d o d = 0 check of every consecutive pair, and the Betti table.
+Nothing is kept between calls, so a repeated call builds again.
 
 Chain pruning.  The check makes the ranks cheaper.  Blocks are ranked
 in increasing (degree, weight), so along each chain degree + weight = s
@@ -81,7 +80,7 @@ class ConsistencyReport(namedtuple(
 
 
 class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
-    """Everything computed for one (k, mode), stored once fully checked."""
+    """Everything one build of (k, mode) computes, all of it checked."""
     __slots__ = ()
 
 
@@ -117,26 +116,25 @@ def _build(G, k, mode):
                     BettiTable(k=k, ring=G.label, mode=mode, dims=table, euler=euler))
 
 
-def _cached(R, k, mode):
-    """The cached record of (k, mode), built on first use."""
+def _check_k(k):
+    """Raise ValueError unless k is a non-negative int (not a bool)."""
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError("k must be a non-negative integer, got %r" % (k,))
-    G = build_generators(R)
-    record = G._complexes.get((k, mode))
-    if record is None:
-        record = G._complexes[k, mode] = _build(G, k, mode)
-    return record
+
+
+def _record(R, k, mode):
+    """A new, checked build of the complex of (k, mode) on R."""
+    _check_k(k)
+    return _build(build_generators(R), k, mode)
 
 
 def complex_data(R, k, mode="full"):
     """Basis, blocks-by-source-slice, and ranks-by-source-slice.
 
-    The first call for a given (k, mode) builds and checks the whole
-    record, raising AssemblyError if consecutive blocks do not compose
-    to zero; later calls return the cached parts.
+    Each call builds and checks the complex afresh, raising
+    AssemblyError if consecutive blocks do not compose to zero.
     """
-    record = _cached(R, k, mode)
-    return record.basis, record.blocks, record.ranks
+    return _record(R, k, mode)[:3]
 
 
 def betti(R, k, mode="full"):
@@ -144,9 +142,10 @@ def betti(R, k, mode="full"):
 
     Either mode works for every ring and every k: the reduced complex
     is the quotient by the acyclic ideal (v_top^2, w_top), which is
-    empty below k = 2, so there the two complexes are the same.
+    empty below k = 2, so there the two complexes are the same.  Each
+    call builds the complex; hold the table to reuse it.
     """
-    return _cached(R, k, mode).table
+    return _record(R, k, mode).table
 
 
 def _first_mismatch(full, reduced):

@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import configcohom
-from configcohom import build_generators, extremal, homology, make_cpm
+from configcohom import extremal, homology
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
 from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, torus_ring,
@@ -137,9 +137,6 @@ def test_monomial_cap_counts_the_complex_built(capsys):
         assert rc == 3 and "more than 50 monomials" in err, mode
     rc, _, _ = run(capsys, "ray", "--cpm", "2", "--i", "1", "--k-max", "6", *cap)
     assert rc == 0
-    rc, _, err = run(capsys, "ray", "--cpm", "2", "--i", "1", "--k-max", "6",
-                     "--mode", "full", *cap)
-    assert rc == 3 and "cap" in err
     rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "6", *cap)
     assert rc == 3 and "cap" in err
 
@@ -300,6 +297,10 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--cpm", "2", "--k", "3", "--jobs", "2"])
     assert exc.value.code == 2
+    # a ray reads the reduced complex, so ray takes no --mode
+    with pytest.raises(SystemExit) as exc:
+        main(["ray", "--cpm", "2", "--i", "1", "--k-max", "6", "--mode", "full"])
+    assert exc.value.code == 2
     for flag, bad in (("--p-max", "0"), ("--deg-max", "-1")):
         with pytest.raises(SystemExit) as exc:
             main(["ray", "--cpm", "2", "--i", "1", "--k-max", "12", flag, bad])
@@ -310,8 +311,6 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
     # one reduced table of CP^1 made wrong in one degree: verify reports
     # exactly that (k, degree) and exits 1
     k, degree = 5, 3
-    cache = build_generators(make_cpm(1))._complexes
-    saved = cache.pop((k, "reduced"), None)
     build = homology._build
 
     def perturbed(G, k_, mode):
@@ -323,23 +322,17 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
         return record
 
     monkeypatch.setattr(homology, "_build", perturbed)
-    try:
-        rep = extremal.verify_vanishing_ranges(1, 8)
-        check = {c.check_id: c for c in rep.checks}["table-consistency"]
-        assert check.status == "fail" and not rep.ok
-        assert check.detail == {"mismatches": [[k, degree]]}
-        rc, out, _ = run(capsys, "verify", "--cpm", "1", "--k-max", "8", "--jobs", "1",
-                         "--format", "json")
-        assert rc == 1
-        doc = json.loads(out)
-        assert doc["ok"] is False
-        assert [c["detail"] for c in doc["checks"]
-                if c["id"] == "table-consistency"] == [{"mismatches": [[k, degree]]}]
-    finally:
-        # the wrong record must not outlive the test
-        cache.pop((k, "reduced"), None)
-        if saved is not None:
-            cache[k, "reduced"] = saved
+    rep = extremal.verify_vanishing_ranges(1, 8)
+    check = {c.check_id: c for c in rep.checks}["table-consistency"]
+    assert check.status == "fail" and not rep.ok
+    assert check.detail == {"mismatches": [[k, degree]]}
+    rc, out, _ = run(capsys, "verify", "--cpm", "1", "--k-max", "8", "--jobs", "1",
+                     "--format", "json")
+    assert rc == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [c["detail"] for c in doc["checks"]
+            if c["id"] == "table-consistency"] == [{"mismatches": [[k, degree]]}]
 
 
 def test_jobs_default():
@@ -370,7 +363,7 @@ def test_worker_count_is_clamped(monkeypatch):
 
 def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cp2.json"
-    path.write_text(json.dumps(cp2_ring_doc()))  # a fresh ring, no cached blocks
+    path.write_text(json.dumps(cp2_ring_doc()))  # every build assembles its blocks
     # a failed engine check, and any other RuntimeError
     for exc in (AssemblyError("d o d != 0 out of slice (3, 1)"),
                 RuntimeError("no blocks today")):
@@ -462,12 +455,32 @@ def test_python_dash_m_runs_the_cli():
     assert done.stdout == "degree,dim\n0,1\n1,0\n2,0\n3,1\n4,0\n5,0\n6,0\n"
 
 
-def test_readme_library_example_runs(capsys):
-    # the python block of README's Library section runs as written
+def _readme_block(heading, fence):
+    """The first fenced block of that kind after a README heading."""
     readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
     with open(readme, encoding="utf-8") as fh:
-        section = fh.read().split("\n## Library\n", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        section = fh.read().split("\n%s\n" % heading, 1)[1]
+    return section.split("```%s\n" % fence, 1)[1].split("```", 1)[0]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # every line of README's command-line block runs as written, with
+    # README's own ring presentation example as ring.json
+    (tmp_path / "ring.json").write_text(
+        _readme_block("### Ring presentation files", "json"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_block("## Command line", "").splitlines()
+    assert len(lines) == 7
+    for line in lines:
+        command, *argv = line.split("#", 1)[0].split()
+        assert command == "configcohom", line
+        rc, _, err = run(capsys, *argv)
+        assert rc == 0 and err == "", (line, err)
+
+
+def test_readme_library_example_runs(capsys):
+    # the python block of README's Library section runs as written
+    block = _readme_block("## Library", "python")
     exec(compile(block, "README.md", "exec"), {})
     out = capsys.readouterr().out
     assert out.startswith("extremal range verification: CP^2, k up to 10\n")

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti,
-                         detect_quasi_polynomial, hilbert_ray, make_cpm,
+                         detect_quasi_polynomial, hilbert_ray, homology, make_cpm,
                          verify_vanishing_ranges)
 from oracles import torus_ring
 
@@ -32,21 +32,24 @@ def test_ray_guards():
     for bad in (-1, 1.5, True):
         with pytest.raises(ValueError, match="offset i must be a non-negative integer"):
             hilbert_ray(2, bad, 2, 5)
-    # "both" is a betti mode, not a ray's
-    with pytest.raises(ValueError, match="mode must be 'full' or 'reduced'"):
-        hilbert_ray(2, 1, 2, 5, mode="both")
+    # both k bounds are checked before any task starts
+    for bad in (2.0, True, -3):
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            hilbert_ray(2, 1, bad, 5)
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            hilbert_ray(2, 1, 0, bad)
     with pytest.raises(ValueError):
         hilbert_ray(2, 1, 5, 2)
-    # below k = 2 the reduction ideal is empty: the reduced ray is the full one
-    assert (hilbert_ray(2, 1, 0, 5, mode="reduced").samples
-            == hilbert_ray(2, 1, 0, 5, mode="full").samples)
 
 
 def test_ray_full_vs_reduced_agree():
+    # a ray reads the reduced complex; the full tables give the same
+    # samples, from k = 0 (below k = 2 the two complexes are one)
+    R = make_cpm(2)
     for i in (0, 1, 2):
-        full = hilbert_ray(2, i, 2, 7, mode="full")
-        red = hilbert_ray(2, i, 2, 7, mode="reduced")
-        assert full.samples == red.samples
+        ray = hilbert_ray(2, i, 0, 7)
+        assert ray.samples == tuple((k, betti(R, k, "full").dim(2 * k + i))
+                                    for k in range(8)), i
 
 
 def test_ray_parallel_matches_serial():
@@ -198,6 +201,26 @@ def test_verify_guards():
         verify_vanishing_ranges(0, 10)
     with pytest.raises(ValueError):
         verify_vanishing_ranges(2, 7)
+    for bad in (10.0, True):
+        with pytest.raises(ValueError, match="k must be a non-negative integer"):
+            verify_vanishing_ranges(2, bad)
+
+
+def test_verify_builds_each_k_and_mode_once(monkeypatch):
+    # one task per k builds its full and its reduced complex, and the
+    # structural facts at k_max read that task's reduced build
+    build = homology._build
+    built = []
+
+    def spy(G, k, mode):
+        built.append((k, mode))
+        return build(G, k, mode)
+
+    monkeypatch.setattr(homology, "_build", spy)
+    assert verify_vanishing_ranges(2, 8, jobs=1).ok
+    assert len(built) == 14
+    assert sorted(built) == sorted((k, mode) for k in range(2, 9)
+                                   for mode in ("full", "reduced"))
 
 
 def test_verify_json_round_trip():

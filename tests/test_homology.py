@@ -121,12 +121,6 @@ def test_table_shape():
     assert doc["ring"] == "CP^2" and doc["k"] == 3
 
 
-def test_betti_cached():
-    R = make_cpm(3)
-    assert betti(R, 4) is betti(R, 4)
-    assert betti(R, 4) is not betti(R, 4, "reduced")
-
-
 def test_s4_configuration_spaces():
     # two points on S^d retract to RP^d, rationally a point; from three
     # points on, C_k(S^d) for even d has exactly one more class, in
@@ -206,9 +200,9 @@ def _reduced_data(R, k):
 
 @pytest.mark.parametrize("m", (2, 3))
 def test_reduced_record_independent_of_full(m, monkeypatch):
-    # no record reads another: the reduced record is the same with or
-    # without a full record cached, and building it never enumerates a
-    # full basis
+    # no record reads another: the reduced record is the same whether or
+    # not a full record was built on the ring first, and building it
+    # never enumerates a full basis
     real = enumerate_basis
     modes = []
 
@@ -225,15 +219,14 @@ def test_reduced_record_independent_of_full(m, monkeypatch):
         modes.clear()
         assert _reduced_data(after_full, k) == _reduced_data(fresh, k), k
         assert modes == ["reduced", "reduced"], k
-        assert (k, "full") not in build_generators(fresh)._complexes
 
 
 def test_dd_check_runs_before_the_rank_that_trusts_it(monkeypatch):
     # chain pruning trusts d o d = 0 on each pair, and each pair is
     # checked on the pivot columns of its first block right after that
     # block's rank: a pair that breaks it must stop complex_data before
-    # the block out of its target is ranked, no elimination may take a
-    # skip set from a pair not yet checked, and no record is left
+    # the block out of its target is ranked, and no elimination may take
+    # a skip set from a pair not yet checked
     real = homology.assemble_blocks
 
     def one_sign_flipped(G, basis):
@@ -282,7 +275,6 @@ def test_dd_check_runs_before_the_rank_that_trusts_it(monkeypatch):
             if kind == "rank" and pruned:
                 # the pair into this block was checked, and passed, first
                 assert ("check", matrix, True) in before[:i]
-        assert build_generators(R)._complexes == {}
 
 
 # the rings and modes on which every consecutive pair is checked, and

@@ -56,6 +56,10 @@ def test_constructor_validates():
         SparseExactMatrix(2, [0, 1, 2], [0, 1], [1, 0])  # explicit zero
     with pytest.raises(TypeError):
         SparseExactMatrix(2, [0, 1, 2], [0, 1], [1, "1"])  # not a number
+    with pytest.raises(TypeError):
+        SparseExactMatrix(2.0, [0, 1], [1], [1])  # not an int row count
+    with pytest.raises(TypeError):
+        SparseExactMatrix(True, [0, 1], [0], [1])  # a bool row count
     with pytest.raises(AttributeError):
         zero(1, 1).n_rows = 5
 
