@@ -110,6 +110,12 @@ class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix sc
     __slots__ = ()
 
 
+def _check_k(k):
+    """Raise ValueError unless k is a non-negative int (not a bool)."""
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ValueError("k must be a non-negative integer, got %r" % (k,))
+
+
 def _exponent_caps(v_parities, w_parities, k, top=None):
     """Bounds on the exponent of each V- and each W-generator for k points.
 
@@ -154,6 +160,7 @@ def weight_counts(R, k, mode="full"):
     ring without a unique unit class, which fails validation right
     after the cap, is counted in full.
     """
+    _check_k(k)
     v_parities = [deg % 2 for deg in R.degrees]
     top = (R.unit_index,) * 2 if mode == "reduced" and R.unit_index is not None else None
     caps = _exponent_caps(v_parities, [1 - p for p in v_parities], k, top)
@@ -162,6 +169,7 @@ def weight_counts(R, k, mode="full"):
 
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
+    _check_k(k)
     return sum(_weight_counts(*_exponent_caps(G.v_parities, G.w_parities, k), k))
 
 
@@ -195,8 +203,7 @@ def enumerate_basis(G, k, mode="full"):
     in reduced mode v_top's is at most 1 and w_top's 0 as well.
     Degrees and partial codes of the parts are built once per k.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    _check_k(k)
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
     top = _top_indices(G) if mode == "reduced" else None
@@ -388,6 +395,7 @@ def homotopy_check(G, k):
     monomial_label of the first ideal monomial where the identity fails.
     The check is vacuous for k < 2 where the ideal is empty.
     """
+    basis = enumerate_basis(G, k)  # checks k
     v_top, w_top = _top_indices(G)
     in_ideal = _ideal_test(G, k)
     d = _Differential(G, k)
@@ -406,7 +414,7 @@ def homotopy_check(G, k):
         odd = sum(code // p % d.radix for p in passed)
         return code + w_unit - 2 * v_unit, -1 if odd & 1 else 1
 
-    for codes in enumerate_basis(G, k).slices.values():
+    for codes in basis.slices.values():
         for code in filter(in_ideal, codes):
             image, sign = h(code)
             lhs = {image + delta: sign * q for delta, q in d.terms(image)}

@@ -24,7 +24,9 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .homology import _check_k, _first_mismatch, _record
+from .cecomplex import _check_k
+from .generators import build_generators
+from .homology import _build, _first_mismatch
 from .linalg import kernel_dim
 from .ring import make_cpm
 
@@ -83,31 +85,33 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coeffic
 def _dims_for_k(args):
     """Worker: Betti dims of C_k(CP^m) per mode.  Top-level so it pickles.
 
+    args is (G, m, k, modes, facts), G the generator set of CP^m.
     Returns (k, (dims, facts)): dims holds one table per mode, in the
     order of modes; facts holds the structural facts read off this
     task's reduced build when asked for, else None.
     """
-    m, k, modes, facts = args
-    R = make_cpm(m)
-    records = {mode: _record(R, k, mode) for mode in modes}
+    G, m, k, modes, facts = args
+    records = {mode: _build(G, k, mode) for mode in modes}
     dims = tuple(record.table.dims for record in records.values())
     return k, (dims, _structural_facts(records["reduced"], m, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
-    """Processes to start for n_tasks tasks: at most jobs, tasks and CPUs."""
+    """Processes for n_tasks tasks: at most jobs (an int >= 1), tasks and CPUs."""
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ValueError("jobs must be a positive integer, got %r" % (jobs,))
     return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
 
 
-def _betti_dims_range(m, ks, modes, jobs, facts=False):
+def _betti_dims_range(G, m, ks, modes, jobs, facts=False):
     """_dims_for_k over a list of k, optionally fanned out to processes.
 
-    One task per k computes every mode in one process; with facts, the
-    task at the largest k also returns the structural facts.  Workers
-    take the largest k first, and results are keyed by k, so the
-    outcome is byte-identical for any job count.
+    One task per k carries G and computes every mode in one process;
+    with facts, the task at the largest k also returns the structural
+    facts.  Workers take the largest k first, and results are keyed by
+    k, so the outcome is byte-identical for any job count.
     """
-    tasks = [(m, k, modes, facts and k == max(ks)) for k in ks]
+    tasks = [(G, m, k, modes, facts and k == max(ks)) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
@@ -121,10 +125,10 @@ def hilbert_ray(m, i, k_min, k_max, jobs=1):
     """Sample the offset-i extremal ray of CP^m over k_min..k_max.
 
     Takes m, the ring it computes on: the edge k(2m-2) is CP^m's, and
-    each task rebuilds make_cpm(m).  It reads the reduced complex,
-    which is the full one below k = 2, so any k >= 0 works.
+    every task reads the one generator set built here.  It reads the reduced complex, which is the full one
+    below k = 2, so any k >= 0 works.
     """
-    make_cpm(m)  # cached; checks m
+    G = build_generators(make_cpm(m))
     if not isinstance(i, int) or isinstance(i, bool) or i < 0:
         raise ValueError("offset i must be a non-negative integer, got %r" % (i,))
     _check_k(k_min)
@@ -132,7 +136,7 @@ def hilbert_ray(m, i, k_min, k_max, jobs=1):
     if k_min > k_max:
         raise ValueError("empty k range")
     ks = list(range(k_min, k_max + 1))
-    results = _betti_dims_range(m, ks, ("reduced",), jobs)
+    results = _betti_dims_range(G, m, ks, ("reduced",), jobs)
     samples = tuple((k, dims.get(k * (2 * m - 2) + i, 0))
                     for k, ((dims,), _) in sorted(results.items()))
     return HilbertRay(m=m, i=i, samples=samples)
@@ -332,12 +336,12 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     complex in one process; the task at k_max reads the structural
     facts off its own reduced build, so nothing is built twice.
     """
-    make_cpm(m)  # cached; checks m
+    G = build_generators(make_cpm(m))
     _check_k(k_max)
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
-    results = _betti_dims_range(m, ks, ("full", "reduced"), jobs, facts=m >= 2)
+    results = _betti_dims_range(G, m, ks, ("full", "reduced"), jobs, facts=m >= 2)
     dims_by_k = {k: full for k, ((full, _), _) in results.items()}
     edge = {k: k * (2 * m - 2) for k in ks}
     checks = []

@@ -65,16 +65,12 @@ def _named(prefix, picks):
 
 
 def build_generators(R):
-    """Derive the generator set of a validated ring presentation.
+    """Derive the generator set of a ring presentation.
 
     V and W each list the ring's classes in (generator degree, basis
-    index) order.  The result is cached on the presentation, so each
-    ring is validated once, however many complexes are built on it.
+    index) order.  Each call validates R and stores nothing on it:
+    build the set once and pass it on to validate a ring once.
     """
-    cached = getattr(R, "_generator_set", None)
-    if cached is not None:
-        return cached
-
     diag = diagonal_comultiplication(R)  # validates R
     d = R.manifold_dimension
 
@@ -88,8 +84,6 @@ def build_generators(R):
         terms.sort(key=lambda t: t[0])
         boundary.append(tuple(terms))
 
-    G = GeneratorSet(_named("v", v_picks), [deg for deg, _ in v_picks],
-                     _named("w", w_picks), [deg for deg, _ in w_picks],
-                     boundary, d, label=R.label)
-    R._generator_set = G
-    return G
+    return GeneratorSet(_named("v", v_picks), [deg for deg, _ in v_picks],
+                        _named("w", w_picks), [deg for deg, _ in w_picks],
+                        boundary, d, label=R.label)

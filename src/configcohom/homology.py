@@ -116,25 +116,13 @@ def _build(G, k, mode):
                     BettiTable(k=k, ring=G.label, mode=mode, dims=table, euler=euler))
 
 
-def _check_k(k):
-    """Raise ValueError unless k is a non-negative int (not a bool)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be a non-negative integer, got %r" % (k,))
-
-
-def _record(R, k, mode):
-    """A new, checked build of the complex of (k, mode) on R."""
-    _check_k(k)
-    return _build(build_generators(R), k, mode)
-
-
 def complex_data(R, k, mode="full"):
     """Basis, blocks-by-source-slice, and ranks-by-source-slice.
 
     Each call builds and checks the complex afresh, raising
     AssemblyError if consecutive blocks do not compose to zero.
     """
-    return _record(R, k, mode)[:3]
+    return _build(build_generators(R), k, mode)[:3]
 
 
 def betti(R, k, mode="full"):
@@ -143,9 +131,9 @@ def betti(R, k, mode="full"):
     Either mode works for every ring and every k: the reduced complex
     is the quotient by the acyclic ideal (v_top^2, w_top), which is
     empty below k = 2, so there the two complexes are the same.  Each
-    call builds the complex; hold the table to reuse it.
+    call validates R and builds the complex; hold the table to reuse it.
     """
-    return _record(R, k, mode).table
+    return _build(build_generators(R), k, mode).table
 
 
 def _first_mismatch(full, reduced):
@@ -156,9 +144,12 @@ def _first_mismatch(full, reduced):
 
 
 def consistency_report(R, k):
-    """Compare full and reduced tables degree by degree."""
-    full = betti(R, k, "full")
-    reduced = betti(R, k, "reduced")
+    """Compare full and reduced tables degree by degree.
+
+    Both builds share one generator set, so R is validated once.
+    """
+    G = build_generators(R)
+    full, reduced = (_build(G, k, mode).table for mode in ("full", "reduced"))
     first = _first_mismatch(full.dims, reduced.dims)
     return ConsistencyReport(k=k, ring=R.label, ok=first is None, first_mismatch=first,
                              full=full, reduced=reduced)

@@ -83,8 +83,7 @@ class RingPresentation:
 
     structure_constants maps an ordered index pair (i, j) to a tuple of
     (result_index, coefficient); absent pairs multiply to zero.  The
-    object is immutable by convention; derived caches hang off private
-    attributes.
+    object is immutable by convention.
     """
 
     def __init__(self, basis_names, degrees, structure_constants,

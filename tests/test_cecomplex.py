@@ -68,8 +68,13 @@ def test_enumerate_edge_cases():
     # k = 1 is just V itself
     assert b1.total_dimension() == 3
     assert all(w == 0 for _, w in b1.slices)
-    with pytest.raises(ValueError):
-        enumerate_basis(G, -1)
+    # one k rule, with one message, for every entry point that takes k
+    for bad in (-1, 2.0, True):
+        for call in (lambda: enumerate_basis(G, bad), lambda: enumerate_basis(G, bad, "reduced"),
+                     lambda: count_monomials(G, bad), lambda: weight_counts(make_cpm(2), bad),
+                     lambda: homotopy_check(G, bad)):
+            with pytest.raises(ValueError, match=r"^k must be a non-negative integer, got "):
+                call()
 
 
 def test_count_matches_enumeration_and_closed_form():

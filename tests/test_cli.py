@@ -311,7 +311,7 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
     # one reduced table of CP^1 made wrong in one degree: verify reports
     # exactly that (k, degree) and exits 1
     k, degree = 5, 3
-    build = homology._build
+    build = extremal._build
 
     def perturbed(G, k_, mode):
         record = build(G, k_, mode)
@@ -321,7 +321,7 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
             record = record._replace(table=record.table._replace(dims=dims))
         return record
 
-    monkeypatch.setattr(homology, "_build", perturbed)
+    monkeypatch.setattr(extremal, "_build", perturbed)
     rep = extremal.verify_vanishing_ranges(1, 8)
     check = {c.check_id: c for c in rep.checks}["table-consistency"]
     assert check.status == "fail" and not rep.ok
@@ -359,6 +359,15 @@ def test_worker_count_is_clamped(monkeypatch):
     assert extremal.worker_count(1, 18) == 1
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: None)
     assert extremal.worker_count(8, 18) == 1
+    # jobs is an int of at least 1, as --jobs is: nothing runs serially
+    # in its place, and no float reaches the pool
+    for bad in (0, -2, 2.5, "2", True):
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            extremal.worker_count(bad, 18)
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            extremal.hilbert_ray(2, 1, 2, 5, jobs=bad)
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            extremal.verify_vanishing_ranges(2, 8, jobs=bad)
 
 
 def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
@@ -375,7 +384,7 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
         assert rc == 4 and out == ""
         assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
-    def broken_pool(m, ks, modes, jobs, facts=False):
+    def broken_pool(G, m, ks, modes, jobs, facts=False):
         raise BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti,
-                         detect_quasi_polynomial, hilbert_ray, homology, make_cpm,
-                         verify_vanishing_ranges)
+                         consistency_report, detect_quasi_polynomial, hilbert_ray,
+                         make_cpm, ring, verify_vanishing_ranges)
 from oracles import torus_ring
 
 
@@ -209,18 +209,38 @@ def test_verify_guards():
 def test_verify_builds_each_k_and_mode_once(monkeypatch):
     # one task per k builds its full and its reduced complex, and the
     # structural facts at k_max read that task's reduced build
-    build = homology._build
+    build = extremal._build
     built = []
 
     def spy(G, k, mode):
         built.append((k, mode))
         return build(G, k, mode)
 
-    monkeypatch.setattr(homology, "_build", spy)
+    monkeypatch.setattr(extremal, "_build", spy)
     assert verify_vanishing_ranges(2, 8, jobs=1).ok
     assert len(built) == 14
     assert sorted(built) == sorted((k, mode) for k in range(2, 9)
                                    for mode in ("full", "reduced"))
+
+
+def test_each_command_validates_its_ring_once(monkeypatch):
+    # the caller builds one generator set and passes it down, to every
+    # build and every task
+    real = ring.validate_ring
+    calls = []
+
+    def spy(R):
+        calls.append(R.label)
+        return real(R)
+
+    monkeypatch.setattr(ring, "validate_ring", spy)
+    for run in (lambda: verify_vanishing_ranges(2, 8, jobs=1),
+                lambda: consistency_report(make_cpm(2), 5),
+                lambda: hilbert_ray(2, 1, 2, 8)):
+        make_cpm.cache_clear()  # a new CP^2 each time, whatever ran before
+        calls.clear()
+        run()
+        assert calls == ["CP^2"]
 
 
 def test_verify_json_round_trip():

@@ -1,8 +1,9 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from configcohom import GeneratorSet, build_generators, make_cpm
+from configcohom import GeneratorSet, build_generators, homology, make_cpm
 from oracles import s4_ring, torus_ring
 
 
@@ -83,6 +84,17 @@ def test_names_and_degrees_must_agree_in_length():
                      G.boundary_on_w[:2], 4)
 
 
-def test_generator_set_cached_on_ring():
-    R = make_cpm(3)
-    assert build_generators(R) is build_generators(R)
+def test_build_generators_leaves_the_ring_unchanged():
+    # nothing is cached on the ring: each call derives the set afresh
+    R = make_cpm.__wrapped__(3)
+    before = dict(vars(R))
+    G = build_generators(R)
+    assert vars(R) == before
+    assert build_generators(R) is not G
+
+
+def test_generator_set_pickles():
+    # pool tasks carry the generator set to their workers
+    G = build_generators(make_cpm(2))
+    copy = pickle.loads(pickle.dumps(G))
+    assert homology._build(copy, 6, "reduced").table == homology._build(G, 6, "reduced").table
