@@ -8,10 +8,10 @@ Hilbert functions near the top of the complex, fitting exact
 quasi-polynomial certificates to their tails.
 """
 
-from .cecomplex import (BigradedBasis, DifferentialBlock, assemble_blocks,
-                        count_monomials, dump_complex, enumerate_basis,
-                        homotopy_check, monomial_label, reduce_complex)
-from .generators import GeneratorSet, build_generators
+from .cecomplex import (BigradedBasis, DifferentialBlock, GeneratorSet,
+                        assemble_blocks, build_generators, count_monomials,
+                        dump_complex, enumerate_basis, homotopy_check,
+                        monomial_label, reduce_complex)
 from .homology import (BettiTable, ConsistencyReport, betti,
                        consistency_report)
 from .linalg import SparseExactMatrix, kernel_dim, rank

@@ -1,5 +1,14 @@
 """The bigraded complex computing H^*(C_k(M); Q).
 
+Generators.  M is closed, oriented, of even dimension d.  Each class
+of degree deg in the ring's basis (a class of H_deg(M)) gives
+
+    a V-generator of degree d - deg,  a W-generator of degree 2d - 1 - deg,
+
+and the unit class (deg = 0, the point class) gives v_top and w_top.
+V-generators are cycles; d sends a W-generator to the diagonal
+comultiplication of its class, a quadratic expression in V.
+
 For k points the complex is
 
     sum over w = 0..floor(k/2) of  Sym^{k-2w}(V) (x) Sym^w(W),
@@ -42,17 +51,16 @@ built-in CP^m), so ranks and the d o d = 0 check are exact integer
 computations.
 
 Every ring has a reduction: the ideal generated by (v_top^2, w_top) —
-v_top the V-generator of degree d = dim M and w_top the W-generator of
-degree 2d - 1, both coming from the point class, so d(w_top) = v_top^2
-— is a subcomplex, acyclic for k >= 2 via the explicit homotopy
-h(v_top^2 A + B w_top) = w_top A,  so the quotient complex (monomials
-with v_top-exponent <= 1 and no w_top) has the same cohomology.  The
-generators are found by degree alone, so every validated ring has
-the reduced complex; below k = 2 the ideal is empty and the quotient
-is the full complex.  homotopy_check verifies (dh + hd) = id on the
-ideal exactly.  The quotient basis is enumerated directly, by capping
-the v_top-exponent at 1 and the w_top-exponent at 0, so it never
-passes through the full basis.
+d(w_top) = v_top^2 — is a subcomplex, acyclic for k >= 2 via the
+explicit homotopy h(v_top^2 A + B w_top) = w_top A,  so the quotient
+complex (monomials with v_top-exponent <= 1 and no w_top) has the same
+cohomology.  v_top and w_top are found by degree alone (d and
+2d - 1), so every validated ring has the reduced complex; below k = 2
+the ideal is empty and the quotient is the full complex.
+homotopy_check verifies (dh + hd) = id on the ideal exactly.  The
+quotient basis is enumerated directly, by capping the v_top-exponent
+at 1 and the w_top-exponent at 0, so it never passes through the full
+basis.
 """
 
 from collections import defaultdict, namedtuple
@@ -60,10 +68,75 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .linalg import SparseExactMatrix
+from .ring import _check_int, diagonal_comultiplication
 
 
 class AssemblyError(RuntimeError):
     """Internal consistency failure while assembling differential blocks."""
+
+
+class GeneratorSet(namedtuple("GeneratorSet", "v_names v_degrees w_names w_degrees "
+                              "boundary_on_w manifold_dimension label")):
+    """V- and W-generators plus the boundary table on W.
+
+    The generators are parallel tuples: names and degrees of V, then of
+    W, each in the same order; degree is the cohomological degree used
+    for all sign and grading bookkeeping.  boundary_on_w[t] lists
+    ((a, b), coeff) terms meaning the W-generator at position t maps to
+    sum coeff * v_a v_b over ordered position pairs.  A tuple, so the
+    set a command hands to its pool workers cannot change on the way.
+    """
+    __slots__ = ()
+
+    def __new__(cls, v_names, v_degrees, w_names, w_degrees, boundary_on_w,
+                manifold_dimension, label="custom"):
+        self = super().__new__(cls, tuple(v_names), tuple(v_degrees), tuple(w_names),
+                               tuple(w_degrees), tuple(map(tuple, boundary_on_w)),
+                               manifold_dimension, label)
+        if len(self.v_names) != len(self.v_degrees) or len(self.w_names) != len(self.w_degrees):
+            raise ValueError("generator names and degrees disagree in length")
+        if len(self.boundary_on_w) != len(self.w_degrees):
+            raise ValueError("boundary table length disagrees with W")
+        return self
+
+    @property
+    def v_parities(self):
+        return tuple(d % 2 for d in self.v_degrees)
+
+    @property
+    def w_parities(self):
+        return tuple(d % 2 for d in self.w_degrees)
+
+
+def _degree_table(R):
+    """(V-degree, W-degree, class index) per class of R, in generator order:
+    by degree (V and W agree), then class index."""
+    d = R.manifold_dimension
+    return sorted((d - deg, 2 * d - 1 - deg, i) for i, deg in enumerate(R.degrees))
+
+
+def _named(prefix, degrees):
+    """Name generators prefix<degree>, disambiguating repeats by suffix."""
+    names = []
+    for t, deg in enumerate(degrees):
+        suffix = "_%d" % degrees[:t + 1].count(deg) if degrees.count(deg) > 1 else ""
+        names.append("%s%d%s" % (prefix, deg, suffix))
+    return names
+
+
+def build_generators(R):
+    """Derive the generator set of a ring presentation.
+
+    V and W each list the ring's classes in (generator degree, class
+    index) order.  Each call validates R and stores nothing on it:
+    build the set once and pass it on to validate a ring once.
+    """
+    diag = diagonal_comultiplication(R)  # validates R
+    v_degrees, w_degrees, order = zip(*_degree_table(R))
+    v_pos = {i: t for t, i in enumerate(order)}
+    boundary = [sorted(((v_pos[a], v_pos[b]), q) for (a, b), q in diag[i]) for i in order]
+    return GeneratorSet(_named("v", v_degrees), v_degrees, _named("w", w_degrees),
+                        w_degrees, boundary, R.manifold_dimension, label=R.label)
 
 
 def monomial_label(G, k, code):
@@ -110,12 +183,6 @@ class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix sc
     __slots__ = ()
 
 
-def _check_k(k):
-    """Raise ValueError unless k is a non-negative int (not a bool)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ValueError("k must be a non-negative integer, got %r" % (k,))
-
-
 def _exponent_caps(v_parities, w_parities, k, top=None):
     """Bounds on the exponent of each V- and each W-generator for k points.
 
@@ -153,23 +220,22 @@ def weight_counts(R, k, mode="full"):
     """Monomials of the complex of ring R for k points, weight by weight.
 
     Counts what enumerate_basis(build_generators(R), k, mode) holds
-    from the ring's degrees alone, without validating R, so the CLI's
-    cap can run before the ring check: class i gives a V-generator of
-    parity deg_i mod 2 and a W-generator of the other parity (the
-    dimension is even), and the unit class gives v_top and w_top.  A
-    ring without a unique unit class, which fails validation right
-    after the cap, is counted in full.
+    from the degree table alone, without validating R, so the CLI's cap
+    can run before the ring check.  A ring without a unique unit class,
+    which fails validation right after the cap, is counted in full.
     """
-    _check_k(k)
-    v_parities = [deg % 2 for deg in R.degrees]
-    top = (R.unit_index,) * 2 if mode == "reduced" and R.unit_index is not None else None
-    caps = _exponent_caps(v_parities, [1 - p for p in v_parities], k, top)
+    _check_int(k, "k", 0)
+    table = _degree_table(R)
+    top = None
+    if mode == "reduced" and R.unit_index is not None:
+        top = ([i for _, _, i in table].index(R.unit_index),) * 2
+    caps = _exponent_caps([v % 2 for v, _, _ in table], [w % 2 for _, w, _ in table], k, top)
     return _weight_counts(*caps, k)
 
 
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
-    _check_k(k)
+    _check_int(k, "k", 0)
     return sum(_weight_counts(*_exponent_caps(G.v_parities, G.w_parities, k), k))
 
 
@@ -203,7 +269,7 @@ def enumerate_basis(G, k, mode="full"):
     in reduced mode v_top's is at most 1 and w_top's 0 as well.
     Degrees and partial codes of the parts are built once per k.
     """
-    _check_k(k)
+    _check_int(k, "k", 0)
     if mode not in ("full", "reduced"):
         raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
     top = _top_indices(G) if mode == "reduced" else None

@@ -24,11 +24,10 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 
-from .cecomplex import _check_k
-from .generators import build_generators
+from .cecomplex import build_generators
 from .homology import _build, _first_mismatch
 from .linalg import kernel_dim
-from .ring import make_cpm
+from .ring import _check_int, make_cpm
 
 
 class UnderDeterminedError(ValueError):
@@ -82,28 +81,34 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coeffic
         }
 
 
+def _edge(G, k):
+    """The extremal edge of C_k(M): k(d - 2) for d = dim M, k(2m - 2) on CP^m."""
+    return k * (G.manifold_dimension - 2)
+
+
 def _dims_for_k(args):
     """Worker: Betti dims of C_k(CP^m) per mode.  Top-level so it pickles.
 
-    args is (G, m, k, modes, facts), G the generator set of CP^m.
+    args is (G, k, modes, facts), G the generator set of CP^m.
     Returns (k, (dims, facts)): dims holds one table per mode, in the
     order of modes; facts holds the structural facts read off this
     task's reduced build when asked for, else None.
     """
-    G, m, k, modes, facts = args
+    G, k, modes, facts = args
     records = {mode: _build(G, k, mode) for mode in modes}
     dims = tuple(record.table.dims for record in records.values())
-    return k, (dims, _structural_facts(records["reduced"], m, k) if facts else None)
+    return k, (dims, _structural_facts(records["reduced"], G, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
-    """Processes for n_tasks tasks: at most jobs (an int >= 1), tasks and CPUs."""
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError("jobs must be a positive integer, got %r" % (jobs,))
-    return max(1, min(jobs, n_tasks, os.cpu_count() or 1))
+    """Processes for n_tasks tasks: at most jobs (an int >= 1), tasks and the
+    CPUs this process may run on (all of the host's where the platform cannot tell)."""
+    _check_int(jobs, "jobs", 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, n_tasks, cpus or 1))
 
 
-def _betti_dims_range(G, m, ks, modes, jobs, facts=False):
+def _betti_dims_range(G, ks, modes, jobs, facts=False):
     """_dims_for_k over a list of k, optionally fanned out to processes.
 
     One task per k carries G and computes every mode in one process;
@@ -111,7 +116,7 @@ def _betti_dims_range(G, m, ks, modes, jobs, facts=False):
     facts.  Workers take the largest k first, and results are keyed by
     k, so the outcome is byte-identical for any job count.
     """
-    tasks = [(G, m, k, modes, facts and k == max(ks)) for k in ks]
+    tasks = [(G, k, modes, facts and k == max(ks)) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
@@ -124,20 +129,20 @@ def _betti_dims_range(G, m, ks, modes, jobs, facts=False):
 def hilbert_ray(m, i, k_min, k_max, jobs=1):
     """Sample the offset-i extremal ray of CP^m over k_min..k_max.
 
-    Takes m, the ring it computes on: the edge k(2m-2) is CP^m's, and
-    every task reads the one generator set built here.  It reads the reduced complex, which is the full one
-    below k = 2, so any k >= 0 works.
+    Takes m, the ring it computes on: every task reads the one
+    generator set of CP^m built here, which also fixes the edge
+    k(2m-2).  It reads the reduced complex, which is the full one below
+    k = 2, so any k >= 0 works.
     """
     G = build_generators(make_cpm(m))
-    if not isinstance(i, int) or isinstance(i, bool) or i < 0:
-        raise ValueError("offset i must be a non-negative integer, got %r" % (i,))
-    _check_k(k_min)
-    _check_k(k_max)
+    _check_int(i, "offset i", 0)
+    _check_int(k_min, "k", 0)
+    _check_int(k_max, "k", 0)
     if k_min > k_max:
         raise ValueError("empty k range")
     ks = list(range(k_min, k_max + 1))
-    results = _betti_dims_range(G, m, ks, ("reduced",), jobs)
-    samples = tuple((k, dims.get(k * (2 * m - 2) + i, 0))
+    results = _betti_dims_range(G, ks, ("reduced",), jobs)
+    samples = tuple((k, dims.get(_edge(G, k) + i, 0))
                     for k, ((dims,), _) in sorted(results.items()))
     return HilbertRay(m=m, i=i, samples=samples)
 
@@ -337,13 +342,13 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     facts off its own reduced build, so nothing is built twice.
     """
     G = build_generators(make_cpm(m))
-    _check_k(k_max)
+    _check_int(k_max, "k", 0)
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
-    results = _betti_dims_range(G, m, ks, ("full", "reduced"), jobs, facts=m >= 2)
+    results = _betti_dims_range(G, ks, ("full", "reduced"), jobs, facts=m >= 2)
     dims_by_k = {k: full for k, ((full, _), _) in results.items()}
-    edge = {k: k * (2 * m - 2) for k in ks}
+    edge = {k: _edge(G, k) for k in ks}
     checks = []
 
     first = {k: _first_mismatch(*results[k][0]) for k in ks}
@@ -376,10 +381,10 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     return RangeReport(m=m, k_max=k_max, checks=tuple(checks), i0_samples=i0)
 
 
-def _structural_facts(record, m, k):
+def _structural_facts(record, G, k):
     """Rank facts about the reduced complex near its top, at one k."""
     basis, blocks, ranks, _ = record
-    e = k * (2 * m - 2)
+    e = _edge(G, k)
     out = []
 
     dim_23 = (len(basis.slice(e + 2, 2)), len(basis.slice(e + 3, 1)))

@@ -43,8 +43,7 @@ before the block out of its target is ranked.
 
 from collections import namedtuple
 
-from .cecomplex import AssemblyError, assemble_blocks, enumerate_basis
-from .generators import build_generators
+from .cecomplex import AssemblyError, assemble_blocks, build_generators, enumerate_basis
 from .linalg import pivots
 
 

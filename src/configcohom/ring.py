@@ -48,6 +48,13 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_int(value, name, least):
+    """Raise ValueError unless value is an int (not a bool) of at least least (0 or 1)."""
+    if not _is_int(value) or value < least:
+        raise ValueError("%s must be a %s integer, got %r"
+                         % (name, "positive" if least else "non-negative", value))
+
+
 def _is_int_text(text):
     """An optional sign followed by ASCII digits, and nothing else."""
     digits = text[1:] if text[:1] in ("+", "-") else text
@@ -183,8 +190,7 @@ def make_cpm(m):
     basis 1, x, ..., x^m, manifold dimension 2m, and the fundamental
     class normalized so that x^m evaluates to 1.
     """
-    if not _is_int(m) or m < 1:
-        raise ValueError("m must be a positive integer, got %r" % (m,))
+    _check_int(m, "m", 1)
     names = tuple("1" if a == 0 else "x" if a == 1 else "x^%d" % a for a in range(m + 1))
     degrees = tuple(2 * a for a in range(m + 1))
     table = {}

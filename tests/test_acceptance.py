@@ -7,11 +7,10 @@ are exact integer comparisons — no tolerances anywhere.
 
 from fractions import Fraction
 
-from configcohom import (betti, consistency_report, detect_quasi_polynomial,
-                         hilbert_ray, homotopy_check, kernel_dim, make_cpm,
-                         verify_vanishing_ranges)
+from configcohom import (betti, build_generators, consistency_report,
+                         detect_quasi_polynomial, hilbert_ray, homotopy_check,
+                         kernel_dim, make_cpm, verify_vanishing_ranges)
 from configcohom.cli import main
-from configcohom.generators import build_generators
 from configcohom.homology import complex_data
 from oracles import (CP1_K2_BETTI, CP1_K2_DIMS, CP1_K2_MAPS, CP1_K3_BETTI,
                      CP1_K3_DIMS, CP1_K3_MAPS, dense_betti, dense_rank)

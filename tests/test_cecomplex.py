@@ -1,16 +1,17 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from configcohom import (assemble_blocks, build_generators, count_monomials,
-                         dump_complex, enumerate_basis, homotopy_check,
-                         make_cpm, monomial_label, reduce_complex)
+from configcohom import (GeneratorSet, assemble_blocks, build_generators,
+                         count_monomials, dump_complex, enumerate_basis,
+                         homotopy_check, make_cpm, monomial_label, reduce_complex,
+                         ring_from_dict)
 from configcohom.cecomplex import (AssemblyError, BigradedBasis, _Differential,
                                    _ideal_test, weight_counts)
-from configcohom.generators import GeneratorSet
 from configcohom.homology import complex_data
 from oracles import (brute_force_basis, cp2_half_ring, exponents,
                      leibniz_differential, s2xs2_ring, s4_ring, torus_ring)
@@ -93,10 +94,26 @@ def test_count_matches_enumeration_and_closed_form():
             assert n == expect, (m, k)
 
 
+def reordered(R, seed=None):
+    """R with its basis list reversed, or shuffled by seed: the same ring."""
+    doc = R.to_dict()
+    if seed is None:
+        doc["basis"].reverse()
+    else:
+        random.Random(seed).shuffle(doc["basis"])
+    return ring_from_dict(doc, label=R.label)
+
+
 def test_count_matches_enumeration_in_both_modes():
     # the count reads only the ring's degrees, and gives what
-    # enumerate_basis builds, weight by weight
-    for R in (make_cpm(1), make_cpm(3), torus_ring(), s4_ring(), s2xs2_ring()):
+    # enumerate_basis builds, weight by weight, wherever the unit class
+    # sits in the presentation (perfbench's torus file is shuffled)
+    rings = [make_cpm(1), make_cpm(3), torus_ring(), s4_ring(), s2xs2_ring(),
+             cp2_half_ring()]
+    rings += [reordered(R) for R in rings]
+    rings += [reordered(R, seed) for R in rings[:6] for seed in (1, 2)]
+    assert all(R.unit_index != 0 for R in rings[6:])
+    for R in rings:
         G = build_generators(R)
         for k in range(0, 8):
             for mode in ("full", "reduced"):

@@ -351,12 +351,16 @@ def test_jobs_below_one_rejected():
 
 def test_worker_count_is_clamped(monkeypatch):
     # computed without starting any process
+    monkeypatch.setattr(extremal.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: 4)
     assert extremal.worker_count(10000, 18) == 4
     assert extremal.worker_count(3, 18) == 3
     assert extremal.worker_count(8, 2) == 2
     assert extremal.worker_count(8, 0) == 1
     assert extremal.worker_count(1, 18) == 1
+    # where the platform cannot tell the usable CPUs, the host's count
+    monkeypatch.delattr(extremal.os, "sched_getaffinity")
     monkeypatch.setattr(extremal.os, "cpu_count", lambda: None)
     assert extremal.worker_count(8, 18) == 1
     # jobs is an int of at least 1, as --jobs is: nothing runs serially
@@ -368,6 +372,13 @@ def test_worker_count_is_clamped(monkeypatch):
             extremal.hilbert_ray(2, 1, 2, 5, jobs=bad)
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
             extremal.verify_vanishing_ranges(2, 8, jobs=bad)
+
+
+def test_worker_count_follows_the_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU of a larger host gets one worker
+    monkeypatch.setattr(extremal.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(extremal.os, "cpu_count", lambda: 8)
+    assert extremal.worker_count(4, 18) == 1
 
 
 def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
@@ -384,7 +395,7 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
         assert rc == 4 and out == ""
         assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
-    def broken_pool(G, m, ks, modes, jobs, facts=False):
+    def broken_pool(G, ks, modes, jobs, facts=False):
         raise BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)

@@ -98,3 +98,15 @@ def test_generator_set_pickles():
     G = build_generators(make_cpm(2))
     copy = pickle.loads(pickle.dumps(G))
     assert homology._build(copy, 6, "reduced").table == homology._build(G, 6, "reduced").table
+
+
+def test_generator_set_is_a_checked_tuple():
+    # lists come in, tuples are kept, and nothing can be set afterwards
+    G = build_generators(make_cpm(2))
+    H = GeneratorSet(list(G.v_names), list(G.v_degrees), list(G.w_names),
+                     list(G.w_degrees), [list(t) for t in G.boundary_on_w], 4)
+    assert isinstance(H, tuple) and H.label == "custom"
+    assert H._replace(label=G.label) == G
+    assert H.v_parities == (0, 0, 0) and H.w_parities == (1, 1, 1)
+    with pytest.raises(AttributeError):
+        H.v_degrees = (0, 2, 4)
