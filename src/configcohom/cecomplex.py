@@ -44,11 +44,11 @@ parity counts of the odd factors, without building the word:
     odd V-factors of larger index.
 
 A word dies when an odd generator repeats.  An even W-generator with
-exponent e contributes e equal terms.  Coefficients are cleared of
-denominators once per ring: blocks hold D * d as Python ints, where D
-is the lcm of the denominators of the boundary table (1 for every
-built-in CP^m), so ranks and the d o d = 0 check are exact integer
-computations.
+exponent e contributes e equal terms.  Each _Differential (one per
+(k, mode), pool task or homotopy_check) clears the denominators: blocks
+hold D * d as Python ints, D the lcm of the boundary table's
+denominators (1 for every built-in CP^m), so ranks and the d o d = 0
+check are exact integer computations.
 
 Every ring has a reduction: the ideal generated by (v_top^2, w_top) —
 d(w_top) = v_top^2 — is a subcomplex, acyclic for k >= 2 via the
@@ -172,8 +172,7 @@ class BigradedBasis(namedtuple("BigradedBasis", "k mode slices")):
         return max((i for i, _ in self.slices), default=0)
 
 
-class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix scale",
-                                   defaults=(1,))):
+class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix scale")):
     """One matrix of the differential, from slice source to slice target.
 
     Columns index the source slice, rows the target slice, both in
@@ -221,15 +220,16 @@ def weight_counts(R, k, mode="full"):
 
     Counts what enumerate_basis(build_generators(R), k, mode) holds
     from the degree table alone, without validating R, so the CLI's cap
-    can run before the ring check.  A ring without a unique unit class,
-    which fails validation right after the cap, is counted in full.
+    can run before the ring check.  A ring without one V-generator of
+    degree d (the top), which fails validation after the cap, is counted in full.
     """
     _check_int(k, "k", 0)
     table = _degree_table(R)
+    v_degrees = [v for v, _, _ in table]
     top = None
-    if mode == "reduced" and R.unit_index is not None:
-        top = ([i for _, _, i in table].index(R.unit_index),) * 2
-    caps = _exponent_caps([v % 2 for v, _, _ in table], [w % 2 for _, w, _ in table], k, top)
+    if mode == "reduced" and v_degrees.count(R.manifold_dimension) == 1:
+        top = (v_degrees.index(R.manifold_dimension),) * 2
+    caps = _exponent_caps([v % 2 for v in v_degrees], [w % 2 for _, w, _ in table], k, top)
     return _weight_counts(*caps, k)
 
 
@@ -384,17 +384,17 @@ def _top_indices(G):
     return v_top, w_top
 
 
-def _ideal_test(G, k):
-    """Predicate on codes of k points: divisible by v_top^2 or by w_top.
+def _ideal_test(G, d):
+    """(in_ideal, v_unit, w_unit) on the codes of the _Differential d.
 
-    The digit of place value u is at least e exactly when
-    code % (u * (k + 1)) >= e * u.
+    in_ideal(code): divisible by v_top^2 or by w_top, of place values
+    v_unit and w_unit; a digit of place value u is at least e exactly
+    when code % (u * radix) >= e * u.
     """
     v_top, w_top = _top_indices(G)
-    radix = k + 1
-    v_unit, w_unit = radix ** v_top, radix ** (len(G.v_degrees) + w_top)
-    v_mod, v_two, w_mod = v_unit * radix, 2 * v_unit, w_unit * radix
-    return lambda code: code % v_mod >= v_two or code % w_mod >= w_unit
+    v_unit, w_unit = d.powers[v_top], d.powers[d.n_v + w_top]
+    v_mod, v_two, w_mod = v_unit * d.radix, 2 * v_unit, w_unit * d.radix
+    return (lambda code: code % v_mod >= v_two or code % w_mod >= w_unit), v_unit, w_unit
 
 
 def reduce_complex(G, basis):
@@ -417,7 +417,7 @@ def assemble_blocks(G, basis):
     AssemblyError, as does any stray term in full mode.
     """
     d = _Differential(G, basis.k)
-    in_ideal = _ideal_test(G, basis.k) if basis.mode == "reduced" else None
+    in_ideal = _ideal_test(G, d)[0] if basis.mode == "reduced" else None
     terms = d.terms
     blocks = []
     for (i, w) in sorted(basis.slices):
@@ -462,12 +462,10 @@ def homotopy_check(G, k):
     The check is vacuous for k < 2 where the ideal is empty.
     """
     basis = enumerate_basis(G, k)  # checks k
-    v_top, w_top = _top_indices(G)
-    in_ideal = _ideal_test(G, k)
     d = _Differential(G, k)
-    v_unit, w_unit = d.powers[v_top], d.powers[d.n_v + w_top]
+    in_ideal, v_unit, w_unit = _ideal_test(G, d)
     passed = [unit for _, unit in d.odd_v]
-    passed += [d.powers[d.n_v + t] for t in range(w_top) if G.w_parities[t]]
+    passed += [p for p, odd in zip(d.powers[d.n_v:], G.w_parities) if odd and p < w_unit]
 
     def h(code):
         """h(code) as (image code, sign); (0, 0), a zero term, when code

@@ -26,7 +26,7 @@ import sys
 
 from .cecomplex import weight_counts
 from .homology import betti, consistency_report
-from .ring import RingSchemaError, load_ring, make_cpm, validate_ring
+from .ring import RingSchemaError, _check_int, load_ring, make_cpm, validate_ring
 
 DEFAULT_MAX_MONOMIALS = 2_000_000
 
@@ -35,18 +35,16 @@ class _CapExceeded(Exception):
     """The complex or the ring check asked for passes --max-monomials."""
 
 
-def _positive_int(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % n)
-    return n
-
-
-def _nonnegative_int(text):
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %d" % n)
-    return n
+def _int_at_least(least):
+    """argparse type: an int of at least least, by the library's integer rule."""
+    def integer(text):
+        n = int(text)  # argparse reports a ValueError as "invalid integer value"
+        try:
+            _check_int(n, "the value", least)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return n
+    return integer
 
 
 def build_parser():
@@ -58,7 +56,7 @@ def build_parser():
     def common(p, ring=False, formats=("text", "csv", "json")):
         p.add_argument("--format", choices=formats, default="text", dest="fmt")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
-        p.add_argument("--max-monomials", type=_nonnegative_int,
+        p.add_argument("--max-monomials", type=_int_at_least(0),
                        default=DEFAULT_MAX_MONOMIALS,
                        help="refuse complexes, and rings of n^3 basis triples, "
                             "larger than this (default %d)" % DEFAULT_MAX_MONOMIALS)
@@ -70,10 +68,11 @@ def build_parser():
         else:
             # ray and verify: the multi-k commands, the only ones that fan out
             p.add_argument("--cpm", type=int, metavar="M", required=True)
-            p.add_argument("--jobs", type=_positive_int, default=1,
+            p.add_argument("--jobs", type=_int_at_least(1), default=1,
                            help="worker processes (default 1)")
 
     p = sub.add_parser("betti", help="Betti table of C_k(M)")
+    p.set_defaults(runner=_run_betti)
     common(p, ring=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("full", "reduced", "both"), default="full")
@@ -81,18 +80,21 @@ def build_parser():
                    default="cohomological", dest="indexing")
 
     p = sub.add_parser("ray", help="extremal Hilbert-function ray of CP^m")
+    p.set_defaults(runner=_run_ray)
     common(p)
     p.add_argument("--i", type=int, required=True, metavar="OFFSET")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--p-max", type=_positive_int, default=6)
-    p.add_argument("--deg-max", type=_nonnegative_int, default=4)
+    p.add_argument("--p-max", type=_int_at_least(1), default=6)
+    p.add_argument("--deg-max", type=_int_at_least(0), default=4)
 
     p = sub.add_parser("verify", help="extremal vanishing report for CP^m")
+    p.set_defaults(runner=_run_verify)
     common(p, formats=("text", "json"))
     p.add_argument("--k-max", type=int, required=True)
 
     p = sub.add_parser("ring-check", help="validate a ring presentation file")
+    p.set_defaults(runner=_run_ring_check)
     p.add_argument("--ring", metavar="FILE", required=True, dest="ring_path")
     p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
     p.add_argument("--output", metavar="FILE")
@@ -270,15 +272,7 @@ def _run_ring_check(cfg):
 def run(cfg):
     """Execute a parsed configuration; returns the process exit code."""
     try:
-        if cfg.command == "betti":
-            return _run_betti(cfg)
-        if cfg.command == "ray":
-            return _run_ray(cfg)
-        if cfg.command == "verify":
-            return _run_verify(cfg)
-        if cfg.command == "ring-check":
-            return _run_ring_check(cfg)
-        raise ValueError("unknown command %r" % cfg.command)
+        return cfg.runner(cfg)
     except RingSchemaError as exc:
         # before ValueError, of which it is one
         sys.stderr.write("malformed ring presentation: %s\n" % exc)

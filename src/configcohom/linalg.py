@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the integers.
 
 The differential blocks produced by the complex are sparse integer
-matrices (the complex clears denominators once per ring; entries are
+matrices (the complex clears denominators per build; entries are
 small, mostly 1 and 2), and all we ever need from them is rank and
 kernel dimension.  Entries are Python ints and nothing else.  That
 loses nothing: a minor of an integer matrix is non-zero in Z exactly

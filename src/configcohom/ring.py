@@ -32,6 +32,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from .linalg import SparseExactMatrix, rank
 
@@ -85,16 +86,21 @@ def parse_rational(value):
     raise ValueError("rational expected, got %s" % type(value).__name__)
 
 
-class RingPresentation:
+class RingPresentation(namedtuple("RingPresentation", "basis_names degrees "
+                                   "structure_constants manifold_dimension label "
+                                   "unit_index top_index")):
     """Basis, degrees, multiplication table, and manifold dimension.
 
     structure_constants maps an ordered index pair (i, j) to a tuple of
-    (result_index, coefficient); absent pairs multiply to zero.  The
-    object is immutable by convention.
+    (result_index, coefficient); absent pairs multiply to zero.
+    unit_index and top_index are the one class of degree 0 and of
+    degree d, or None.  A checked tuple with a read-only table, so the
+    ring make_cpm caches is the same for every caller.
     """
+    __slots__ = ()
 
-    def __init__(self, basis_names, degrees, structure_constants,
-                 manifold_dimension, label="custom"):
+    def __new__(cls, basis_names, degrees, structure_constants,
+                manifold_dimension, label="custom"):
         basis_names = tuple(basis_names)
         degrees = tuple(degrees)
         n = len(basis_names)
@@ -128,16 +134,17 @@ class RingPresentation:
             cleaned = tuple(sorted((l, q) for l, q in merged.items() if q))
             if cleaned:
                 table[(i, j)] = cleaned
+        unit, top = (degrees.index(deg) if degrees.count(deg) == 1 else None
+                     for deg in (0, manifold_dimension))
+        return super().__new__(cls, basis_names, degrees, MappingProxyType(table),
+                               manifold_dimension, label, unit, top)
 
-        self.basis_names = basis_names
-        self.degrees = degrees
-        self.structure_constants = table
-        self.manifold_dimension = manifold_dimension
-        self.label = label
-        zero = [i for i, deg in enumerate(degrees) if deg == 0]
-        top = [i for i, deg in enumerate(degrees) if deg == manifold_dimension]
-        self.unit_index = zero[0] if len(zero) == 1 else None
-        self.top_index = top[0] if len(top) == 1 else None
+    def __hash__(self):  # every field but the table, which is a mapping
+        return hash(self[:2] + self[3:])
+
+    def __getnewargs__(self):  # pickle and copy rebuild through __new__
+        return (self.basis_names, self.degrees, dict(self.structure_constants),
+                self.manifold_dimension, self.label)
 
     @property
     def n(self):

@@ -9,7 +9,7 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 import configcohom
-from configcohom import extremal, homology
+from configcohom import cli, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
 from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, torus_ring,
@@ -50,6 +50,31 @@ def test_betti_both_mode(capsys):
     rc, out, _ = run(capsys, "betti", "--cpm", "2", "--k", "5", "--mode", "both")
     assert rc == 0
     assert "consistent: yes" in out
+
+
+def test_betti_both_mode_json_and_csv(capsys):
+    rc, out, err = run(capsys, "betti", "--cpm", "2", "--k", "5", "--mode", "both",
+                       "--format", "json")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert sorted(doc) == ["consistent", "first_mismatch", "full", "reduced"]
+    assert doc["consistent"] is True and doc["first_mismatch"] is None
+    assert doc["full"]["mode"] == "full" and doc["reduced"]["mode"] == "reduced"
+    _, full_csv, _ = run(capsys, "betti", "--cpm", "2", "--k", "5", "--format", "csv")
+    # the csv of both modes is the full table alone
+    rc, out, err = run(capsys, "betti", "--cpm", "2", "--k", "5", "--mode", "both",
+                       "--format", "csv")
+    assert rc == 0 and err == "" and out == full_csv
+
+
+def test_betti_both_mode_disagreement_exits_one(monkeypatch, capsys):
+    report = homology.consistency_report(make_cpm(2), 5)
+    bad = report._replace(ok=False, first_mismatch=3)
+    monkeypatch.setattr(cli, "consistency_report", lambda R, k: bad)
+    rc, out, err = run(capsys, "betti", "--cpm", "2", "--k", "5", "--mode", "both")
+    assert rc == 1
+    assert out.endswith("\nconsistent: NO (first mismatch in degree 3)\n")
+    assert err == "full and reduced tables disagree at degree 3\n"
 
 
 def test_betti_custom_ring_reduced_mode(tmp_path, capsys):
@@ -347,6 +372,20 @@ def test_jobs_below_one_rejected():
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--cpm", "2", "--k-max", "8", "--jobs", bad])
         assert exc.value.code == 2
+
+
+def test_rejected_integer_options_follow_the_library_rule(capsys):
+    # one bounded-int type, built on the library's integer rule, and
+    # argparse's own line for text that is no int
+    for flag, bad, message in (
+            ("--jobs", "0", "the value must be a positive integer, got 0"),
+            ("--max-monomials", "-1", "the value must be a non-negative integer, got -1"),
+            ("--jobs", "x", "invalid integer value: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--cpm", "2", "--k-max", "8", flag, bad])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument %s: %s\n" % (flag, message))
 
 
 def test_worker_count_is_clamped(monkeypatch):

@@ -1,9 +1,11 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from configcohom import (InvalidRingError, RingPresentation, RingSchemaError,
+from configcohom import (InvalidRingError, RingPresentation, RingSchemaError, betti,
                          diagonal_comultiplication, load_ring, make_cpm,
                          ring_from_dict, validate_ring)
 from configcohom.ring import parse_rational
@@ -39,6 +41,31 @@ def test_cpm_rejects_bad_m():
 
 def test_cpm_is_memoized():
     assert make_cpm(3) is make_cpm(3)
+
+
+def test_ring_fields_cannot_be_rebound():
+    # make_cpm hands every caller the same cached ring, so no caller may
+    # change it: no field can be rebound, no attribute added, and the
+    # multiplication table is read-only
+    R = make_cpm(2)
+    for field in R._fields:
+        with pytest.raises(AttributeError):
+            setattr(R, field, "x")
+    with pytest.raises(AttributeError):
+        R.note = "x"
+    with pytest.raises(TypeError):
+        R.structure_constants[(0, 0)] = ((1, 1),)
+    assert make_cpm(2) is R and R.label == "CP^2" and R.product(0, 0) == {0: 1}
+    assert betti(make_cpm(2), 3).ring == "CP^2"
+
+
+def test_ring_pickles_and_copies():
+    # pickle and copy rebuild the ring through its checked constructor
+    for R in (make_cpm(3), torus_ring()):
+        for S in (pickle.loads(pickle.dumps(R)), copy.copy(R), copy.deepcopy(R)):
+            assert S == R and hash(S) == hash(R) and S.top_index == R.top_index
+            with pytest.raises(TypeError):
+                S.structure_constants[(0, 0)] = ()
 
 
 def test_pairing_matrix_antidiagonal():
