@@ -83,8 +83,9 @@ class GeneratorSet(namedtuple("GeneratorSet", "v_names v_degrees w_names w_degre
     W, each in the same order; degree is the cohomological degree used
     for all sign and grading bookkeeping.  boundary_on_w[t] lists
     ((a, b), coeff) terms meaning the W-generator at position t maps to
-    sum coeff * v_a v_b over ordered position pairs.  A tuple, so the
-    set a command hands to its pool workers cannot change on the way.
+    sum coeff * v_a v_b over ordered position pairs.  A checked tuple
+    (through _make and _replace too), so the set a command hands to its
+    pool workers cannot change on the way.
     """
     __slots__ = ()
 
@@ -97,7 +98,12 @@ class GeneratorSet(namedtuple("GeneratorSet", "v_names v_degrees w_names w_degre
             raise ValueError("generator names and degrees disagree in length")
         if len(self.boundary_on_w) != len(self.w_degrees):
             raise ValueError("boundary table length disagrees with W")
+        if any(a not in range(len(self.v_degrees))
+               for terms in self.boundary_on_w for pair, _ in terms for a in pair):
+            raise ValueError("boundary term outside V")
         return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def v_parities(self):

@@ -23,6 +23,7 @@ byte-for-byte for a given configuration, independent of --jobs.
 import argparse
 import json
 import sys
+from itertools import accumulate
 
 from .cecomplex import weight_counts
 from .homology import betti, consistency_report
@@ -114,37 +115,30 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _ring(cfg):
-    """The ring asked for, once its check fits in --max-monomials.
+def _ring(cfg, k, mode="full"):
+    """The ring asked for, once its check and its complex fit in --max-monomials.
 
     validate_ring visits all n^3 triples of basis classes, so a ring
     with more triples than the cap is refused before it is validated,
     and a built-in CP^m before it is even built ((m + 1)^2 products).
+    The complex of k points in this mode is then counted from the
+    degrees, also before validation, and weight by weight, so a huge k
+    is refused at once.
     """
+    cap = cfg.max_monomials
     if cfg.cpm is None:
         R = load_ring(cfg.ring_path)
         n, label = R.n, R.label
     else:
         n, label = cfg.cpm + 1, "CP^%d" % cfg.cpm
-    if n ** 3 > cfg.max_monomials:
+    if n ** 3 > cap:
         raise _CapExceeded("ring %s has %d basis triples to check, more than the cap "
-                           "of %d (raise --max-monomials to proceed)"
-                           % (label, n ** 3, cfg.max_monomials))
-    return R if cfg.cpm is None else make_cpm(cfg.cpm)
-
-
-def _cap_check(R, k, cap, mode="full"):
-    """Monomial-count guard on the complex of this mode.
-
-    Counts from the ring's degrees, so it runs before the ring is
-    validated, and weight by weight, so a huge k is refused at once.
-    """
-    total = 0
-    for n in weight_counts(R, k, mode):
-        total += n
-        if total > cap:
-            raise _CapExceeded("complex for k=%d exceeds the cap: more than %d "
-                               "monomials (raise --max-monomials to proceed)" % (k, cap))
+                           "of %d (raise --max-monomials to proceed)" % (label, n ** 3, cap))
+    R = R if cfg.cpm is None else make_cpm(cfg.cpm)
+    if any(total > cap for total in accumulate(weight_counts(R, k, mode))):
+        raise _CapExceeded("complex for k=%d exceeds the cap: more than %d "
+                           "monomials (raise --max-monomials to proceed)" % (k, cap))
+    return R
 
 
 def _betti_text(table, indexing="cohomological"):
@@ -166,8 +160,7 @@ def _betti_csv(table):
 
 
 def _run_betti(cfg):
-    R = _ring(cfg)
-    _cap_check(R, cfg.k, cfg.max_monomials, cfg.mode)
+    R = _ring(cfg, cfg.k, cfg.mode)
     if cfg.mode == "both":
         report = consistency_report(R, cfg.k)
         if cfg.fmt == "json":
@@ -206,8 +199,7 @@ def _run_betti(cfg):
 def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
-    R = _ring(cfg)
-    _cap_check(R, cfg.k_max, cfg.max_monomials, "reduced")
+    _ring(cfg, cfg.k_max, "reduced")
     ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max, jobs=cfg.jobs)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
     if cfg.fmt == "json":
@@ -245,8 +237,7 @@ def _run_ray(cfg):
 def _run_verify(cfg):
     from .extremal import verify_vanishing_ranges
 
-    R = _ring(cfg)
-    _cap_check(R, cfg.k_max, cfg.max_monomials)
+    _ring(cfg, cfg.k_max)
     report = verify_vanishing_ranges(cfg.cpm, cfg.k_max, jobs=cfg.jobs)
     if cfg.fmt == "json":
         _emit(cfg, _json_text(report.to_json_dict()))

@@ -17,7 +17,7 @@ homogeneous of homology degree deg(h_c) once the ring validates.
 
 A JSON presentation passes three layers, each rule in one of them:
 ring_from_dict checks the document's shape and resolves names to
-indices, RingPresentation checks every value (names, degrees,
+indices, RingPresentation checks every value (distinct names, degrees,
 dimension, indices, coefficients), and both raise RingSchemaError;
 validate_ring then checks the ring axioms and reports, never raises.
 
@@ -87,15 +87,15 @@ def parse_rational(value):
 
 
 class RingPresentation(namedtuple("RingPresentation", "basis_names degrees "
-                                   "structure_constants manifold_dimension label "
-                                   "unit_index top_index")):
+                                   "structure_constants manifold_dimension label")):
     """Basis, degrees, multiplication table, and manifold dimension.
 
     structure_constants maps an ordered index pair (i, j) to a tuple of
     (result_index, coefficient); absent pairs multiply to zero.
-    unit_index and top_index are the one class of degree 0 and of
-    degree d, or None.  A checked tuple with a read-only table, so the
-    ring make_cpm caches is the same for every caller.
+    unit_index and top_index, read off the degrees, are the one class of
+    degree 0 and of degree d, or None.  A checked tuple (through _make
+    and _replace too) with a read-only table, so the ring make_cpm
+    caches is the same for every caller.
     """
     __slots__ = ()
 
@@ -134,10 +134,10 @@ class RingPresentation(namedtuple("RingPresentation", "basis_names degrees "
             cleaned = tuple(sorted((l, q) for l, q in merged.items() if q))
             if cleaned:
                 table[(i, j)] = cleaned
-        unit, top = (degrees.index(deg) if degrees.count(deg) == 1 else None
-                     for deg in (0, manifold_dimension))
         return super().__new__(cls, basis_names, degrees, MappingProxyType(table),
-                               manifold_dimension, label, unit, top)
+                               manifold_dimension, label)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __hash__(self):  # every field but the table, which is a mapping
         return hash(self[:2] + self[3:])
@@ -145,6 +145,12 @@ class RingPresentation(namedtuple("RingPresentation", "basis_names degrees "
     def __getnewargs__(self):  # pickle and copy rebuild through __new__
         return (self.basis_names, self.degrees, dict(self.structure_constants),
                 self.manifold_dimension, self.label)
+
+    def _only(self, degree):  # the one class of this degree, or None
+        return self.degrees.index(degree) if self.degrees.count(degree) == 1 else None
+
+    unit_index = property(lambda self: self._only(0))
+    top_index = property(lambda self: self._only(self.manifold_dimension))
 
     @property
     def n(self):
@@ -320,9 +326,10 @@ def ring_from_dict(doc, label="custom"):
 
     This layer checks the document's shape (an object with its keys,
     lists that are lists, items that are objects with theirs) and
-    resolves every name reference to an index; names must be distinct
-    strings for that.  Every value (names, degrees, dimension,
-    coefficients) is checked once, by RingPresentation.
+    resolves every name reference to an index, against the basis_names
+    of the ring built without products.  Every value (names, degrees,
+    dimension, coefficients) is checked by RingPresentation, before the
+    references are resolved and again once the products are added.
     """
     if not isinstance(doc, dict):
         raise RingSchemaError("ring document must be a JSON object")
@@ -335,20 +342,17 @@ def ring_from_dict(doc, label="custom"):
     for item in basis:
         if not isinstance(item, dict) or "name" not in item or "degree" not in item:
             raise RingSchemaError("each basis item needs a name and a degree")
-    names = [item["name"] for item in basis]
-    if not all(isinstance(name, str) for name in names):
-        raise RingSchemaError("basis names must be nonempty strings")
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise RingSchemaError("duplicate basis names")
+    if not isinstance(products, list):
+        raise RingSchemaError("products must be a list")
+    R = RingPresentation([item["name"] for item in basis], [item["degree"] for item in basis],
+                         {}, doc["dimension"], label=label)
+    index = {name: i for i, name in enumerate(R.basis_names)}
 
     def lookup(ref, where):
         if isinstance(ref, str) and ref in index:
             return index[ref]
         raise RingSchemaError("%s references unknown basis name %r" % (where, ref))
 
-    if not isinstance(products, list):
-        raise RingSchemaError("products must be a list")
     table = {}
     for item in products:
         if not isinstance(item, dict):
@@ -367,8 +371,7 @@ def ring_from_dict(doc, label="custom"):
                 raise RingSchemaError("result terms need a basis and a coeff")
         table[pair] = [(lookup(term["basis"], "result"), term["coeff"]) for term in result]
 
-    R = RingPresentation(names, [item["degree"] for item in basis], table,
-                         doc["dimension"], label=label)
+    R = R._replace(structure_constants=table)
     top = doc.get("top")
     if top is not None and R.degrees[lookup(top, "top")] != R.manifold_dimension:
         raise RingSchemaError("declared top class %r does not have degree %d"

@@ -110,3 +110,12 @@ def test_generator_set_is_a_checked_tuple():
     assert H.v_parities == (0, 0, 0) and H.w_parities == (1, 1, 1)
     with pytest.raises(AttributeError):
         H.v_degrees = (0, 2, 4)
+    # _replace and _make run the same checks: a table that lost a row,
+    # or that names a V-generator outside V, is refused at construction
+    with pytest.raises(ValueError, match="boundary table length"):
+        G._replace(boundary_on_w=G.boundary_on_w[:1])
+    with pytest.raises(ValueError, match="outside V"):
+        G._replace(boundary_on_w=((((0, 9), 1),),) + G.boundary_on_w[1:])
+    with pytest.raises(ValueError, match="outside V"):
+        GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees,
+                     [[((0, 9), 1)]] + list(G.boundary_on_w[1:]), 4)

@@ -57,6 +57,23 @@ def test_ring_fields_cannot_be_rebound():
         R.structure_constants[(0, 0)] = ((1, 1),)
     assert make_cpm(2) is R and R.label == "CP^2" and R.product(0, 0) == {0: 1}
     assert betti(make_cpm(2), 3).ring == "CP^2"
+    # _make and _replace run the constructor's checks, and the unit and
+    # top indices are read off the degrees, so none can disagree with them
+    assert RingPresentation._fields == ("basis_names", "degrees", "structure_constants",
+                                        "manifold_dimension", "label")
+    with pytest.raises(RingSchemaError, match="non-negative"):
+        R._replace(degrees=(0, 2, -6), manifold_dimension=3)
+    with pytest.raises(RingSchemaError, match="duplicate basis names"):
+        RingPresentation._make((("1", "1", "x^2"),) + tuple(R[1:]))
+    with pytest.raises(ValueError, match="unit_index"):
+        R._replace(unit_index=None)
+    S = R._replace(label="x")
+    assert (S.label, S.unit_index, S.top_index) == ("x", 0, 2) and S == R._make(S)
+    with pytest.raises(TypeError):
+        S.structure_constants[(0, 0)] = ()
+    T = R._replace(degrees=(0, 4, 2))  # x is now the top class and x^2 the middle one
+    assert (T.unit_index, T.top_index) == (0, 1)
+    assert R.label == "CP^2" and make_cpm(2) is R
 
 
 def test_ring_pickles_and_copies():
