@@ -1,12 +1,13 @@
 """The bigraded complex computing H^*(C_k(M); Q).
 
 Generators.  M is closed, oriented, of even dimension d.  Each class
-of degree deg in the ring's basis (a class of H_deg(M)) gives
+of degree deg in the ring's basis (a class of H_deg(M)) gives one
+pair, at the same position t of V and of W, of opposite parities:
 
-    a V-generator of degree d - deg,  a W-generator of degree 2d - 1 - deg,
+    v_t of degree d - deg,  w_t of degree 2d - 1 - deg = deg v_t + d - 1,
 
-and the unit class (deg = 0, the point class) gives v_top and w_top.
-V-generators are cycles; d sends a W-generator to the diagonal
+and the unit class (deg = 0, the point class) gives the top pair v_top,
+w_top.  V-generators are cycles; d sends a W-generator to the diagonal
 comultiplication of its class, a quadratic expression in V.
 
 For k points the complex is
@@ -54,13 +55,13 @@ Every ring has a reduction: the ideal generated by (v_top^2, w_top) —
 d(w_top) = v_top^2 — is a subcomplex, acyclic for k >= 2 via the
 explicit homotopy h(v_top^2 A + B w_top) = w_top A,  so the quotient
 complex (monomials with v_top-exponent <= 1 and no w_top) has the same
-cohomology.  v_top and w_top are found by degree alone (d and
-2d - 1), so every validated ring has the reduced complex; below k = 2
-the ideal is empty and the quotient is the full complex.
-homotopy_check verifies (dh + hd) = id on the ideal exactly.  The
-quotient basis is enumerated directly, by capping the v_top-exponent
-at 1 and the w_top-exponent at 0, so it never passes through the full
-basis.
+cohomology.  One rule (_top) finds the top position, by degree alone:
+the one V-generator of degree d.  So every validated ring has the
+reduced complex; below k = 2 the ideal is empty and the quotient is
+the full complex.  homotopy_check verifies (dh + hd) = id on the ideal
+exactly.  The quotient basis is enumerated directly, by capping the
+v_top-exponent at 1 and the w_top-exponent at 0, so it never passes
+through the full basis.
 """
 
 from collections import defaultdict, namedtuple
@@ -75,28 +76,26 @@ class AssemblyError(RuntimeError):
     """Internal consistency failure while assembling differential blocks."""
 
 
-class GeneratorSet(namedtuple("GeneratorSet", "v_names v_degrees w_names w_degrees "
-                              "boundary_on_w manifold_dimension label")):
-    """V- and W-generators plus the boundary table on W.
+class GeneratorSet(namedtuple("GeneratorSet", "v_degrees boundary_on_w manifold_dimension label")):
+    """One V- and one W-generator per ring class, plus the boundary table on W.
 
-    The generators are parallel tuples: names and degrees of V, then of
-    W, each in the same order; degree is the cohomological degree used
-    for all sign and grading bookkeeping.  boundary_on_w[t] lists
-    ((a, b), coeff) terms meaning the W-generator at position t maps to
+    v_degrees[t] is the cohomological degree of v_t, used for all sign
+    and grading bookkeeping; w_t has degree v_degrees[t] + d - 1, so
+    w_degrees, the names and both parities are read off v_degrees.
+    boundary_on_w[t] lists ((a, b), coeff) terms meaning w_t maps to
     sum coeff * v_a v_b over ordered position pairs.  A checked tuple
     (through _make and _replace too), so the set a command hands to its
     pool workers cannot change on the way.
     """
     __slots__ = ()
 
-    def __new__(cls, v_names, v_degrees, w_names, w_degrees, boundary_on_w,
-                manifold_dimension, label="custom"):
-        self = super().__new__(cls, tuple(v_names), tuple(v_degrees), tuple(w_names),
-                               tuple(w_degrees), tuple(map(tuple, boundary_on_w)),
+    def __new__(cls, v_degrees, boundary_on_w, manifold_dimension, label="custom"):
+        self = super().__new__(cls, tuple(v_degrees), tuple(map(tuple, boundary_on_w)),
                                manifold_dimension, label)
-        if len(self.v_names) != len(self.v_degrees) or len(self.w_names) != len(self.w_degrees):
-            raise ValueError("generator names and degrees disagree in length")
-        if len(self.boundary_on_w) != len(self.w_degrees):
+        _check_int(manifold_dimension, "manifold dimension", 1)
+        if manifold_dimension % 2:  # the W-parities rest on it
+            raise ValueError("manifold dimension must be even, got %d" % manifold_dimension)
+        if len(self.boundary_on_w) != len(self.v_degrees):
             raise ValueError("boundary table length disagrees with W")
         if any(a not in range(len(self.v_degrees))
                for terms in self.boundary_on_w for pair, _ in terms for a in pair):
@@ -104,21 +103,18 @@ class GeneratorSet(namedtuple("GeneratorSet", "v_names v_degrees w_names w_degre
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    @property
-    def v_parities(self):
-        return tuple(d % 2 for d in self.v_degrees)
-
-    @property
-    def w_parities(self):
-        return tuple(d % 2 for d in self.w_degrees)
+    w_degrees = property(lambda self: tuple(v + self.manifold_dimension - 1
+                                            for v in self.v_degrees))
+    v_names = property(lambda self: _named("v", self.v_degrees))
+    w_names = property(lambda self: _named("w", self.w_degrees))
+    v_parities = property(lambda self: tuple(v % 2 for v in self.v_degrees))
+    w_parities = property(lambda self: tuple(w % 2 for w in self.w_degrees))
 
 
 def _degree_table(R):
-    """(V-degree, W-degree, class index) per class of R, in generator order:
-    by degree (V and W agree), then class index."""
+    """(V-degree, class index) per class of R, in generator order."""
     d = R.manifold_dimension
-    return sorted((d - deg, 2 * d - 1 - deg, i) for i, deg in enumerate(R.degrees))
+    return sorted((d - deg, i) for i, deg in enumerate(R.degrees))
 
 
 def _named(prefix, degrees):
@@ -127,7 +123,7 @@ def _named(prefix, degrees):
     for t, deg in enumerate(degrees):
         suffix = "_%d" % degrees[:t + 1].count(deg) if degrees.count(deg) > 1 else ""
         names.append("%s%d%s" % (prefix, deg, suffix))
-    return names
+    return tuple(names)
 
 
 def build_generators(R):
@@ -138,21 +134,22 @@ def build_generators(R):
     build the set once and pass it on to validate a ring once.
     """
     diag = diagonal_comultiplication(R)  # validates R
-    v_degrees, w_degrees, order = zip(*_degree_table(R))
+    v_degrees, order = zip(*_degree_table(R))
     v_pos = {i: t for t, i in enumerate(order)}
     boundary = [sorted(((v_pos[a], v_pos[b]), q) for (a, b), q in diag[i]) for i in order]
-    return GeneratorSet(_named("v", v_degrees), v_degrees, _named("w", w_degrees),
-                        w_degrees, boundary, R.manifold_dimension, label=R.label)
+    return GeneratorSet(v_degrees, boundary, R.manifold_dimension, label=R.label)
 
 
 def monomial_label(G, k, code):
-    """Name of the monomial of k points with this code, e.g. 'v2^2 v4 w7'.
+    """Name of the monomial of k points with this code, e.g. 'v2^2 v4 w7'."""
+    return _label(G.v_names + G.w_names, k, code)
 
-    The base-(k + 1) digits of code, V-slots first, are the exponents
-    of G.v_names, then of G.w_names; the empty monomial is '1'.
-    """
+
+def _label(names, k, code):
+    """The base-(k + 1) digits of code, V-slots first, are the exponents
+    of names (G.v_names, then G.w_names); the empty monomial is '1'."""
     parts = []
-    for name in G.v_names + G.w_names:
+    for name in names:
         code, e = divmod(code, k + 1)
         if e:
             parts.append(name if e == 1 else "%s^%d" % (name, e))
@@ -188,16 +185,17 @@ class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix sc
     __slots__ = ()
 
 
-def _exponent_caps(v_parities, w_parities, k, top=None):
+def _exponent_caps(v_degrees, k, top=None):
     """Bounds on the exponent of each V- and each W-generator for k points.
 
-    1 for an odd generator, k for an even one; top = (v_top, w_top)
-    caps v_top's at 1 and w_top's at 0, as the reduced complex does.
+    1 for an odd generator, k for an even one, w_t of the other parity
+    than v_t (d is even); top, the top position t, caps v_t's at 1 and
+    w_t's at 0, as the reduced complex does.
     """
-    v_caps = [1 if p else k for p in v_parities]
-    w_caps = [1 if p else k for p in w_parities]
+    v_caps = [1 if v % 2 else k for v in v_degrees]
+    w_caps = [k if v % 2 else 1 for v in v_degrees]
     if top is not None:
-        v_caps[top[0]], w_caps[top[1]] = 1, 0
+        v_caps[top], w_caps[top] = 1, 0
     return v_caps, w_caps
 
 
@@ -221,28 +219,31 @@ def _weight_counts(v_caps, w_caps, k):
             for w in range(k // 2 + 1))
 
 
+def _check_args(k, mode):
+    _check_int(k, "k", 0)
+    if mode not in ("full", "reduced"):
+        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
+
+
 def weight_counts(R, k, mode="full"):
     """Monomials of the complex of ring R for k points, weight by weight.
 
-    Counts what enumerate_basis(build_generators(R), k, mode) holds
-    from the degree table alone, without validating R, so the CLI's cap
-    can run before the ring check.  A ring without one V-generator of
-    degree d (the top), which fails validation after the cap, is counted in full.
+    Counts what enumerate_basis(build_generators(R), k, mode) holds from
+    the V-degrees alone (one V/W pair per class), without validating R,
+    so the CLI's cap can run before the ring check.  The top position
+    comes from the reduced build's rule; a ring without one (it fails
+    validation after the cap) is counted in full.
     """
-    _check_int(k, "k", 0)
-    table = _degree_table(R)
-    v_degrees = [v for v, _, _ in table]
-    top = None
-    if mode == "reduced" and v_degrees.count(R.manifold_dimension) == 1:
-        top = (v_degrees.index(R.manifold_dimension),) * 2
-    caps = _exponent_caps([v % 2 for v in v_degrees], [w % 2 for _, w, _ in table], k, top)
-    return _weight_counts(*caps, k)
+    _check_args(k, mode)
+    v_degrees = [v for v, _ in _degree_table(R)]
+    top = _top(v_degrees, R.manifold_dimension) if mode == "reduced" else None
+    return _weight_counts(*_exponent_caps(v_degrees, k, top), k)
 
 
 def count_monomials(G, k):
     """Total number of monomials in the full complex for k points."""
     _check_int(k, "k", 0)
-    return sum(_weight_counts(*_exponent_caps(G.v_parities, G.w_parities, k), k))
+    return sum(_weight_counts(*_exponent_caps(G.v_degrees, k), k))
 
 
 def _coded_exponents(caps, degrees, powers, totals):
@@ -275,16 +276,12 @@ def enumerate_basis(G, k, mode="full"):
     in reduced mode v_top's is at most 1 and w_top's 0 as well.
     Degrees and partial codes of the parts are built once per k.
     """
-    _check_int(k, "k", 0)
-    if mode not in ("full", "reduced"):
-        raise ValueError("mode must be 'full' or 'reduced', got %r" % (mode,))
-    top = _top_indices(G) if mode == "reduced" else None
-    v_caps, w_caps = _exponent_caps(G.v_parities, G.w_parities, k, top)
+    _check_args(k, mode)
+    v_caps, w_caps = _exponent_caps(G.v_degrees, k, _top_index(G) if mode == "reduced" else None)
     n_v = len(G.v_degrees)
-    powers = [(k + 1) ** j for j in range(n_v + len(G.w_degrees))]
+    powers = [(k + 1) ** j for j in range(2 * n_v)]
     weights = range(k // 2 + 1)
-    v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
-                               [k - 2 * w for w in weights])
+    v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v], [k - 2 * w for w in weights])
     w_lists = _coded_exponents(w_caps, G.w_degrees, powers[n_v:], weights)
     slices = {}
     for w in weights:
@@ -311,15 +308,13 @@ class _Differential:
                            for _, q in terms))
         self.radix = k + 1
         self.n_v = len(G.v_degrees)
-        self.powers = tuple(self.radix ** j
-                            for j in range(self.n_v + len(G.w_degrees)))
+        self.powers = tuple(self.radix ** j for j in range(2 * self.n_v))
         self.w_unit = self.powers[self.n_v]
+        par = self.v_parities = G.v_parities
+        self.w_parities = G.w_parities
         # (mask bit, place value) of each odd V-generator
-        self.odd_v = tuple((1 << a, self.powers[a])
-                           for a, p in enumerate(G.v_parities) if p)
-        self.v_parities, self.w_parities = G.v_parities, G.w_parities
+        self.odd_v = tuple((1 << a, self.powers[a]) for a, p in enumerate(par) if p)
         self.memo = {}
-        par = G.v_parities
         tables = []
         for t, terms in enumerate(G.boundary_on_w):
             # v_b v_a = (-1)^(|a||b|) v_a v_b: one merged term per pair
@@ -375,19 +370,21 @@ class _Differential:
         return out
 
 
-def _top_indices(G):
-    """Positions of the degree-d V-generator and degree-(2d-1) W-generator.
+def _top(v_degrees, d):
+    """The top position: that of the one V-generator of degree d, or None."""
+    return v_degrees.index(d) if v_degrees.count(d) == 1 else None
 
-    Checks d(w_top) = v_top^2 on the boundary table: the homotopy of
-    the reduction rests on it.
-    """
-    d = G.manifold_dimension
-    v_top = G.v_degrees.index(d)
-    w_top = G.w_degrees.index(2 * d - 1)
-    if G.boundary_on_w[w_top] != (((v_top, v_top), 1),):
-        raise AssemblyError("d(%s) is not %s^2" % (G.w_names[w_top],
-                                                   G.v_names[v_top]))
-    return v_top, w_top
+
+def _top_index(G):
+    """The top position t of G (v_t of degree d, w_t of 2d - 1), checking
+    d(w_t) = v_t^2 on the boundary table: the reduction's homotopy rests on it."""
+    t = _top(G.v_degrees, G.manifold_dimension)
+    if t is None:
+        raise AssemblyError("%s has no single V-generator of degree %d to reduce by"
+                            % (G.label, G.manifold_dimension))
+    if G.boundary_on_w[t] != (((t, t), 1),):
+        raise AssemblyError("d(%s) is not %s^2" % (G.w_names[t], G.v_names[t]))
+    return t
 
 
 def _ideal_test(G, d):
@@ -397,8 +394,8 @@ def _ideal_test(G, d):
     v_unit and w_unit; a digit of place value u is at least e exactly
     when code % (u * radix) >= e * u.
     """
-    v_top, w_top = _top_indices(G)
-    v_unit, w_unit = d.powers[v_top], d.powers[d.n_v + w_top]
+    t = _top_index(G)
+    v_unit, w_unit = d.powers[t], d.powers[d.n_v + t]
     v_mod, v_two, w_mod = v_unit * d.radix, 2 * v_unit, w_unit * d.radix
     return (lambda code: code % v_mod >= v_two or code % w_mod >= w_unit), v_unit, w_unit
 
@@ -498,13 +495,13 @@ def homotopy_check(G, k):
 
 def dump_complex(G, basis, blocks):
     """JSON-ready dump: slice monomial names plus coordinate triples."""
+    names = G.v_names + G.w_names
     return {
         "k": basis.k,
         "mode": basis.mode,
         "slices": [
             {"degree": i, "weight": w,
-             "monomials": [monomial_label(G, basis.k, c)
-                           for c in basis.slices[(i, w)]]}
+             "monomials": [_label(names, basis.k, c) for c in basis.slices[(i, w)]]}
             for (i, w) in sorted(basis.slices)
         ],
         "blocks": [

@@ -160,7 +160,7 @@ def _betti_csv(table):
 
 
 def _run_betti(cfg):
-    R = _ring(cfg, cfg.k, cfg.mode)
+    R = _ring(cfg, cfg.k, "full" if cfg.mode == "both" else cfg.mode)
     if cfg.mode == "both":
         report = consistency_report(R, cfg.k)
         if cfg.fmt == "json":

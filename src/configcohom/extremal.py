@@ -90,13 +90,16 @@ def _dims_for_k(args):
 
     args is (G, k, modes, facts), G the generator set of CP^m.
     Returns (k, (dims, facts)): dims holds one table per mode, in the
-    order of modes; facts holds the structural facts read off this
-    task's reduced build when asked for, else None.
+    order of modes; facts holds the structural facts read off the last
+    build, the reduced one, when asked for, else None.
     """
     G, k, modes, facts = args
-    records = {mode: _build(G, k, mode) for mode in modes}
-    dims = tuple(record.table.dims for record in records.values())
-    return k, (dims, _structural_facts(records["reduced"], G, k) if facts else None)
+    dims = []
+    for mode in modes:
+        record = None  # one complex alive at a time: drop the last before the next
+        record = _build(G, k, mode)
+        dims.append(record.table.dims)
+    return k, (tuple(dims), _structural_facts(record, G, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):

@@ -76,6 +76,11 @@ def test_enumerate_edge_cases():
                      lambda: homotopy_check(G, bad)):
             with pytest.raises(ValueError, match=r"^k must be a non-negative integer, got "):
                 call()
+    # and one mode rule: the cap's count refuses a typo as the build does
+    for call in (lambda: enumerate_basis(G, 4, "reduce"),
+                 lambda: weight_counts(make_cpm(2), 4, "reduce")):
+        with pytest.raises(ValueError, match=r"^mode must be 'full' or 'reduced', got 'reduce'$"):
+            call()
 
 
 def test_count_matches_enumeration_and_closed_form():
@@ -289,12 +294,15 @@ def test_corrupted_top_boundary_raises():
                   (((0, v_top), 1), ((v_top, v_top), 1))):
         table = list(G.boundary_on_w)
         table[w_top] = wrong
-        bad = GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees, table,
-                           G.manifold_dimension)
+        bad = GeneratorSet(G.v_degrees, table, G.manifold_dimension)
         with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
             reduce_complex(bad, enumerate_basis(bad, 3))
         with pytest.raises(AssemblyError, match="d\\(w7\\) is not v4\\^2"):
             homotopy_check(bad, 3)
+    # a set with no V-generator of degree d has no top to reduce by
+    lost = G._replace(v_degrees=(0, 2, 6))
+    with pytest.raises(AssemblyError, match=r"^CP\^2 has no single V-generator of degree 4 "):
+        enumerate_basis(lost, 3, "reduced")
 
 
 def test_ideal_membership():

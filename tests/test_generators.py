@@ -75,13 +75,10 @@ def test_s4_generators():
 
 
 def test_names_and_degrees_must_agree_in_length():
+    # names are read off the degrees, so only the boundary table can disagree
     G = build_generators(make_cpm(2))
-    for v_names, w_names in ((G.v_names[:2], G.w_names), (G.v_names, G.w_names + ("w9",))):
-        with pytest.raises(ValueError, match="names and degrees disagree"):
-            GeneratorSet(v_names, G.v_degrees, w_names, G.w_degrees, G.boundary_on_w, 4)
     with pytest.raises(ValueError, match="boundary table length"):
-        GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees,
-                     G.boundary_on_w[:2], 4)
+        GeneratorSet(G.v_degrees, G.boundary_on_w[:2], 4)
 
 
 def test_build_generators_leaves_the_ring_unchanged():
@@ -103,9 +100,9 @@ def test_generator_set_pickles():
 def test_generator_set_is_a_checked_tuple():
     # lists come in, tuples are kept, and nothing can be set afterwards
     G = build_generators(make_cpm(2))
-    H = GeneratorSet(list(G.v_names), list(G.v_degrees), list(G.w_names),
-                     list(G.w_degrees), [list(t) for t in G.boundary_on_w], 4)
+    H = GeneratorSet(list(G.v_degrees), [list(t) for t in G.boundary_on_w], 4)
     assert isinstance(H, tuple) and H.label == "custom"
+    assert H._fields == ("v_degrees", "boundary_on_w", "manifold_dimension", "label")
     assert H._replace(label=G.label) == G
     assert H.v_parities == (0, 0, 0) and H.w_parities == (1, 1, 1)
     with pytest.raises(AttributeError):
@@ -117,5 +114,8 @@ def test_generator_set_is_a_checked_tuple():
     with pytest.raises(ValueError, match="outside V"):
         G._replace(boundary_on_w=((((0, 9), 1),),) + G.boundary_on_w[1:])
     with pytest.raises(ValueError, match="outside V"):
-        GeneratorSet(G.v_names, G.v_degrees, G.w_names, G.w_degrees,
-                     [[((0, 9), 1)]] + list(G.boundary_on_w[1:]), 4)
+        GeneratorSet(G.v_degrees, [[((0, 9), 1)]] + list(G.boundary_on_w[1:]), 4)
+    # the W-degrees and parities rest on an even dimension d >= 2
+    for d in (5, -4, True):
+        with pytest.raises(ValueError, match="manifold dimension must be"):
+            G._replace(manifold_dimension=d)
