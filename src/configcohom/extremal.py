@@ -3,8 +3,10 @@
 The top of the complex for C_k(CP^m) sits near degree k(2m-2); the
 interesting story is the "ray" k -> dim H^{k(2m-2)+i} for a fixed
 offset i.  This module samples those rays, fits exact quasi-polynomial
-certificates to the tails, and packages the verification of the
-expected vanishing behaviour into a report:
+certificates to the tails (one forward-difference table per residue
+class decides the class's least degree and, in Newton's form, gives
+its coefficients), and packages the verification of the expected
+vanishing behaviour into a report:
 
   * for every i >= 4 the ray vanishes once k >= 4;
   * for m >= 2 and i in {1, 2, 3} the ray vanishes for large k (the
@@ -23,6 +25,7 @@ attached.
 import os
 from collections import namedtuple
 from fractions import Fraction
+from math import factorial
 
 from .cecomplex import build_generators
 from .homology import _build, _first_mismatch
@@ -149,59 +152,54 @@ def hilbert_ray(m, i, k_min, k_max, jobs=1):
     return HilbertRay(m=m, i=i, samples=samples)
 
 
-def _fits(values, degree):
-    """Do the (degree+1)-th finite differences of values vanish?
+def _least_polynomial(points, bound):
+    """Ascending coefficients in k of the least-degree polynomial through points.
 
-    Valid only with at least degree+2 values (an arithmetic
-    progression in k is fine: the step size cancels).
+    points are (k, value) at evenly spaced k.  One forward-difference
+    table decides and interpolates: the degree is the least D <= bound
+    whose (D+1)-th differences vanish with at least D+2 points, and the
+    table's leading entries are the coefficients of Newton's form,
+    expanded exactly into Fractions.  Returns None when no such D
+    exists.
     """
-    if len(values) < degree + 2:
-        raise ValueError("need at least degree+2 values")
-    diffs = list(values)
-    for _ in range(degree + 1):
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return all(v == 0 for v in diffs)
-
-
-def _interpolate(points, degree):
-    """Coefficients (ascending) of the degree-<= polynomial through points.
-
-    Lagrange interpolation over the first degree+1 points, exact.
-    """
-    coeffs = [Fraction(0)] * (degree + 1)
-    pts = points[: degree + 1]
-    for idx, (xi, yi) in enumerate(pts):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for jdx, (xj, _) in enumerate(pts):
-            if jdx == idx:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for p, c in enumerate(basis):
-                nxt[p] += c * (-xj)
-                nxt[p + 1] += c
-            basis = nxt
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
+    row = [y for _, y in points]
+    heads = []
+    for _ in range(min(bound, len(row) - 2) + 1):
+        heads.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+        if not any(row):
+            break
+    else:
+        return None
+    step = points[1][0] - points[0][0]
+    coeffs = []
+    for j in reversed(range(len(heads))):
+        # coeffs * (k - k_j) + (j-th difference) / (j! step^j)
+        k_j = points[j][0]
+        coeffs = [a - k_j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        coeffs[0] += heads[j] / (factorial(j) * step ** j)
     return coeffs
 
 
 def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     """Minimal quasi-polynomial certificate for a sampled tail.
 
-    samples is a sequence of (k, value) at consecutive k.  Candidates
-    (period p, onset N, degree bound D) are scanned in lexicographic
-    order; a candidate is certifiable when every residue class mod p
-    has at least D+2 samples at k >= N, and it fits when the (D+1)-th
-    finite differences vanish along every class.  The first fitting
-    candidate is returned with exactly interpolated coefficients.
+    samples is a sequence of (k, value) at consecutive k; p_max is an
+    int >= 1 and deg_max an int >= 0.  Candidates (period p, onset N)
+    are scanned in lexicographic order; a candidate is certifiable when
+    every residue class mod p has at least 2 samples at k >= N.  Each
+    class gets one forward-difference table, which gives both its least
+    degree D (within deg_max, with at least D+2 samples in every class)
+    and its exact coefficients.  The first candidate where every class
+    fits is returned, with degree the largest class degree: the minimal
+    certificate in (period, onset, degree) order.
 
     Returns None when certifiable candidates exist but none fits;
     raises UnderDeterminedError when the sample window is too short to
     certify anything at all.
     """
+    _check_int(p_max, "p_max", 1)
+    _check_int(deg_max, "deg_max", 0)
     samples = sorted(samples)
     if not samples:
         raise UnderDeterminedError("no samples")
@@ -215,29 +213,22 @@ def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     # a period above half the window leaves some class with < 2 samples
     for p in range(1, min(p_max, len(samples) // 2) + 1):
         for onset in range(k_lo, k_hi + 2):
-            class_points = {}
-            for r in range(p):
-                pts = [(k, Fraction(by_k[k]))
-                       for k in range(onset, k_hi + 1) if k % p == r]
-                class_points[r] = pts
-            max_deg = min(len(pts) for pts in class_points.values()) - 2
+            classes = [[(k, Fraction(by_k[k]))
+                        for k in range(onset, k_hi + 1) if k % p == r]
+                       for r in range(p)]
+            max_deg = min(map(len, classes)) - 2
             if max_deg < 0:
                 continue
-            for degree in range(0, min(deg_max, max_deg) + 1):
-                any_certifiable = True
-                if all(_fits([y for _, y in class_points[r]], degree)
-                       for r in range(p)):
-                    coefficients = []
-                    actual = 0
-                    for r in range(p):
-                        coeffs = _interpolate(class_points[r], degree)
-                        while len(coeffs) > 1 and coeffs[-1] == 0:
-                            coeffs.pop()
-                        actual = max(actual, len(coeffs) - 1)
-                        coefficients.append(tuple(coeffs))
-                    return QuasiPolynomial(
-                        period=p, onset=onset, degree=actual,
-                        coefficients=tuple(coefficients))
+            any_certifiable = True
+            fits = []
+            for pts in classes:
+                fits.append(_least_polynomial(pts, min(deg_max, max_deg)))
+                if fits[-1] is None:
+                    break
+            else:
+                return QuasiPolynomial(
+                    period=p, onset=onset, degree=max(map(len, fits)) - 1,
+                    coefficients=tuple(map(tuple, fits)))
     if not any_certifiable:
         raise UnderDeterminedError(
             "window k=%d..%d cannot certify any (period <= %d, degree <= %d) candidate"

@@ -40,6 +40,7 @@ elimination, the pivot rows and the pivot columns.
 """
 
 import heapq
+from itertools import chain
 from math import gcd
 from operator import le
 
@@ -52,8 +53,8 @@ class SparseExactMatrix:
     matching values, and col_start has one offset per column plus the
     end.  Every value is a non-zero int (not a bool); the rank over Z
     is the rank over Q.  The constructor checks, in O(nnz), the
-    offsets, the row bounds, that n_rows, rows and values are ints and
-    that no value is zero.  Rows may come in any order within a column
+    offsets, the row bounds, that n_rows, offsets, rows and values are
+    ints and that no value is zero.  Rows may come in any order within a column
     but must not repeat, which is not checked (a scan per column would
     cost more than it guards): every caller meets it by construction,
     since assembly's rows come from a one-to-one code -> row map, a
@@ -71,8 +72,8 @@ class SparseExactMatrix:
                 or len(values) != len(row_index)
                 or not all(map(le, col_start, col_start[1:]))):
             raise ValueError("column offsets do not partition the entries")
-        if type(n_rows) is not int or not set(map(type, row_index)) <= {int}:
-            raise TypeError("n_rows and row indices must be ints")
+        if type(n_rows) is not int or not set(map(type, chain(col_start, row_index))) <= {int}:
+            raise TypeError("n_rows, column offsets and row indices must be ints")
         if row_index and (min(row_index) < 0 or max(row_index) >= n_rows):
             raise ValueError("row index outside a matrix with %d rows" % n_rows)
         if not set(map(type, values)) <= {int}:

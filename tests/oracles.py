@@ -6,7 +6,8 @@ kernel basis dense Gaussian elimination over Fraction, the Poincare
 pairing is read off the ring's own product table, the differential of
 a monomial is the textbook word-based Leibniz rule over Fraction, the
 monomial basis is a brute-force search over all exponent vectors, a
-code is split into its exponents digit by digit, and the two small
+code is split into its exponents digit by digit, the polynomial
+through sample points is exact Lagrange interpolation, and the two small
 configuration-space complexes of CP^1 are written out by hand
 (monomial bases listed degree by degree, differentials entered as
 explicit matrices).  Agreement between these and the engine is what
@@ -227,6 +228,28 @@ CP1_K2_BETTI = {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
 CP1_K3_DIMS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 1, 5: 1, 6: 1}
 CP1_K3_MAPS = {1: [[2]], 3: [[1, 2]], 5: [[1]]}
 CP1_K3_BETTI = {0: 1, 1: 0, 2: 0, 3: 1, 4: 0, 5: 0, 6: 0}
+
+
+def lagrange_coefficients(points):
+    """Ascending coefficients of the polynomial of degree < len(points)
+    through points, by exact Lagrange interpolation over Fraction."""
+    coeffs = [Fraction(0)] * len(points)
+    for idx, (xi, yi) in enumerate(points):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for jdx, (xj, _) in enumerate(points):
+            if jdx == idx:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for p, c in enumerate(basis):
+                nxt[p] += c * (-xj)
+                nxt[p + 1] += c
+            basis = nxt
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for p, c in enumerate(basis):
+            coeffs[p] += scale * c
+    return coeffs
 
 
 def torus_ring():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti,
                          consistency_report, detect_quasi_polynomial, hilbert_ray,
                          make_cpm, ring, verify_vanishing_ranges)
-from oracles import torus_ring
+from oracles import lagrange_coefficients, torus_ring
 
 
 def test_ray_matches_betti_directly():
@@ -107,13 +107,13 @@ def test_detect_underdetermined():
 def test_detect_period_scan_stops_at_half_window(monkeypatch):
     # a period above half the window leaves some residue class with
     # fewer than two samples, so no p_max costs more fits than n // 2
-    real, calls = extremal._fits, []
+    real, calls = extremal._least_polynomial, []
 
-    def spy(values, degree):
-        calls.append(degree)
-        return real(values, degree)
+    def spy(points, bound):
+        calls.append(bound)
+        return real(points, bound)
 
-    monkeypatch.setattr(extremal, "_fits", spy)
+    monkeypatch.setattr(extremal, "_least_polynomial", spy)
     found = []
     for samples in (tuple((k, 2 ** k) for k in range(3, 32)),
                     tuple((k, k % 7) for k in range(3, 32))):
@@ -128,6 +128,20 @@ def test_detect_period_scan_stops_at_half_window(monkeypatch):
     assert found == [False, True]
     with pytest.raises(UnderDeterminedError, match="period <= 1000000000"):
         detect_quasi_polynomial(((5, 1),), p_max=10 ** 9)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("p_max", True),  # once scanned as period 1
+    ("p_max", 2.5),
+    ("p_max", 0),  # once reported as an under-determined window
+    ("deg_max", 1.5),
+    ("deg_max", None),
+])
+def test_detect_checks_its_bounds(name, bad):
+    samples = tuple((k, k // 2) for k in range(0, 21))
+    with pytest.raises(ValueError, match="%s must be a .* integer" % name) as info:
+        detect_quasi_polynomial(samples, **{name: bad})
+    assert not isinstance(info.value, UnderDeterminedError)
 
 
 def test_detect_requires_consecutive_k():
@@ -167,6 +181,27 @@ def test_detector_round_trip(qp):
     # minimality: never a longer period or later onset than the truth
     assert found.period <= qp.period
     assert found.onset >= samples[0][0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(quasi_polynomials(), st.lists(st.integers(min_value=-9, max_value=9), max_size=4))
+def test_certificate_classes_match_lagrange_oracle(qp, prefix):
+    # each class of the certificate is the polynomial that exact Lagrange
+    # interpolation puts through that class's first degree + 1 samples
+    k_lo = qp.onset - len(prefix)
+    k_hi = qp.onset + qp.period * (qp.degree + 2) + 4
+    samples = tuple(zip(range(k_lo, qp.onset), prefix)) + tuple(
+        (k, qp.evaluate(k)) for k in range(qp.onset, k_hi + 1))
+    found = detect_quasi_polynomial(samples, p_max=qp.period, deg_max=4)
+    assert found is not None
+    for r, coeffs in enumerate(found.coefficients):
+        points = [(k, v) for k, v in samples
+                  if k >= found.onset and k % found.period == r][:found.degree + 1]
+        assert len(points) == found.degree + 1
+        want = lagrange_coefficients(points)
+        while len(want) > 1 and want[-1] == 0:
+            want.pop()
+        assert list(coeffs) == want
 
 
 def test_verify_report_m2():

@@ -52,6 +52,10 @@ def test_constructor_validates():
         SparseExactMatrix(2, [0, 1, 2], [0, 1.0], [1, 1])  # not an int row
     with pytest.raises(TypeError):
         SparseExactMatrix(2, [0, 1, 2], [0, True], [1, 1])  # a bool row
+    with pytest.raises(TypeError):
+        SparseExactMatrix(1, [0, 1.0], [0], [1])  # not an int offset
+    with pytest.raises(TypeError):
+        SparseExactMatrix(2, [0, True, 2], [0, 1], [1, 1])  # a bool offset
     with pytest.raises(ValueError):
         SparseExactMatrix(2, [0, 1, 2], [0, 1], [1, 0])  # explicit zero
     with pytest.raises(TypeError):
