@@ -9,7 +9,9 @@ Four subcommands:
 
 Each run imports only what its subcommand runs: the extremal module is
 imported by ray and verify alone, and the process pool only where one
-is started, so a betti or ring-check run skips both.
+is started, so a betti or ring-check run skips both.  Only verify fans
+out, behind --jobs; ray builds, one k after the other, just the degree
+window of each k's reduced complex that its sample reads.
 
 Exit codes: 0 success, 1 a verified claim failed, 2 input error
 (ring-check's verdict on an invalid ring, too), 3 cap exceeded (by
@@ -17,7 +19,7 @@ the complex's monomials or the ring check's n^3 triples), 4 internal
 error (any RuntimeError: a failed consistency check inside the
 engine, or a worker process that died).  run() alone maps a failure
 to its code and its one stderr line.  Output is deterministic
-byte-for-byte for a given configuration, independent of --jobs.
+byte-for-byte for a given configuration, independent of verify's --jobs.
 """
 
 import argparse
@@ -67,10 +69,7 @@ def build_parser():
             g.add_argument("--ring", metavar="FILE", dest="ring_path",
                            help="load a ring presentation JSON file")
         else:
-            # ray and verify: the multi-k commands, the only ones that fan out
             p.add_argument("--cpm", type=int, metavar="M", required=True)
-            p.add_argument("--jobs", type=_int_at_least(1), default=1,
-                           help="worker processes (default 1)")
 
     p = sub.add_parser("betti", help="Betti table of C_k(M)")
     p.set_defaults(runner=_run_betti)
@@ -93,6 +92,8 @@ def build_parser():
     p.set_defaults(runner=_run_verify)
     common(p, formats=("text", "json"))
     p.add_argument("--k-max", type=int, required=True)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1,
+                   help="worker processes (default 1)")
 
     p = sub.add_parser("ring-check", help="validate a ring presentation file")
     p.set_defaults(runner=_run_ring_check)
@@ -199,8 +200,9 @@ def _run_betti(cfg):
 def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
+    # the window is filtered out of the whole reduced basis, so the cap counts all of it
     _ring(cfg, cfg.k_max, "reduced")
-    ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max, jobs=cfg.jobs)
+    ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
     if cfg.fmt == "json":
         doc = {

@@ -2,11 +2,12 @@
 
 The top of the complex for C_k(CP^m) sits near degree k(2m-2); the
 interesting story is the "ray" k -> dim H^{k(2m-2)+i} for a fixed
-offset i.  This module samples those rays, fits exact quasi-polynomial
-certificates to the tails (one forward-difference table per residue
-class decides the class's least degree and, in Newton's form, gives
-its coefficients), and packages the verification of the expected
-vanishing behaviour into a report:
+offset i.  This module samples those rays (at each k, dim H^D reads
+only the degrees >= D - 1 of the reduced complex, so only they are
+built), fits exact quasi-polynomial certificates to the tails (one
+forward-difference table per residue class decides the class's least
+degree and, in Newton's form, gives its coefficients), and packages
+the verification of the expected vanishing behaviour into a report:
 
   * for every i >= 4 the ray vanishes once k >= 4;
   * for m >= 2 and i in {1, 2, 3} the ray vanishes for large k (the
@@ -89,20 +90,17 @@ def _edge(G, k):
 
 
 def _dims_for_k(args):
-    """Worker: Betti dims of C_k(CP^m) per mode.  Top-level so it pickles.
+    """Worker: full and reduced Betti dims of C_k(CP^m).  Top-level so it pickles.
 
-    args is (G, k, modes, facts), G the generator set of CP^m.
-    Returns (k, (dims, facts)): dims holds one table per mode, in the
-    order of modes; facts holds the structural facts read off the last
-    build, the reduced one, when asked for, else None.
+    args is (G, k, facts), G the generator set of CP^m.  Returns
+    (k, ((full, reduced), facts)): facts holds the structural facts read
+    off the reduced build when asked for, else None.  The full complex
+    is dropped before the reduced one is built.
     """
-    G, k, modes, facts = args
-    dims = []
-    for mode in modes:
-        record = None  # one complex alive at a time: drop the last before the next
-        record = _build(G, k, mode)
-        dims.append(record.table.dims)
-    return k, (tuple(dims), _structural_facts(record, G, k) if facts else None)
+    G, k, facts = args
+    full = _build(G, k, "full").table.dims
+    record = _build(G, k, "reduced")
+    return k, ((full, record.table.dims), _structural_facts(record, G, k) if facts else None)
 
 
 def worker_count(jobs, n_tasks):
@@ -113,15 +111,15 @@ def worker_count(jobs, n_tasks):
     return max(1, min(jobs, n_tasks, cpus or 1))
 
 
-def _betti_dims_range(G, ks, modes, jobs, facts=False):
+def _betti_dims_range(G, ks, jobs, facts=False):
     """_dims_for_k over a list of k, optionally fanned out to processes.
 
-    One task per k carries G and computes every mode in one process;
-    with facts, the task at the largest k also returns the structural
-    facts.  Workers take the largest k first, and results are keyed by
-    k, so the outcome is byte-identical for any job count.
+    One task per k carries G and builds both modes in one process; with
+    facts, the task at the largest k also returns the structural facts.
+    Workers take the largest k first, and results are keyed by k, so
+    the outcome is byte-identical for any job count.
     """
-    tasks = [(G, k, modes, facts and k == max(ks)) for k in ks]
+    tasks = [(G, k, facts and k == max(ks)) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
@@ -131,13 +129,14 @@ def _betti_dims_range(G, ks, modes, jobs, facts=False):
         return dict(pool.map(_dims_for_k, tasks[::-1]))
 
 
-def hilbert_ray(m, i, k_min, k_max, jobs=1):
+def hilbert_ray(m, i, k_min, k_max):
     """Sample the offset-i extremal ray of CP^m over k_min..k_max.
 
-    Takes m, the ring it computes on: every task reads the one
-    generator set of CP^m built here, which also fixes the edge
-    k(2m-2).  It reads the reduced complex, which is the full one below
-    k = 2, so any k >= 0 works.
+    Takes m, the ring it computes on: one generator set of CP^m is
+    built here, which also fixes the edge k(2m-2).  Each k builds the
+    degrees >= D - 1 of the reduced complex, D = k(2m-2) + i: all that
+    dim H^D reads.  The reduced complex is the full one below k = 2, so
+    any k >= 0 works.
     """
     G = build_generators(make_cpm(m))
     _check_int(i, "offset i", 0)
@@ -145,11 +144,11 @@ def hilbert_ray(m, i, k_min, k_max, jobs=1):
     _check_int(k_max, "k", 0)
     if k_min > k_max:
         raise ValueError("empty k range")
-    ks = list(range(k_min, k_max + 1))
-    results = _betti_dims_range(G, ks, ("reduced",), jobs)
-    samples = tuple((k, dims.get(_edge(G, k) + i, 0))
-                    for k, ((dims,), _) in sorted(results.items()))
-    return HilbertRay(m=m, i=i, samples=samples)
+    samples = []
+    for k in range(k_min, k_max + 1):
+        degree = _edge(G, k) + i
+        samples.append((k, _build(G, k, "reduced", degree).table.dim(degree)))
+    return HilbertRay(m=m, i=i, samples=tuple(samples))
 
 
 def _least_polynomial(points, bound):
@@ -181,11 +180,21 @@ def _least_polynomial(points, bound):
     return coeffs
 
 
+def _exact_sample(sample):
+    """sample as a pair (k, value): k an int, value an int or a Fraction, no bool."""
+    if isinstance(sample, (tuple, list)) and list(map(type, sample)) in ([int, int], [int, Fraction]):
+        return tuple(sample)
+    raise ValueError("sample %r is not (k, value), k an int and value an int or a Fraction"
+                     % (sample,))
+
+
 def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     """Minimal quasi-polynomial certificate for a sampled tail.
 
-    samples is a sequence of (k, value) at consecutive k; p_max is an
-    int >= 1 and deg_max an int >= 0.  Candidates (period p, onset N)
+    samples is a sequence of exact (k, value) at consecutive k: k an
+    int, value an int or a Fraction (any other sample, a float or a
+    bool among them, raises ValueError naming it).  p_max is an int
+    >= 1 and deg_max an int >= 0.  Candidates (period p, onset N)
     are scanned in lexicographic order; a candidate is certifiable when
     every residue class mod p has at least 2 samples at k >= N.  Each
     class gets one forward-difference table, which gives both its least
@@ -200,7 +209,7 @@ def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
     """
     _check_int(p_max, "p_max", 1)
     _check_int(deg_max, "deg_max", 0)
-    samples = sorted(samples)
+    samples = sorted(map(_exact_sample, samples))
     if not samples:
         raise UnderDeterminedError("no samples")
     ks = [k for k, _ in samples]
@@ -339,7 +348,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
-    results = _betti_dims_range(G, ks, ("full", "reduced"), jobs, facts=m >= 2)
+    results = _betti_dims_range(G, ks, jobs, facts=m >= 2)
     dims_by_k = {k: full for k, ((full, _), _) in results.items()}
     edge = {k: _edge(G, k) for k in ks}
     checks = []
@@ -378,35 +387,18 @@ def _structural_facts(record, G, k):
     """Rank facts about the reduced complex near its top, at one k."""
     basis, _, ranks, _ = record
     e = _edge(G, k)
-    out = []
-
-    dim_23 = (len(basis.slice(e + 2, 2)), len(basis.slice(e + 3, 1)))
-    r = ranks.get((e + 2, 2), 0)
-    exact = dim_23 == (1, 1) and r == 1
-    out.append(RangeCheck(
-        check_id="top-pair-exact",
-        description="two-term subcomplex at degrees +2, +3 is exact (k=%d)" % k,
-        status="pass" if exact else "fail",
-        detail={"k": k, "dims": list(dim_23), "rank": r},
-    ))
-
+    dim_23 = [len(basis.slice(e + 2, 2)), len(basis.slice(e + 3, 1))]
+    r, r1, r2 = (ranks.get(s, 0) for s in ((e + 2, 2), (e + 1, 1), (e, 2)))
     n1 = len(basis.slice(e + 1, 1))
-    r1 = ranks.get((e + 1, 1), 0)
     ker = n1 - r1 if n1 else None
-    ok1 = r1 == 1 and ker == 2
-    out.append(RangeCheck(
-        check_id="weight1-block",
-        description="block out of (degree +1, weight 1): rank 1, kernel 2 (k=%d)" % k,
-        status="pass" if ok1 else "fail",
-        detail={"k": k, "rank": r1, "kernel": ker},
-    ))
-
-    r2 = ranks.get((e, 2), 0)
-    ok2 = r2 == 2
-    out.append(RangeCheck(
-        check_id="weight2-block",
-        description="block out of (degree +0, weight 2): rank 2 (k=%d)" % k,
-        status="pass" if ok2 else "fail",
-        detail={"k": k, "rank": r2},
-    ))
-    return out
+    facts = (
+        ("top-pair-exact", "two-term subcomplex at degrees +2, +3 is exact",
+         dim_23 == [1, 1] and r == 1, {"dims": dim_23, "rank": r}),
+        ("weight1-block", "block out of (degree +1, weight 1): rank 1, kernel 2",
+         r1 == 1 and ker == 2, {"rank": r1, "kernel": ker}),
+        ("weight2-block", "block out of (degree +0, weight 2): rank 2",
+         r2 == 2, {"rank": r2}),
+    )
+    return [RangeCheck(check_id=check_id, description="%s (k=%d)" % (text, k),
+                       status="pass" if ok else "fail", detail=dict(detail, k=k))
+            for check_id, text, ok, detail in facts]

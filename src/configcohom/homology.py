@@ -83,9 +83,14 @@ class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
     __slots__ = ()
 
 
-def _build(G, k, mode):
-    """Basis, blocks, pruned ranks with the d o d check, and Betti table."""
+def _build(G, k, mode, least=0):
+    """Basis, blocks, pruned ranks with the d o d check, and Betti table,
+    of the slices of degree >= least - 1 (the table from least on, its
+    euler partial).  d raises degree, so every block that a degree >=
+    least reads is built and checked: the window loses nothing above."""
     basis = enumerate_basis(G, k, mode)
+    basis = basis._replace(slices={s: mons for s, mons in basis.slices.items()
+                                   if s[0] >= least - 1})
     blocks = {b.source: b for b in assemble_blocks(G, basis)}
     # chain pruning (module docstring): the columns of a block that are
     # pivot rows of the block into its source are not eliminated, and
@@ -102,14 +107,14 @@ def _build(G, k, mode):
                     "d o d != 0 out of slice %r (k=%d, %s)" % (src, k, mode))
             into[b.target] = rows
 
-    dims = {}
+    dims = {}  # degree least - 1 has no rank in, so the table leaves it out
     for (i, w), mons in basis.slices.items():
         contribution = len(mons) - ranks.get((i, w), 0) - ranks.get((i - 1, w + 1), 0)
         if contribution < 0:
             raise AssemblyError(
                 "negative slice contribution at %r (k=%d, %s)" % ((i, w), k, mode))
         dims[i] = dims.get(i, 0) + contribution
-    table = {i: dims.get(i, 0) for i in range(basis.top_degree() + 1)}
+    table = {i: dims.get(i, 0) for i in range(least, basis.top_degree() + 1)}
     euler = sum(d if i % 2 == 0 else -d for i, d in table.items())
     return _Complex(basis, blocks, ranks,
                     BettiTable(k=k, ring=G.label, mode=mode, dims=table, euler=euler))

@@ -299,14 +299,14 @@ def test_ring_check_json_format(tmp_path, capsys):
 
 
 def test_output_file_and_jobs_determinism(tmp_path, capsys):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    rc1 = main(["ray", "--cpm", "2", "--i", "1", "--k-max", "9",
-                "--format", "json", "--jobs", "1", "--output", str(a)])
-    rc2 = main(["ray", "--cpm", "2", "--i", "1", "--k-max", "9",
-                "--format", "json", "--jobs", "3", "--output", str(b)])
-    capsys.readouterr()
-    assert rc1 == rc2 == 0
-    assert a.read_bytes() == b.read_bytes()
+    # --output writes the bytes stdout gets; ray takes no --jobs (verify's
+    # output under every --jobs is criterion 10's)
+    ray = ["ray", "--cpm", "2", "--i", "1", "--k-max", "9", "--format", "json"]
+    rc, out, _ = run(capsys, *ray)
+    path = tmp_path / "ray.json"
+    assert rc == 0 == main(ray + ["--output", str(path)])
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_bad_arguments_exit_two():
@@ -318,10 +318,12 @@ def test_bad_arguments_exit_two():
     with pytest.raises(SystemExit) as exc:
         main(["betti", "--cpm", "2", "--k", "3", "--max-monomials", "-1"])
     assert exc.value.code == 2
-    # only ray and verify fan out, so only they take --jobs
-    with pytest.raises(SystemExit) as exc:
-        main(["betti", "--cpm", "2", "--k", "3", "--jobs", "2"])
-    assert exc.value.code == 2
+    # only verify fans out, so only it takes --jobs
+    for argv in (["betti", "--cpm", "2", "--k", "3"],
+                 ["ray", "--cpm", "2", "--i", "1", "--k-max", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--jobs", "2"])
+        assert exc.value.code == 2
     # a ray reads the reduced complex, so ray takes no --mode
     with pytest.raises(SystemExit) as exc:
         main(["ray", "--cpm", "2", "--i", "1", "--k-max", "6", "--mode", "full"])
@@ -408,8 +410,6 @@ def test_worker_count_is_clamped(monkeypatch):
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
             extremal.worker_count(bad, 18)
         with pytest.raises(ValueError, match="jobs must be a positive integer"):
-            extremal.hilbert_ray(2, 1, 2, 5, jobs=bad)
-        with pytest.raises(ValueError, match="jobs must be a positive integer"):
             extremal.verify_vanishing_ranges(2, 8, jobs=bad)
 
 
@@ -434,7 +434,7 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
         assert rc == 4 and out == ""
         assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
-    def broken_pool(G, ks, modes, jobs, facts=False):
+    def broken_pool(G, ks, jobs, facts=False):
         raise BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)

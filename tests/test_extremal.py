@@ -43,19 +43,15 @@ def test_ray_guards():
 
 
 def test_ray_full_vs_reduced_agree():
-    # a ray reads the reduced complex; the full tables give the same
-    # samples, from k = 0 (below k = 2 the two complexes are one)
-    R = make_cpm(2)
-    for i in (0, 1, 2):
-        ray = hilbert_ray(2, i, 0, 7)
-        assert ray.samples == tuple((k, betti(R, k, "full").dim(2 * k + i))
-                                    for k in range(8)), i
-
-
-def test_ray_parallel_matches_serial():
-    serial = hilbert_ray(2, 1, 2, 9, jobs=1)
-    parallel = hilbert_ray(2, 1, 2, 9, jobs=4)
-    assert serial.samples == parallel.samples
+    # a ray reads a window of the reduced complex; the full tables give
+    # the same samples at D = k(2m-2)+i, from k = 0 (below k = 2 the two
+    # complexes are one)
+    for m, k_max in ((2, 7), (3, 6)):
+        R = make_cpm(m)
+        for i in (0, 1, 2):
+            ray = hilbert_ray(m, i, 0, k_max)
+            assert ray.samples == tuple((k, betti(R, k, "full").dim(k * (2 * m - 2) + i))
+                                        for k in range(k_max + 1)), (m, i)
 
 
 def test_detect_floor_half():
@@ -142,6 +138,29 @@ def test_detect_checks_its_bounds(name, bad):
     with pytest.raises(ValueError, match="%s must be a .* integer" % name) as info:
         detect_quasi_polynomial(samples, **{name: bad})
     assert not isinstance(info.value, UnderDeterminedError)
+
+
+def test_detect_rejects_float_values():
+    # once fitted: onset 6 and a coefficient of 1/4503599627370496
+    samples = [(k, 0.1 * k) for k in range(10)]
+    with pytest.raises(ValueError, match=r"sample \(0, 0\.0\) is not \(k, value\)"):
+        detect_quasi_polynomial(samples)
+
+
+@pytest.mark.parametrize("value", [True, "1"])
+def test_detect_rejects_bool_and_text_values(value):
+    # once each fitted as the constant 1
+    samples = [(k, value) for k in range(10)]
+    with pytest.raises(ValueError, match=r"sample \(0, %r\) is not" % value):
+        detect_quasi_polynomial(samples)
+
+
+@pytest.mark.parametrize("k", [2.0, True])
+def test_detect_rejects_a_k_that_is_no_int(k):
+    # a float k once raised a bare TypeError
+    samples = [(k, 1)] + [(j, 1) for j in range(3, 10)]
+    with pytest.raises(ValueError, match=r"sample \(%r, 1\) is not" % k):
+        detect_quasi_polynomial(samples)
 
 
 def test_detect_requires_consecutive_k():

@@ -1,10 +1,11 @@
 from math import factorial
+from pathlib import Path
 
 import pytest
 
 from configcohom import (SparseExactMatrix, betti, build_generators,
                          cecomplex, consistency_report, enumerate_basis,
-                         homology, make_cpm, rank)
+                         homology, load_ring, make_cpm, rank)
 from configcohom.cecomplex import AssemblyError
 from configcohom.homology import complex_data
 from configcohom.linalg import pivots
@@ -370,3 +371,32 @@ def test_pruned_ranks_equal_unpruned(make_ring, ks, modes):
                 assert ranks[src] == rank(b.matrix), (k, mode, src)
                 if b.matrix.n_cols <= 60:
                     assert ranks[src] == dense_rank(b.matrix.to_dense()), (k, mode, src)
+
+
+WINDOW_CASES = [
+    ("CP^1", lambda: make_cpm.__wrapped__(1), 10),
+    ("CP^2", lambda: make_cpm.__wrapped__(2), 9),
+    ("CP^3", lambda: make_cpm.__wrapped__(3), 8),
+    ("CP^4", lambda: make_cpm.__wrapped__(4), 7),
+    ("T^2", lambda: load_ring(Path(__file__).resolve().parent.parent
+                              / "perfbench" / "rings" / "torus.json"), 8),
+]
+
+
+@pytest.mark.parametrize("make_ring, k_max", [case[1:] for case in WINDOW_CASES],
+                         ids=[case[0] for case in WINDOW_CASES])
+def test_window_equals_the_whole_table(make_ring, k_max):
+    # a build from least keeps the slices of degree >= least - 1, the
+    # source of every block into degree least, and its table is the
+    # whole table's from least on, around the edge e = k(d - 2)
+    R = make_ring()
+    G = build_generators(R)
+    for k in range(k_max + 1):
+        e = k * (R.manifold_dimension - 2)
+        for mode in ("full", "reduced"):
+            whole = betti(R, k, mode)
+            for least in (e - 1, e, e + 1, e + 3):
+                window = homology._build(G, k, mode, least).table
+                assert window.dims == {i: whole.dim(i) for i in
+                                       range(least, whole.top_degree() + 1)}, \
+                    (k, mode, least)
