@@ -56,24 +56,21 @@ def build_parser():
         description="Exact cohomology of unordered configuration spaces.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, ring=False, formats=("text", "csv", "json")):
+    def common(p, formats=("text", "csv", "json")):
         p.add_argument("--format", choices=formats, default="text", dest="fmt")
         p.add_argument("--output", metavar="FILE", help="write to FILE instead of stdout")
         p.add_argument("--max-monomials", type=_int_at_least(0),
                        default=DEFAULT_MAX_MONOMIALS,
                        help="refuse complexes, and rings of n^3 basis triples, "
                             "larger than this (default %d)" % DEFAULT_MAX_MONOMIALS)
-        if ring:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--cpm", type=int, metavar="M", help="use the built-in CP^M ring")
-            g.add_argument("--ring", metavar="FILE", dest="ring_path",
-                           help="load a ring presentation JSON file")
-        else:
-            p.add_argument("--cpm", type=int, metavar="M", required=True)
 
     p = sub.add_parser("betti", help="Betti table of C_k(M)")
     p.set_defaults(runner=_run_betti)
-    common(p, ring=True)
+    common(p)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--cpm", type=int, metavar="M", help="use the built-in CP^M ring")
+    g.add_argument("--ring", metavar="FILE", dest="ring_path",
+                   help="load a ring presentation JSON file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--mode", choices=("full", "reduced", "both"), default="full")
     p.add_argument("--degrees", choices=("cohomological", "homological"),
@@ -82,6 +79,7 @@ def build_parser():
     p = sub.add_parser("ray", help="extremal Hilbert-function ray of CP^m")
     p.set_defaults(runner=_run_ray)
     common(p)
+    p.add_argument("--cpm", type=int, metavar="M", required=True)
     p.add_argument("--i", type=int, required=True, metavar="OFFSET")
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, required=True)
@@ -91,15 +89,15 @@ def build_parser():
     p = sub.add_parser("verify", help="extremal vanishing report for CP^m")
     p.set_defaults(runner=_run_verify)
     common(p, formats=("text", "json"))
+    p.add_argument("--cpm", type=int, metavar="M", required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--jobs", type=_int_at_least(1), default=1,
                    help="worker processes (default 1)")
 
     p = sub.add_parser("ring-check", help="validate a ring presentation file")
-    p.set_defaults(runner=_run_ring_check)
+    p.set_defaults(runner=_run_ring_check, cpm=None)
     p.add_argument("--ring", metavar="FILE", required=True, dest="ring_path")
-    p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-    p.add_argument("--output", metavar="FILE")
+    common(p, formats=("text", "json"))
 
     return top
 
@@ -116,8 +114,8 @@ def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _ring(cfg, k, mode="full"):
-    """The ring asked for, once its check and its complex fit in --max-monomials.
+def _ring(cfg, k=None, mode="full"):
+    """The ring asked for, once its check (and its complex, given k) fit in --max-monomials.
 
     validate_ring visits all n^3 triples of basis classes, so a ring
     with more triples than the cap is refused before it is validated,
@@ -136,7 +134,7 @@ def _ring(cfg, k, mode="full"):
         raise _CapExceeded("ring %s has %d basis triples to check, more than the cap "
                            "of %d (raise --max-monomials to proceed)" % (label, n ** 3, cap))
     R = R if cfg.cpm is None else make_cpm(cfg.cpm)
-    if any(total > cap for total in accumulate(weight_counts(R, k, mode))):
+    if k is not None and any(total > cap for total in accumulate(weight_counts(R, k, mode))):
         raise _CapExceeded("complex for k=%d exceeds the cap: more than %d "
                            "monomials (raise --max-monomials to proceed)" % (k, cap))
     return R
@@ -249,7 +247,7 @@ def _run_verify(cfg):
 
 
 def _run_ring_check(cfg):
-    R = load_ring(cfg.ring_path)
+    R = _ring(cfg)
     diag = validate_ring(R)
     if cfg.fmt == "json":
         doc = {"valid": diag.valid,

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial
 
 from .cecomplex import build_generators
-from .homology import _build, _first_mismatch
+from .homology import _build, _full_vs_reduced
 from .ring import _check_int, make_cpm
 
 
@@ -48,17 +48,19 @@ class HilbertRay(namedtuple("HilbertRay", "m i samples")):
         return (self.samples[0][0], self.samples[-1][0])
 
 
-class QuasiPolynomial(namedtuple("QuasiPolynomial", "period onset degree coefficients")):
+class QuasiPolynomial(namedtuple("QuasiPolynomial", "onset coefficients")):
     """Certificate: for k >= onset, f(k) = P_{k mod period}(k).
 
     coefficients[r] lists the coefficients (Fractions) of the class-r
     polynomial in ascending powers of k (so the polynomials are in k
-    itself, not in the class index).  degree is the largest actual
-    degree over the classes; the certificate is minimal in
-    lexicographic (period, onset, degree) order among those the
-    samples support.
+    itself, not in the class index).  period (the number of classes)
+    and degree (the longest class's length minus 1) are read off them.
+    The certificate is minimal in lexicographic (period, onset, degree)
+    order among those the samples support.
     """
     __slots__ = ()
+    period = property(lambda self: len(self.coefficients))
+    degree = property(lambda self: max(map(len, self.coefficients)) - 1)
 
     def evaluate(self, k):
         coeffs = self.coefficients[k % self.period]
@@ -90,17 +92,15 @@ def _edge(G, k):
 
 
 def _dims_for_k(args):
-    """Worker: full and reduced Betti dims of C_k(CP^m).  Top-level so it pickles.
+    """Worker: full Betti dims of C_k(CP^m), checked against the reduced ones.
 
-    args is (G, k, facts), G the generator set of CP^m.  Returns
-    (k, ((full, reduced), facts)): facts holds the structural facts read
-    off the reduced build when asked for, else None.  The full complex
-    is dropped before the reduced one is built.
+    args is (G, k), G the generator set of CP^m; top-level so it pickles.
+    Returns (k, (full, first, facts)): first is the first degree where the
+    tables differ, or None, and facts are read off the reduced build.
     """
-    G, k, facts = args
-    full = _build(G, k, "full").table.dims
-    record = _build(G, k, "reduced")
-    return k, ((full, record.table.dims), _structural_facts(record, G, k) if facts else None)
+    G, k = args
+    full, reduced, first = _full_vs_reduced(G, k)
+    return k, (full.dims, first, _structural_facts(reduced, G, k))
 
 
 def worker_count(jobs, n_tasks):
@@ -111,15 +111,14 @@ def worker_count(jobs, n_tasks):
     return max(1, min(jobs, n_tasks, cpus or 1))
 
 
-def _betti_dims_range(G, ks, jobs, facts=False):
+def _betti_dims_range(G, ks, jobs):
     """_dims_for_k over a list of k, optionally fanned out to processes.
 
-    One task per k carries G and builds both modes in one process; with
-    facts, the task at the largest k also returns the structural facts.
+    One task per k carries G and builds both modes in one process.
     Workers take the largest k first, and results are keyed by k, so
     the outcome is byte-identical for any job count.
     """
-    tasks = [(G, k, facts and k == max(ks)) for k in ks]
+    tasks = [(G, k) for k in ks]
     workers = worker_count(jobs, len(tasks))
     if workers == 1:
         return dict(_dims_for_k(t) for t in tasks)
@@ -235,9 +234,7 @@ def detect_quasi_polynomial(samples, p_max=6, deg_max=4):
                 if fits[-1] is None:
                     break
             else:
-                return QuasiPolynomial(
-                    period=p, onset=onset, degree=max(map(len, fits)) - 1,
-                    coefficients=tuple(map(tuple, fits)))
+                return QuasiPolynomial(onset=onset, coefficients=tuple(map(tuple, fits)))
     if not any_certifiable:
         raise UnderDeterminedError(
             "window k=%d..%d cannot certify any (period <= %d, degree <= %d) candidate"
@@ -340,21 +337,20 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
     "sharper" when vanishing starts earlier than claimed, "fail" when a
     claimed-zero value is nonzero.
     Each k is one task that builds its full and then its reduced
-    complex in one process; the task at k_max reads the structural
-    facts off its own reduced build, so nothing is built twice.
+    complex in one process, and reads structural facts off the
+    reduced one; the report keeps those of k_max.
     """
     G = build_generators(make_cpm(m))
     _check_int(k_max, "k", 0)
     if k_max < 8:
         raise ValueError("k_max must be at least 8 to exercise the claimed onsets")
     ks = list(range(2, k_max + 1))
-    results = _betti_dims_range(G, ks, jobs, facts=m >= 2)
-    dims_by_k = {k: full for k, ((full, _), _) in results.items()}
+    results = _betti_dims_range(G, ks, jobs)
+    dims_by_k = {k: full for k, (full, _, _) in results.items()}
     edge = {k: _edge(G, k) for k in ks}
     checks = []
 
-    first = {k: _first_mismatch(*results[k][0]) for k in ks}
-    mismatches = [[k, first[k]] for k in ks if first[k] is not None]
+    mismatches = [[k, results[k][1]] for k in ks if results[k][1] is not None]
     checks.append(RangeCheck(
         check_id="table-consistency",
         description="full and reduced Betti tables agree for k = 2..%d" % k_max,
@@ -377,7 +373,7 @@ def verify_vanishing_ranges(m, k_max, jobs=1):
         "dim H^{k(2m-2)+i}(C_k(CP^%d)) = 0 for every i >= 4" % m, flags, claimed=4))
 
     if m >= 2:
-        checks.extend(results[k_max][1])
+        checks.extend(results[k_max][2])
 
     i0 = tuple((k, dims_by_k[k].get(edge[k], 0)) for k in ks)
     return RangeReport(m=m, k_max=k_max, checks=tuple(checks), i0_samples=i0)

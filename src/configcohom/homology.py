@@ -140,11 +140,13 @@ def betti(R, k, mode="full"):
     return _build(build_generators(R), k, mode).table
 
 
-def _first_mismatch(full, reduced):
-    """First degree where two dims tables differ, or None."""
-    top = max(max(full, default=0), max(reduced, default=0))
-    return next((i for i in range(top + 1)
-                 if full.get(i, 0) != reduced.get(i, 0)), None)
+def _full_vs_reduced(G, k):
+    """Full table, reduced build, and the first degree where their tables
+    differ or None; the full build is dropped before the reduced one."""
+    full = _build(G, k, "full").table
+    reduced = _build(G, k, "reduced")
+    degrees = sorted(set(full.dims) | set(reduced.table.dims))
+    return full, reduced, next((i for i in degrees if full.dim(i) != reduced.table.dim(i)), None)
 
 
 def consistency_report(R, k):
@@ -152,8 +154,6 @@ def consistency_report(R, k):
 
     Both builds share one generator set, so R is validated once.
     """
-    G = build_generators(R)
-    full, reduced = (_build(G, k, mode).table for mode in ("full", "reduced"))
-    first = _first_mismatch(full.dims, reduced.dims)
+    full, reduced, first = _full_vs_reduced(build_generators(R), k)
     return ConsistencyReport(k=k, ring=R.label, ok=first is None, first_mismatch=first,
-                             full=full, reduced=reduced)
+                             full=full, reduced=reduced.table)

@@ -353,6 +353,7 @@ def malformed_ring_docs():
         ("basis-item-without-degree", altered(("basis", 1), {"name": "x"}),
          "each basis item needs a name and a degree"),
         ("products-not-a-list", altered(("products",), {}), "products must be a list"),
+        ("product-not-an-object", altered(("products", 5), 3), "each product must be an object"),
         ("product-without-result", altered(("products", 5), {"left": "x", "right": "x"}),
          "product missing 'result'"),
         ("result-not-a-list", altered(("products", 5, "result"), {"basis": "x^2"}),
@@ -393,6 +394,18 @@ def malformed_ring_docs():
          "declared top class 'x' does not have degree 4"),
         ("unknown-top", altered(("top",), "zz"), "top references unknown basis name 'zz'"),
     ]
+
+
+def wide_ring_doc(n):
+    """A ring document of n basis classes and one product, 1 * 1 = 1.
+
+    Its schema is sound, but validate_ring would visit n^3 triples of
+    classes (27 million at n = 300), which the monomial cap refuses.
+    """
+    basis = [{"name": "1", "degree": 0}] + [{"name": "x%d" % i, "degree": 2}
+                                            for i in range(1, n)]
+    return {"dimension": 2, "basis": basis,
+            "products": [{"left": "1", "right": "1", "result": [{"basis": "1", "coeff": "1"}]}]}
 
 
 def unreadable_ring_files():

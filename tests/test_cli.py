@@ -13,7 +13,7 @@ from configcohom import cli, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
 from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, torus_ring,
-                     unreadable_ring_files)
+                     unreadable_ring_files, wide_ring_doc)
 
 
 def run(capsys, *argv):
@@ -185,6 +185,23 @@ def test_cap_bounds_the_ring_check(argv):
     assert elapsed < 1.0
 
 
+def test_cap_bounds_ring_check_on_a_wide_file(tmp_path):
+    # ring-check refuses a 300-class file (27,000,000 triples) before it
+    # validates it, with the message and exit code of its siblings
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide_ring_doc(300)))
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "configcohom", "ring-check", "--ring", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("ring %s has 27000000 basis triples to check, more than the cap "
+                           "of 2000000 (raise --max-monomials to proceed)\n" % path)
+    assert elapsed < 1.0
+
+
 def test_cap_on_ring_check_counts_triples(tmp_path, capsys):
     # CP^60 has 61^3 = 226,981 triples, within the default cap
     rc, out, _ = run(capsys, "betti", "--cpm", "60", "--k", "2")
@@ -204,6 +221,16 @@ def test_cap_on_ring_check_counts_triples(tmp_path, capsys):
     rc, out, err = run(capsys, "betti", "--ring", str(bad), "--k", "3")
     assert rc == 2 and out == ""
     assert err == "error: Poincare pairing into x^2 is degenerate\n"
+    # ring-check applies the same rule, to a valid ring and an invalid one
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(cp2_ring_doc()))
+    for path in (good, bad):
+        rc, out, err = run(capsys, "ring-check", "--ring", str(path), "--max-monomials", "26")
+        assert rc == 3 and out == ""
+        assert err == ("ring %s has 27 basis triples to check, more than the "
+                       "cap of 26 (raise --max-monomials to proceed)\n" % path)
+    rc, out, _ = run(capsys, "ring-check", "--ring", str(good), "--max-monomials", "27")
+    assert rc == 0 and out == "ring %s: valid\n" % good
 
 
 def test_ray_csv_certificate_on_stderr(capsys):
@@ -284,7 +311,7 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys, data, message):
     path.write_bytes(data)
     for argv in (["ring-check"], ["betti", "--k", "3"]):
         rc, out, err = run(capsys, *argv, "--ring", str(path))
-        assert rc == 2 and out == ""
+        assert rc == 2 and out == "" and err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith("malformed ring presentation: ") and "Traceback" not in err
         assert re.search(message, err)
 
@@ -335,10 +362,11 @@ def test_bad_arguments_exit_two():
 
 
 def test_table_consistency_fail_path(monkeypatch, capsys):
-    # one reduced table of CP^1 made wrong in one degree: verify reports
-    # exactly that (k, degree) and exits 1
+    # one reduced table of CP^1 made wrong in one degree: verify and
+    # betti --mode both, which share one comparison, report exactly that
+    # (k, degree) and exit 1
     k, degree = 5, 3
-    build = extremal._build
+    build = homology._build
 
     def perturbed(G, k_, mode):
         record = build(G, k_, mode)
@@ -348,7 +376,7 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
             record = record._replace(table=record.table._replace(dims=dims))
         return record
 
-    monkeypatch.setattr(extremal, "_build", perturbed)
+    monkeypatch.setattr(homology, "_build", perturbed)
     rep = extremal.verify_vanishing_ranges(1, 8)
     check = {c.check_id: c for c in rep.checks}["table-consistency"]
     assert check.status == "fail" and not rep.ok
@@ -360,6 +388,10 @@ def test_table_consistency_fail_path(monkeypatch, capsys):
     assert doc["ok"] is False
     assert [c["detail"] for c in doc["checks"]
             if c["id"] == "table-consistency"] == [{"mismatches": [[k, degree]]}]
+    rc, out, err = run(capsys, "betti", "--cpm", "1", "--k", str(k), "--mode", "both")
+    assert rc == 1
+    assert out.endswith("\nconsistent: NO (first mismatch in degree %d)\n" % degree)
+    assert err == "full and reduced tables disagree at degree %d\n" % degree
 
 
 def test_jobs_default():
@@ -434,7 +466,7 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
         assert rc == 4 and out == ""
         assert err == "internal error: %s: %s\n" % (type(exc).__name__, exc)
 
-    def broken_pool(G, ks, jobs, facts=False):
+    def broken_pool(G, ks, jobs):
         raise BrokenProcessPool("a worker died")
 
     monkeypatch.setattr(extremal, "_betti_dims_range", broken_pool)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti,
+from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti, homology,
                          consistency_report, detect_quasi_polynomial, hilbert_ray,
                          make_cpm, ring, verify_vanishing_ranges)
 from oracles import lagrange_coefficients, torus_ring
@@ -62,6 +62,18 @@ def test_detect_floor_half():
                                (Fraction(-1, 2), Fraction(1, 2)))
     assert qp.matches(samples)
     assert not qp.is_zero()
+
+
+def test_certificate_reads_period_and_degree_off_its_coefficients():
+    # two classes, of degrees 1 and 0: period 2, degree 1, and no way to
+    # state another period or degree beside them
+    qp = QuasiPolynomial(onset=3, coefficients=((Fraction(1), Fraction(2)), (Fraction(5),)))
+    assert (qp.period, qp.degree) == (2, 1)
+    assert qp.to_json_dict() == {"period": 2, "onset": 3, "degree": 1,
+                                 "classes": [["1", "2"], ["5"]]}
+    assert [qp.evaluate(k) for k in (4, 5)] == [9, 5]
+    with pytest.raises(TypeError):
+        QuasiPolynomial(period=2, onset=0, degree=3, coefficients=((Fraction(1),),))
 
 
 def test_detect_zero_tail():
@@ -185,8 +197,7 @@ def quasi_polynomials(draw):
     classes = tuple(
         tuple(draw(coeff) for _ in range(degree + 1)) for _ in range(period)
     )
-    return QuasiPolynomial(period=period, onset=onset, degree=degree,
-                           coefficients=classes)
+    return QuasiPolynomial(onset=onset, coefficients=classes)
 
 
 @settings(max_examples=60, deadline=None)
@@ -261,16 +272,17 @@ def test_verify_guards():
 
 
 def test_verify_builds_each_k_and_mode_once(monkeypatch):
-    # one task per k builds its full and its reduced complex, and the
-    # structural facts at k_max read that task's reduced build
-    build = extremal._build
+    # one task per k builds its full and its reduced complex, through the
+    # comparison betti --mode both makes, and reads the structural facts
+    # off that reduced build
+    build = homology._build
     built = []
 
     def spy(G, k, mode):
         built.append((k, mode))
         return build(G, k, mode)
 
-    monkeypatch.setattr(extremal, "_build", spy)
+    monkeypatch.setattr(homology, "_build", spy)
     assert verify_vanishing_ranges(2, 8, jobs=1).ok
     assert len(built) == 14
     assert sorted(built) == sorted((k, mode) for k in range(2, 9)

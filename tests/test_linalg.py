@@ -64,8 +64,18 @@ def test_constructor_validates():
         SparseExactMatrix(2.0, [0, 1], [1], [1])  # not an int row count
     with pytest.raises(TypeError):
         SparseExactMatrix(True, [0, 1], [0], [1])  # a bool row count
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseExactMatrix(-1, [0], [], [])  # a negative row count
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        SparseExactMatrix(2, [], [], [])  # no offsets, so -1 columns
     with pytest.raises(AttributeError):
         zero(1, 1).n_rows = 5
+
+
+def test_from_dense_refuses_ragged_rows():
+    for rows, n_cols in (([[1, 2], [3]], None), ([[1, 2]], 3)):
+        with pytest.raises(ValueError, match="ragged rows"):
+            SparseExactMatrix.from_dense(rows, n_cols)
 
 
 def test_rank_examples():

@@ -265,6 +265,12 @@ def test_product_indices_must_be_ints():
         RingPresentation(("1", "x"), (0, 2), {(0, 1): ((True, 1),)}, 2)
 
 
+def test_one_degree_per_basis_name():
+    for degrees in ((0,), (0, 2, 2)):
+        with pytest.raises(RingSchemaError, match="degrees and basis_names disagree in length"):
+            RingPresentation(("1", "x"), degrees, {}, 2)
+
+
 def test_json_round_trip(tmp_path):
     R = make_cpm(2)
     path = tmp_path / "cp2.json"
