@@ -66,7 +66,8 @@ through the full basis.
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from math import comb, lcm
+from itertools import accumulate
+from math import comb, inf, lcm
 
 from .linalg import SparseExactMatrix
 from .ring import _check_int, diagonal_comultiplication
@@ -246,49 +247,58 @@ def count_monomials(G, k):
     return sum(_weight_counts(*_exponent_caps(G.v_degrees, k), k))
 
 
-def _coded_exponents(caps, degrees, powers, totals):
-    """Exponent vectors by length, as (degree, code).
+def _coded_exponents(caps, degrees, powers, needs):
+    """Exponent vectors by length, as (degree, code), that reach their need.
 
     caps[i] bounds the exponent of generator i (1 for an odd one).
-    Maps each length in totals to its vectors' (degree, partial code)
-    in lexicographic order, summed over these generators only.  The
-    lists are built from the last generator backwards, so every tail is
-    shared by all the prefixes that extend it.
+    Maps each length n in needs to its vectors' (degree, partial code)
+    of degree >= needs[n], in lexicographic order, over these generators
+    only.  Built from the last generator back, every tail is shared by
+    the prefixes that extend it, and dropped once its points left, each
+    at most the largest degree before it, cannot lift it to any need.
     """
-    top = max(totals)
+    top = max(needs)
     tails = {0: [(0, 0)]}
     for i in reversed(range(len(caps))):
-        cap, d, p = caps[i], degrees[i], powers[i]
+        cap, d, p, most = caps[i], degrees[i], powers[i], max(degrees[:i], default=0)
+        # floors[r]: the least of needs[n] - (n - r) * most over the lengths n >= r
+        low = accumulate((needs.get(n, inf) - n * most for n in range(top, -1, -1)), min)
+        floors = needs if i == 0 else {r: f + r * most for r, f in zip(range(top, -1, -1), low)}
         tails = {r: [(deg + e * d, code + e * p)
-                     for e in range(min(cap, r) + 1)
-                     for deg, code in tails.get(r - e, ())]
-                 for r in (totals if i == 0 else range(top + 1))}
+                     for e in range(min(cap, r) + 1) for rest in [floor - e * d]
+                     for deg, code in tails.get(r - e, ()) if deg >= rest]
+                 for r, floor in floors.items()}
     return tails
 
 
-def enumerate_basis(G, k, mode="full"):
+def enumerate_basis(G, k, mode="full", least=0):
     """Canonical monomial basis of the full or reduced complex, by (i, w).
 
     Each slice is a tuple of codes in canonical order, without sorting:
     V-parts run in lexicographic order and, for each, the W-parts in
     lexicographic order, so the slice is lexicographic on (V-exponent
     tuple, W-exponent tuple).  Odd generators have exponent at most 1;
-    in reduced mode v_top's is at most 1 and w_top's 0 as well.
-    Degrees and partial codes of the parts are built once per k.
+    in reduced mode v_top's is at most 1 and w_top's 0 as well.  Only
+    slices of degree >= least are built, from the parts (once per k)
+    that can reach them: each slice, and their order, as in the whole.
     """
     _check_args(k, mode)
     v_caps, w_caps = _exponent_caps(G.v_degrees, k, _top_index(G) if mode == "reduced" else None)
     n_v = len(G.v_degrees)
     powers = [(k + 1) ** j for j in range(2 * n_v)]
     weights = range(k // 2 + 1)
-    v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v], [k - 2 * w for w in weights])
-    w_lists = _coded_exponents(w_caps, G.w_degrees, powers[n_v:], weights)
+    v_most, w_most = max(G.v_degrees, default=0), max(G.w_degrees, default=0)
+    v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
+                               {k - 2 * w: least - w * w_most for w in weights})
+    w_lists = _coded_exponents(w_caps, G.w_degrees, powers[n_v:],
+                               {w: least - (k - 2 * w) * v_most for w in weights})
     slices = {}
     for w in weights:
         by_degree = defaultdict(list)
         for vdeg, vcode in v_lists[k - 2 * w]:
             for wdeg, wcode in w_lists[w]:
-                by_degree[vdeg + wdeg].append(vcode + wcode)
+                if vdeg + wdeg >= least:
+                    by_degree[vdeg + wdeg].append(vcode + wcode)
         for deg, codes in by_degree.items():
             slices[(deg, w)] = tuple(codes)
     return BigradedBasis(k=k, mode=mode, slices=slices)

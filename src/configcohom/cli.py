@@ -144,18 +144,13 @@ def _betti_text(table, indexing="cohomological"):
     """Render a Betti table; indexing only changes the H^i/H_i label."""
     head = "Betti numbers of C_%d(%s), %s complex" % (table.k, table.ring, table.mode)
     sym = "H_%d" if indexing == "homological" else "H^%d"
-    lines = [head]
-    for i in sorted(table.dims):
-        lines.append("%s = %d" % (sym % i, table.dims[i]))
+    lines = [head] + ["%s = %d" % (sym % i, table.dims[i]) for i in sorted(table.dims)]
     lines.append("Euler characteristic: %d" % table.euler)
     return "\n".join(lines) + "\n"
 
 
 def _betti_csv(table):
-    lines = ["degree,dim"]
-    for i in sorted(table.dims):
-        lines.append("%d,%d" % (i, table.dims[i]))
-    return "\n".join(lines) + "\n"
+    return "".join(["degree,dim\n"] + ["%d,%d\n" % (i, table.dims[i]) for i in sorted(table.dims)])
 
 
 def _run_betti(cfg):
@@ -198,7 +193,9 @@ def _run_betti(cfg):
 def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
-    # the window is filtered out of the whole reduced basis, so the cap counts all of it
+    # each k enumerates only its window, yet the cap counts the whole reduced complex at
+    # k_max: in closed form, so a huge --k-max is refused at once, and it bounds the O(k)
+    # per-length part tables too, which a count of the window alone would not
     _ring(cfg, cfg.k_max, "reduced")
     ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)

@@ -4,7 +4,7 @@ The top of the complex for C_k(CP^m) sits near degree k(2m-2); the
 interesting story is the "ray" k -> dim H^{k(2m-2)+i} for a fixed
 offset i.  This module samples those rays (at each k, dim H^D reads
 only the degrees >= D - 1 of the reduced complex, so only they are
-built), fits exact quasi-polynomial certificates to the tails (one
+enumerated), fits exact quasi-polynomial certificates to the tails (one
 forward-difference table per residue class decides the class's least
 degree and, in Newton's form, gives its coefficients), and packages
 the verification of the expected vanishing behaviour into a report:
@@ -30,7 +30,7 @@ from math import factorial
 
 from .cecomplex import build_generators
 from .homology import _build, _full_vs_reduced
-from .ring import _check_int, make_cpm
+from .ring import _check_int, _is_int, make_cpm
 
 
 class UnderDeterminedError(ValueError):
@@ -56,9 +56,18 @@ class QuasiPolynomial(namedtuple("QuasiPolynomial", "onset coefficients")):
     itself, not in the class index).  period (the number of classes)
     and degree (the longest class's length minus 1) are read off them.
     The certificate is minimal in lexicographic (period, onset, degree)
-    order among those the samples support.
+    order among those the samples support; checked, _replace too.
     """
     __slots__ = ()
+
+    def __new__(cls, onset, coefficients):
+        if not (_is_int(onset) and isinstance(coefficients, tuple) and coefficients
+                and all(isinstance(c, tuple) and c for c in coefficients)):
+            raise ValueError("a certificate needs an int onset (negative too) and a non-empty "
+                             "tuple of non-empty tuples, got %r, %r" % (onset, coefficients))
+        return super().__new__(cls, onset, coefficients)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
     period = property(lambda self: len(self.coefficients))
     degree = property(lambda self: max(map(len, self.coefficients)) - 1)
 
@@ -132,10 +141,10 @@ def hilbert_ray(m, i, k_min, k_max):
     """Sample the offset-i extremal ray of CP^m over k_min..k_max.
 
     Takes m, the ring it computes on: one generator set of CP^m is
-    built here, which also fixes the edge k(2m-2).  Each k builds the
-    degrees >= D - 1 of the reduced complex, D = k(2m-2) + i: all that
-    dim H^D reads.  The reduced complex is the full one below k = 2, so
-    any k >= 0 works.
+    built here, which also fixes the edge k(2m-2).  Each k enumerates
+    and builds the degrees >= D - 1 of the reduced complex, D =
+    k(2m-2) + i: all that dim H^D reads.  The reduced complex is the
+    full one below k = 2, so any k >= 0 works.
     """
     G = build_generators(make_cpm(m))
     _check_int(i, "offset i", 0)
@@ -143,11 +152,9 @@ def hilbert_ray(m, i, k_min, k_max):
     _check_int(k_max, "k", 0)
     if k_min > k_max:
         raise ValueError("empty k range")
-    samples = []
-    for k in range(k_min, k_max + 1):
-        degree = _edge(G, k) + i
-        samples.append((k, _build(G, k, "reduced", degree).table.dim(degree)))
-    return HilbertRay(m=m, i=i, samples=tuple(samples))
+    degrees = {k: _edge(G, k) + i for k in range(k_min, k_max + 1)}
+    samples = tuple((k, _build(G, k, "reduced", D).table.dim(D)) for k, D in degrees.items())
+    return HilbertRay(m=m, i=i, samples=samples)
 
 
 def _least_polynomial(points, bound):
@@ -292,31 +299,19 @@ class RangeReport(namedtuple("RangeReport", "m k_max checks i0_samples")):
         return "\n".join(lines)
 
 
-def _observed_onset(flags):
-    """First k after which a per-k predicate holds through the window.
-
-    flags is a sorted list of (k, bool); returns the smallest k0 such
-    that the predicate holds for all sampled k >= k0, or None if it
-    fails at the final sample.
-    """
-    onset = None
-    for k, good in flags:
-        if good:
-            if onset is None:
-                onset = k
-        else:
-            onset = None
-    return onset
-
-
 def _vanishing_check(check_id, description, flags, claimed):
-    """RangeCheck of a vanishing claim from per-k (k, vanishes) flags.
+    """RangeCheck of a vanishing claim from (k, vanishes) flags sorted by k.
 
-    "fail" when the claim breaks at some k >= claimed, "sharper" when
-    the observed onset comes before claimed, else "pass".
+    The observed onset is the least k0 with every sampled k >= k0
+    vanishing, or None.  "fail" when the claim breaks at some k >=
+    claimed, "sharper" when the onset comes before claimed, else "pass".
     """
     failed = [k for k, good in flags if k >= claimed and not good]
-    onset = _observed_onset(flags)
+    onset = None
+    for k, good in reversed(flags):  # back from the last k, to the first that fails
+        if not good:
+            break
+        onset = k
     status = "fail" if failed else ("sharper" if onset is not None and onset < claimed else "pass")
     return RangeCheck(
         check_id=check_id, description=description, status=status,

@@ -85,12 +85,10 @@ class _Complex(namedtuple("_Complex", "basis blocks ranks table")):
 
 def _build(G, k, mode, least=0):
     """Basis, blocks, pruned ranks with the d o d check, and Betti table,
-    of the slices of degree >= least - 1 (the table from least on, its
-    euler partial).  d raises degree, so every block that a degree >=
-    least reads is built and checked: the window loses nothing above."""
-    basis = enumerate_basis(G, k, mode)
-    basis = basis._replace(slices={s: mons for s, mons in basis.slices.items()
-                                   if s[0] >= least - 1})
+    of the slices of degree >= least - 1, the only ones enumerated (the
+    table from least on, its euler partial).  d raises degree, so every
+    block a degree >= least reads is built and checked: nothing is lost."""
+    basis = enumerate_basis(G, k, mode, least - 1)
     blocks = {b.source: b for b in assemble_blocks(G, basis)}
     # chain pruning (module docstring): the columns of a block that are
     # pivot rows of the block into its source are not eliminated, and

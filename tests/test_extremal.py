@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from configcohom import (QuasiPolynomial, extremal, UnderDeterminedError, betti, homology,
@@ -74,6 +74,45 @@ def test_certificate_reads_period_and_degree_off_its_coefficients():
     assert [qp.evaluate(k) for k in (4, 5)] == [9, 5]
     with pytest.raises(TypeError):
         QuasiPolynomial(period=2, onset=0, degree=3, coefficients=((Fraction(1),),))
+
+
+@pytest.mark.parametrize("onset, coefficients", [
+    (0, ()), (0, ((),)), (0, ((Fraction(1),), ())), (0, [(Fraction(1),)]),
+    (0, ([Fraction(1)],)), (0, None), (1.0, ((Fraction(1),),)), (True, ((Fraction(1),),)),
+    ("3", ((Fraction(1),),)),
+])
+def test_certificate_checks_onset_and_coefficients(onset, coefficients):
+    # an empty class list or an empty class has no period or degree to
+    # report; every way in (the constructor, _make, _replace) checks
+    with pytest.raises(ValueError, match="certificate needs an int onset"):
+        QuasiPolynomial(onset=onset, coefficients=coefficients)
+    with pytest.raises(ValueError, match="certificate needs an int onset"):
+        QuasiPolynomial._make((onset, coefficients))
+    good = QuasiPolynomial(onset=-2, coefficients=((Fraction(1),),))  # negative k are samples too
+    with pytest.raises(ValueError, match="certificate needs an int onset"):
+        good._replace(onset=onset, coefficients=coefficients)
+    assert good.evaluate(-2) == 1 and good.to_json_dict()["onset"] == -2
+
+
+def _onset_by_definition(flags):
+    # the least sampled k0 with every sampled k >= k0 good, else None
+    return next((k0 for k0, _ in flags if all(good for k, good in flags if k >= k0)), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-3, max_value=12), st.lists(st.booleans(), max_size=12),
+       st.integers(min_value=-3, max_value=20))
+@example(k_lo=2, goods=[], claimed=8)
+@example(k_lo=2, goods=[True, True, False], claimed=8)
+@example(k_lo=2, goods=[False, True, True], claimed=3)
+def test_observed_onset_is_the_least_k_of_a_good_tail(k_lo, goods, claimed):
+    flags = list(zip(range(k_lo, k_lo + len(goods)), goods))
+    check = extremal._vanishing_check("x", "y", flags, claimed)
+    onset = _onset_by_definition(flags)
+    assert check.observed_onset == onset
+    failed = [k for k, good in flags if k >= claimed and not good]
+    assert check.status == ("fail" if failed else
+                            "sharper" if onset is not None and onset < claimed else "pass")
 
 
 def test_detect_zero_tail():

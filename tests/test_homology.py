@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from configcohom import (SparseExactMatrix, betti, build_generators,
+from configcohom import (GeneratorSet, SparseExactMatrix, betti, build_generators,
                          cecomplex, consistency_report, enumerate_basis,
-                         homology, load_ring, make_cpm, rank)
+                         hilbert_ray, homology, load_ring, make_cpm, rank)
 from configcohom.cecomplex import AssemblyError
 from configcohom.homology import complex_data
 from configcohom.linalg import pivots
@@ -207,9 +207,9 @@ def test_reduced_record_independent_of_full(m, monkeypatch):
     real = enumerate_basis
     modes = []
 
-    def spy(G, k, mode="full"):
+    def spy(G, k, mode="full", least=0):
         modes.append(mode)
-        return real(G, k, mode)
+        return real(G, k, mode, least)
 
     monkeypatch.setattr(homology, "enumerate_basis", spy)
     monkeypatch.setattr(cecomplex, "enumerate_basis", spy)
@@ -400,3 +400,64 @@ def test_window_equals_the_whole_table(make_ring, k_max):
                 assert window.dims == {i: whole.dim(i) for i in
                                        range(least, whole.top_degree() + 1)}, \
                     (k, mode, least)
+
+
+def _reversed_set(G):
+    # the same complex with V and W listed in the other order, so its
+    # V-degrees descend: position t becomes n - 1 - t
+    n = len(G.v_degrees)
+    table = [[((n - 1 - a, n - 1 - b), q) for (a, b), q in terms]
+             for terms in reversed(G.boundary_on_w)]
+    return GeneratorSet(G.v_degrees[::-1], table, G.manifold_dimension, G.label + " reversed")
+
+
+ENUMERATOR_CASES = [(name, lambda make_ring=make_ring: build_generators(make_ring()), k_max)
+                    for name, make_ring, k_max in WINDOW_CASES] + [
+    ("CP^2 reversed", lambda: _reversed_set(build_generators(make_cpm(2))), 9),
+    ("CP^3 reversed", lambda: _reversed_set(build_generators(make_cpm(3))), 7),
+]
+
+
+@pytest.mark.parametrize("make_set, k_max", [case[1:] for case in ENUMERATOR_CASES],
+                         ids=[case[0] for case in ENUMERATOR_CASES])
+def test_window_enumerates_the_filtered_whole_basis(make_set, k_max):
+    # enumerate_basis from least gives the whole basis's slices of degree
+    # >= least: the same codes, in the same order within each slice, and
+    # the slices in the same order (homotopy_check and the AssemblyError
+    # messages name the first monomial in that order)
+    G = make_set()
+    for k in range(k_max + 1):
+        e = k * (G.manifold_dimension - 2)
+        for mode in ("full", "reduced"):
+            whole = enumerate_basis(G, k, mode)
+            for least in (-1, e - 2, e - 1, e, e + 1, e + 3, whole.top_degree() + 1):
+                window = enumerate_basis(G, k, mode, least)
+                assert list(window.slices.items()) == [
+                    (s, codes) for s, codes in whole.slices.items() if s[0] >= least], \
+                    (k, mode, least)
+
+
+def test_reversed_set_has_the_same_tables():
+    # the reordered set is a valid set for the same complex
+    G = build_generators(make_cpm(2))
+    for k in range(2, 7):
+        for mode in ("full", "reduced"):
+            assert homology._build(_reversed_set(G), k, mode).table.dims == \
+                homology._build(G, k, mode).table.dims, (k, mode)
+
+
+def test_ray_enumerates_only_its_windows(monkeypatch):
+    # the offset-1 ray of CP^7 to k = 14 reads 127 reduced monomials; the
+    # whole reduced bases of k = 2..14 hold 1,860,807
+    real = enumerate_basis
+    counted = []
+
+    def spy(*args):
+        basis = real(*args)
+        counted.append(basis.total_dimension())
+        return basis
+
+    monkeypatch.setattr(homology, "enumerate_basis", spy)
+    samples = hilbert_ray(7, 1, 2, 14).samples
+    assert len(counted) == 13 and sum(counted) <= 1000
+    assert samples == tuple((k, 1 if k in (3, 4) else 0) for k in range(2, 15))
