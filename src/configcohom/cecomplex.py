@@ -80,13 +80,13 @@ class AssemblyError(RuntimeError):
 class GeneratorSet(namedtuple("GeneratorSet", "v_degrees boundary_on_w manifold_dimension label")):
     """One V- and one W-generator per ring class, plus the boundary table on W.
 
-    v_degrees[t] is the cohomological degree of v_t, used for all sign
-    and grading bookkeeping; w_t has degree v_degrees[t] + d - 1, so
+    v_degrees[t], a non-negative int, is the degree of v_t, used for all
+    sign and grading bookkeeping; w_t has degree v_degrees[t] + d - 1, so
     w_degrees, the names and both parities are read off v_degrees.
-    boundary_on_w[t] lists ((a, b), coeff) terms meaning w_t maps to
-    sum coeff * v_a v_b over ordered position pairs.  A checked tuple
-    (through _make and _replace too), so the set a command hands to its
-    pool workers cannot change on the way.
+    boundary_on_w[t] lists ((a, b), coeff) terms, coeff an int or a
+    Fraction, meaning w_t maps to sum coeff * v_a v_b over ordered
+    position pairs.  A checked tuple (through _make and _replace too), so
+    the set a command hands to its pool workers cannot change on the way.
     """
     __slots__ = ()
 
@@ -96,11 +96,15 @@ class GeneratorSet(namedtuple("GeneratorSet", "v_degrees boundary_on_w manifold_
         _check_int(manifold_dimension, "manifold dimension", 1)
         if manifold_dimension % 2:  # the W-parities rest on it
             raise ValueError("manifold dimension must be even, got %d" % manifold_dimension)
+        for v in self.v_degrees:
+            _check_int(v, "V-degree", 0)
         if len(self.boundary_on_w) != len(self.v_degrees):
             raise ValueError("boundary table length disagrees with W")
         if any(a not in range(len(self.v_degrees))
                for terms in self.boundary_on_w for pair, _ in terms for a in pair):
             raise ValueError("boundary term outside V")
+        if any(type(q) not in (int, Fraction) for t in self.boundary_on_w for _, q in t):
+            raise ValueError("boundary coefficient neither an int nor a Fraction")
         return self
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -187,17 +191,17 @@ class DifferentialBlock(namedtuple("DifferentialBlock", "source target matrix sc
 
 
 def _exponent_caps(v_degrees, k, top=None):
-    """Bounds on the exponent of each V- and each W-generator for k points.
+    """Exponent bounds of the V- and W-generators for k points, and the weights.
 
     1 for an odd generator, k for an even one, w_t of the other parity
     than v_t (d is even); top, the top position t, caps v_t's at 1 and
-    w_t's at 0, as the reduced complex does.
+    w_t's at 0 (reduced).  Weight w puts w points in W: w <= the W-caps' sum.
     """
     v_caps = [1 if v % 2 else k for v in v_degrees]
     w_caps = [k if v % 2 else 1 for v in v_degrees]
     if top is not None:
         v_caps[top], w_caps[top] = 1, 0
-    return v_caps, w_caps
+    return v_caps, w_caps, range(min(k // 2, sum(w_caps)) + 1)
 
 
 def _capped_count(caps, total):
@@ -215,9 +219,8 @@ def _capped_count(caps, total):
                for j in range(min(ones, total) + 1))
 
 
-def _weight_counts(v_caps, w_caps, k):
-    return (_capped_count(v_caps, k - 2 * w) * _capped_count(w_caps, w)
-            for w in range(k // 2 + 1))
+def _weight_counts(v_caps, w_caps, weights, k):
+    return (_capped_count(v_caps, k - 2 * w) * _capped_count(w_caps, w) for w in weights)
 
 
 def _check_args(k, mode):
@@ -227,7 +230,7 @@ def _check_args(k, mode):
 
 
 def weight_counts(R, k, mode="full"):
-    """Monomials of the complex of ring R for k points, weight by weight.
+    """Monomials of the complex of ring R for k points, by weight up to the last the caps fill.
 
     Counts what enumerate_basis(build_generators(R), k, mode) holds from
     the V-degrees alone (one V/W pair per class), without validating R,
@@ -253,20 +256,23 @@ def _coded_exponents(caps, degrees, powers, needs):
     caps[i] bounds the exponent of generator i (1 for an odd one).
     Maps each length n in needs to its vectors' (degree, partial code)
     of degree >= needs[n], in lexicographic order, over these generators
-    only.  Built from the last generator back, every tail is shared by
-    the prefixes that extend it, and dropped once its points left, each
-    at most the largest degree before it, cannot lift it to any need.
+    only.  Built from the last generator back, over the lengths that
+    generator and the later ones can hold, every tail is shared by the
+    prefixes that extend it, and dropped once its points left, each at
+    most the largest degree before it, cannot lift it to any need.
     """
-    top = max(needs)
+    longest, top = max(needs), 0
     tails = {0: [(0, 0)]}
     for i in reversed(range(len(caps))):
         cap, d, p, most = caps[i], degrees[i], powers[i], max(degrees[:i], default=0)
+        held, top = top, min(longest, top + cap)  # points i + 1, ... and i, ... can hold
         # floors[r]: the least of needs[n] - (n - r) * most over the lengths n >= r
-        low = accumulate((needs.get(n, inf) - n * most for n in range(top, -1, -1)), min)
+        low = accumulate((needs.get(n, inf) - n * most for n in range(top - 1, -1, -1)), min,
+                         initial=min(f - n * most for n, f in needs.items() if n >= top))
         floors = needs if i == 0 else {r: f + r * most for r, f in zip(range(top, -1, -1), low)}
         tails = {r: [(deg + e * d, code + e * p)
-                     for e in range(min(cap, r) + 1) for rest in [floor - e * d]
-                     for deg, code in tails.get(r - e, ()) if deg >= rest]
+                     for e in range(max(0, r - held), min(cap, r) + 1) for rest in [floor - e * d]
+                     for deg, code in tails[r - e] if deg >= rest]
                  for r, floor in floors.items()}
     return tails
 
@@ -278,15 +284,15 @@ def enumerate_basis(G, k, mode="full", least=0):
     V-parts run in lexicographic order and, for each, the W-parts in
     lexicographic order, so the slice is lexicographic on (V-exponent
     tuple, W-exponent tuple).  Odd generators have exponent at most 1;
-    in reduced mode v_top's is at most 1 and w_top's 0 as well.  Only
-    slices of degree >= least are built, from the parts (once per k)
-    that can reach them: each slice, and their order, as in the whole.
+    in reduced mode v_top's is at most 1 and w_top's 0 as well.  Only the
+    weights and lengths the caps fill, and the parts (once per k) that can
+    reach degree least, are built: each slice, and their order, as in the whole.
     """
     _check_args(k, mode)
-    v_caps, w_caps = _exponent_caps(G.v_degrees, k, _top_index(G) if mode == "reduced" else None)
+    v_caps, w_caps, weights = _exponent_caps(G.v_degrees, k,
+                                             _top_index(G) if mode == "reduced" else None)
     n_v = len(G.v_degrees)
     powers = [(k + 1) ** j for j in range(2 * n_v)]
-    weights = range(k // 2 + 1)
     v_most, w_most = max(G.v_degrees, default=0), max(G.w_degrees, default=0)
     v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
                                {k - 2 * w: least - w * w_most for w in weights})

@@ -121,8 +121,8 @@ def _ring(cfg, k=None, mode="full"):
     with more triples than the cap is refused before it is validated,
     and a built-in CP^m before it is even built ((m + 1)^2 products).
     The complex of k points in this mode is then counted from the
-    degrees, also before validation, and weight by weight, so a huge k
-    is refused at once.
+    degrees, also before validation, weight by weight up to the last one
+    the caps fill, so a huge k is refused, or counted, at once.
     """
     cap = cfg.max_monomials
     if cfg.cpm is None:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -123,9 +124,21 @@ def test_count_matches_enumeration_in_both_modes():
         for k in range(0, 8):
             for mode in ("full", "reduced"):
                 basis = enumerate_basis(G, k, mode)
+                counts = list(weight_counts(R, k, mode))
                 by_weight = [sum(len(c) for (_, w), c in basis.slices.items() if w == u)
-                             for u in range(k // 2 + 1)]
-                assert list(weight_counts(R, k, mode)) == by_weight, (R.label, k, mode)
+                             for u in range(len(counts))]
+                assert counts == by_weight, (R.label, k, mode)
+                # the counts stop at the last weight the caps fill, and the
+                # build holds no slice past it
+                assert len(counts) <= k // 2 + 1, (R.label, k, mode)
+                assert all(w < len(counts) for _, w in basis.slices), (R.label, k, mode)
+
+
+def test_count_stops_at_the_last_weight_the_caps_fill():
+    # reduced CP^1 has one W-generator, of exponent at most 1, so its
+    # counts end at weight 1 whatever k is: v0^k and v0^(k-1) v2, then
+    # v0^(k-2) w1 and v0^(k-3) v2 w1
+    assert list(islice(weight_counts(make_cpm(1), 10**9, "reduced"), 3)) == [2, 2]
 
 
 def test_count_of_a_ring_without_one_top_is_the_full_count():

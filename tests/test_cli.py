@@ -12,7 +12,7 @@ import configcohom
 from configcohom import cli, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
-from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, torus_ring,
+from oracles import (cp2_half_ring, cp2_ring_doc, malformed_ring_docs, s4_ring, torus_ring,
                      unreadable_ring_files, wide_ring_doc)
 
 
@@ -183,6 +183,25 @@ def test_cap_bounds_the_ring_check(argv):
     assert done.stderr == ("ring CP^300 has 27270901 basis triples to check, more than "
                            "the cap of 2000000 (raise --max-monomials to proceed)\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name, top", [("S^2", 3), ("S^4", 7)])
+def test_sphere_far_out_in_a_fresh_process(tmp_path, name, top):
+    # C_k(S^2n) has Q in degrees 0 and 4n - 1 only, for k >= 3
+    # (Randal-Williams); the reduced complex stops at weight 1, so its
+    # count and build take no time at k = 100,000
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(s4_ring().to_dict()))
+    source = ("--cpm", "1") if name == "S^2" else ("--ring", str(path))
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "configcohom", "betti", *source,
+                           "--k", "100000", "--mode", "reduced"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 0 and done.stderr == ""
+    dims = dict(map(int, line[2:].split(" = ")) for line in done.stdout.splitlines()
+                if line.startswith("H^"))
+    assert {i: b for i, b in dims.items() if b} == {0: 1, top: 1}
 
 
 def test_cap_bounds_ring_check_on_a_wide_file(tmp_path):

@@ -81,6 +81,31 @@ def test_names_and_degrees_must_agree_in_length():
         GeneratorSet(G.v_degrees, G.boundary_on_w[:2], 4)
 
 
+def _cp2_set(**fields):
+    return build_generators(make_cpm(2))._replace(**fields)
+
+
+@pytest.mark.parametrize("make_set, match", [
+    (lambda: GeneratorSet((-2, 0, 4), [[], [], [((2, 2), 1)]], 4), "V-degree"),
+    (lambda: GeneratorSet((0, 2.0, 4), [[], [], [((2, 2), 1)]], 4), "V-degree"),
+    (lambda: GeneratorSet((0, True, 4), [[], [], [((2, 2), 1)]], 4), "V-degree"),
+    (lambda: _cp2_set(v_degrees=(0, -2, 4)), "V-degree"),
+    (lambda: GeneratorSet((0, 2, 4), [[], [], [((2, 2), 1.0)]], 4), "coefficient"),
+    (lambda: GeneratorSet((0, 2, 4), [[], [], [((2, 2), True)]], 4), "coefficient"),
+    (lambda: GeneratorSet((0, 2, 4), [[], [], [((2, 2), "1")]], 4), "coefficient"),
+    (lambda: _cp2_set(boundary_on_w=((((0, 2), 0.5),), (), (((2, 2), 1),))), "coefficient"),
+    (lambda: GeneratorSet._make(((0, 2, 4), [[], [], [((2, 2), 1.0)]], 4, "x")), "coefficient"),
+], ids=["negative degree", "float degree", "bool degree", "negative degree by _replace",
+        "float coefficient", "bool coefficient", "str coefficient",
+        "float coefficient by _replace", "float coefficient by _make"])
+def test_generator_set_checks_degrees_and_coefficients(make_set, match):
+    # a V-degree is d minus a ring class's degree, a non-negative int; a
+    # coefficient is exact, an int or a Fraction (a float would reach the
+    # kernel's denominators, a bool would pass for 1)
+    with pytest.raises(ValueError, match=match):
+        make_set()
+
+
 def test_build_generators_leaves_the_ring_unchanged():
     # nothing is cached on the ring: each call derives the set afresh
     R = make_cpm.__wrapped__(3)

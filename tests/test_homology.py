@@ -132,6 +132,15 @@ def test_s4_configuration_spaces():
             assert nonzero(betti(R, k)) == {0: 1, 2 * d - 1: 1}, (R.label, k)
 
 
+def test_sphere_reduced_tables_far_out():
+    # the same theorem where no full table reaches: the reduced complex of
+    # S^2 or S^4 stops at weight 1 and holds four monomials for every k
+    for R, d in ((make_cpm(1), 2), (s4_ring(), 4)):
+        for k in (3, 10, 1000):
+            assert complex_data(R, k, "reduced")[0].total_dimension() == 4, (R.label, k)
+            assert nonzero(betti(R, k, "reduced")) == {0: 1, 2 * d - 1: 1}, (R.label, k)
+
+
 STABILITY_CASES = [
     ("CP^2", lambda: make_cpm(2), 8),
     ("CP^3", lambda: make_cpm(3), 7),
@@ -415,6 +424,8 @@ ENUMERATOR_CASES = [(name, lambda make_ring=make_ring: build_generators(make_rin
                     for name, make_ring, k_max in WINDOW_CASES] + [
     ("CP^2 reversed", lambda: _reversed_set(build_generators(make_cpm(2))), 9),
     ("CP^3 reversed", lambda: _reversed_set(build_generators(make_cpm(3))), 7),
+    ("S^4", lambda: build_generators(s4_ring()), 12),
+    ("CP^1 to k=40", lambda: build_generators(make_cpm(1)), 40),
 ]
 
 
