@@ -13,11 +13,14 @@ is started, so a betti or ring-check run skips both.  Only verify fans
 out, behind --jobs; ray builds, one k after the other, just the degree
 window of each k's reduced complex that its sample reads.
 
+One writer, _emit, reads --format and --output and writes every artifact,
+the same bytes to a file as to stdout (ray's CSV certificate goes to stderr).
+
 Exit codes: 0 success, 1 a verified claim failed, 2 input error
-(ring-check's verdict on an invalid ring, too), 3 cap exceeded (by
-the complex's monomials or the ring check's n^3 triples), 4 internal
-error (any RuntimeError: a failed consistency check inside the
-engine, or a worker process that died).  run() alone maps a failure
+(ring-check's verdict on an invalid ring, too), 3 cap exceeded (by the
+complex's monomials, a ray's k values or the ring check's n^3 triples),
+4 internal error (any RuntimeError: a failed consistency check inside
+the engine, or a worker process that died).  run() alone maps a failure
 to its code and its one stderr line.  Output is deterministic
 byte-for-byte for a given configuration, independent of verify's --jobs.
 """
@@ -102,16 +105,17 @@ def build_parser():
     return top
 
 
-def _emit(cfg, text):
+def _emit(cfg, doc, text, csv=None):
+    """Write the form --format names, of doc (JSON), text or csv, to --output or stdout."""
+    if cfg.fmt == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    elif cfg.fmt == "csv":
+        text = csv
     if cfg.output:
         with open(cfg.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _ring(cfg, k=None, mode="full"):
@@ -157,36 +161,26 @@ def _run_betti(cfg):
     R = _ring(cfg, cfg.k, "full" if cfg.mode == "both" else cfg.mode)
     if cfg.mode == "both":
         report = consistency_report(R, cfg.k)
-        if cfg.fmt == "json":
-            doc = {
-                "full": report.full.to_json_dict(cfg.indexing),
-                "reduced": report.reduced.to_json_dict(cfg.indexing),
-                "consistent": report.ok,
-                "first_mismatch": report.first_mismatch,
-            }
-            _emit(cfg, _json_text(doc))
-        elif cfg.fmt == "csv":
-            # tables agree when consistent; emit the full one
-            _emit(cfg, _betti_csv(report.full))
-        else:
-            text = (_betti_text(report.full, cfg.indexing)
-                    + _betti_text(report.reduced, cfg.indexing))
-            text += ("consistent: yes\n" if report.ok
-                     else "consistent: NO (first mismatch in degree %s)\n"
-                     % report.first_mismatch)
-            _emit(cfg, text)
+        doc = {
+            "full": report.full.to_json_dict(cfg.indexing),
+            "reduced": report.reduced.to_json_dict(cfg.indexing),
+            "consistent": report.ok,
+            "first_mismatch": report.first_mismatch,
+        }
+        text = (_betti_text(report.full, cfg.indexing)
+                + _betti_text(report.reduced, cfg.indexing))
+        text += ("consistent: yes\n" if report.ok
+                 else "consistent: NO (first mismatch in degree %s)\n"
+                 % report.first_mismatch)
+        # tables agree when consistent; the CSV is the full one
+        _emit(cfg, doc, text, _betti_csv(report.full))
         if not report.ok:
             sys.stderr.write("full and reduced tables disagree at degree %s\n"
                              % report.first_mismatch)
-            return 1
-        return 0
+        return 0 if report.ok else 1
     table = betti(R, cfg.k, cfg.mode)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_text(table.to_json_dict(cfg.indexing)))
-    elif cfg.fmt == "csv":
-        _emit(cfg, _betti_csv(table))
-    else:
-        _emit(cfg, _betti_text(table, cfg.indexing))
+    _emit(cfg, table.to_json_dict(cfg.indexing), _betti_text(table, cfg.indexing),
+          _betti_csv(table))
     return 0
 
 
@@ -194,21 +188,24 @@ def _run_ray(cfg):
     from .extremal import detect_quasi_polynomial, hilbert_ray
 
     # each k enumerates only its window, yet the cap counts the whole reduced complex at
-    # k_max: in closed form, so a huge --k-max is refused at once, and it bounds the O(k)
-    # per-length part tables too, which a count of the window alone would not
+    # k_max: in closed form, so a huge --k-max is refused at once, and it bounds one k's
+    # O(k) per-length part tables too, which a count of the window alone would not; and
+    # each k is one window build, so the k range counts against the cap too
     _ring(cfg, cfg.k_max, "reduced")
+    builds = cfg.k_max - cfg.k_min + 1
+    if builds > cfg.max_monomials:
+        raise _CapExceeded("ray builds %d windows, one per k = %d..%d, more than the cap of %d "
+                           "(raise --max-monomials to proceed)"
+                           % (builds, cfg.k_min, cfg.k_max, cfg.max_monomials))
     ray = hilbert_ray(cfg.cpm, cfg.i, cfg.k_min, cfg.k_max)
     cert = detect_quasi_polynomial(ray.samples, p_max=cfg.p_max, deg_max=cfg.deg_max)
-    if cfg.fmt == "json":
-        doc = {
-            "ring": "CP^%d" % ray.m,
-            "offset": ray.i,
-            "mode": "reduced",
-            "samples": [list(s) for s in ray.samples],
-            "certificate": cert.to_json_dict() if cert is not None else None,
-        }
-        _emit(cfg, _json_text(doc))
-        return 0
+    doc = {
+        "ring": "CP^%d" % ray.m,
+        "offset": ray.i,
+        "mode": "reduced",
+        "samples": ray.samples,
+        "certificate": cert.to_json_dict() if cert is not None else None,
+    }
     if cert is None:
         cert_line = ("certificate: none within period <= %d, degree <= %d"
                      % (cfg.p_max, cfg.deg_max))
@@ -218,16 +215,13 @@ def _run_ray(cfg):
             for r, coeffs in enumerate(cert.coefficients))
         cert_line = ("certificate: period %d, onset %d, degree %d; %s"
                      % (cert.period, cert.onset, cert.degree, classes))
+    text = ("extremal ray: CP^%d, offset %d, reduced complex, k = %d..%d\n"
+            % (ray.m, ray.i, cfg.k_min, cfg.k_max))
+    text += "".join("k=%d: %d\n" % s for s in ray.samples) + cert_line + "\n"
+    csv = "".join(["k,dim\n"] + ["%d,%d\n" % s for s in ray.samples])
+    _emit(cfg, doc, text, csv)
     if cfg.fmt == "csv":
-        lines = ["k,dim"] + ["%d,%d" % s for s in ray.samples]
-        _emit(cfg, "\n".join(lines) + "\n")
         sys.stderr.write(cert_line + "\n")
-        return 0
-    lines = ["extremal ray: CP^%d, offset %d, reduced complex, k = %d..%d"
-             % (ray.m, ray.i, cfg.k_min, cfg.k_max)]
-    lines += ["k=%d: %d" % s for s in ray.samples]
-    lines.append(cert_line)
-    _emit(cfg, "\n".join(lines) + "\n")
     return 0
 
 
@@ -236,24 +230,16 @@ def _run_verify(cfg):
 
     _ring(cfg, cfg.k_max)
     report = verify_vanishing_ranges(cfg.cpm, cfg.k_max, jobs=cfg.jobs)
-    if cfg.fmt == "json":
-        _emit(cfg, _json_text(report.to_json_dict()))
-    else:
-        _emit(cfg, report.to_text() + "\n")
+    _emit(cfg, report.to_json_dict(), report.to_text() + "\n")
     return 0 if report.ok else 1
 
 
 def _run_ring_check(cfg):
     R = _ring(cfg)
     diag = validate_ring(R)
-    if cfg.fmt == "json":
-        doc = {"valid": diag.valid,
-               "violations": [[rule, msg] for rule, msg in diag.violations]}
-        _emit(cfg, _json_text(doc))
-    else:
-        lines = ["ring %s: %s" % (R.label, "valid" if diag.valid else "INVALID")]
-        lines += ["  [%s] %s" % v for v in diag.violations]
-        _emit(cfg, "\n".join(lines) + "\n")
+    lines = ["ring %s: %s" % (R.label, "valid" if diag.valid else "INVALID")]
+    lines += ["  [%s] %s" % v for v in diag.violations]
+    _emit(cfg, {"valid": diag.valid, "violations": diag.violations}, "\n".join(lines) + "\n")
     return 0 if diag.valid else 2
 
 

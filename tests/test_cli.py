@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 import os
 import re
@@ -7,6 +9,8 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import configcohom
 from configcohom import cli, extremal, homology, make_cpm
@@ -164,6 +168,26 @@ def test_monomial_cap_counts_the_complex_built(capsys):
     assert rc == 0
     rc, _, err = run(capsys, "verify", "--cpm", "2", "--k-max", "6", *cap)
     assert rc == 3 and "cap" in err
+
+
+def test_ray_k_range_counts_against_the_cap(capsys):
+    # each k of a ray is one window build, so a ray over more k than the
+    # cap is refused before any is built, although S^2's reduced complex
+    # holds 4 monomials at every k; a cap of 8 admits k = 2..9 on CP^1
+    # (its 8 basis triples) and refuses k = 2..10
+    ray = ("ray", "--cpm", "1", "--i", "1", "--max-monomials", "8")
+    assert run(capsys, *ray, "--k-max", "9")[0] == 0
+    assert run(capsys, *ray, "--k-max", "10") == (
+        3, "", "ray builds 9 windows, one per k = 2..10, more than the cap of 8 "
+               "(raise --max-monomials to proceed)\n")
+    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "configcohom", "ray", "--cpm", "1", "--i", "1",
+                           "--k-max", "1000000000"],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 3 and done.stdout == ""
+    assert done.stderr == ("ray builds 999999999 windows, one per k = 2..1000000000, more than "
+                           "the cap of 2000000 (raise --max-monomials to proceed)\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -335,6 +359,48 @@ def test_malformed_ring_file_exits_two(tmp_path, capsys, data, message):
         assert re.search(message, err)
 
 
+def _positions(node, path=()):
+    """The path of every value in a JSON document, the root's () first."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _positions(child, path + (key,))
+
+
+# a value of each JSON type, names of the documents' own classes among them
+_EDIT_VALUES = (None, True, 0, 3, -1, "", "x", "1/2", [], {}, ["x"], {"name": "x", "degree": 2})
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from([cp2_ring_doc, lambda: torus_ring().to_dict()]),
+       st.randoms(use_true_random=True))
+def test_mutated_ring_document_exits_cleanly(tmp_path, capsys, make_doc, rng):
+    # one to three random edits of a valid document, each replacing a value
+    # (the root's too) or deleting a key or list item: every run exits 0, 2
+    # or 3 with at most one stderr line, and a traceback would escape main
+    doc = make_doc()
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_positions(doc)))
+        value = copy.deepcopy(rng.choice(_EDIT_VALUES))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.25:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    ring = tmp_path / "mutated.json"
+    ring.write_text(json.dumps(doc))
+    for argv in (["ring-check"], ["betti", "--k", "3"]):
+        rc, _, err = run(capsys, *argv, "--ring", str(ring))
+        assert rc in (0, 2, 3) and err.count("\n") <= 1, (argv, doc, err)
+
+
 def test_ring_check_json_format(tmp_path, capsys):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(cp2_ring_doc()))
@@ -344,15 +410,142 @@ def test_ring_check_json_format(tmp_path, capsys):
     assert json.loads(out) == {"valid": True, "violations": []}
 
 
+def _write_ring_files(directory):
+    """torus.json, good.json (CP^2) and bad.json (CP^2 without x * x) in directory."""
+    (directory / "torus.json").write_text(json.dumps(torus_ring().to_dict()))
+    (directory / "good.json").write_text(json.dumps(cp2_ring_doc()))
+    doc = cp2_ring_doc()
+    doc["products"] = [p for p in doc["products"]
+                       if (p["left"], p["right"]) != ("x", "x")]
+    (directory / "bad.json").write_text(json.dumps(doc))
+
+
+# sha256 of exit code, stdout and stderr of each command, run in a directory
+# holding the files of _write_ring_files; every subcommand and format, both
+# betti modes and degree indexings, and a ray with no certificate (CP^3 to k = 7)
+FROZEN_CLI_ARTIFACTS = (
+    ("betti --cpm 2 --k 6 --mode full --format text --degrees cohomological",
+     "c2fa10d55978817bdcc8843b037b530ddcae2317dd29d85d3858a02e3408681f"),
+    ("betti --cpm 2 --k 6 --mode full --format text --degrees homological",
+     "6b4be9f64cff531ca0a0d56a21513a7e99e08836045db20612e7e99755404f64"),
+    ("betti --cpm 2 --k 6 --mode full --format csv --degrees cohomological",
+     "2417cbd470d9301fb90d97ff385142605972f790e8b0e5a5fded5e31201db8b1"),
+    ("betti --cpm 2 --k 6 --mode full --format csv --degrees homological",
+     "2417cbd470d9301fb90d97ff385142605972f790e8b0e5a5fded5e31201db8b1"),
+    ("betti --cpm 2 --k 6 --mode full --format json --degrees cohomological",
+     "b68c9d99a02ab7b1c5c4ef4b9a365a38e7e5ae03f73112dabe09ed95a5077dd2"),
+    ("betti --cpm 2 --k 6 --mode full --format json --degrees homological",
+     "df317b6ba191396c87c90563d34081facfb0100360c3872f594713ae91b9de93"),
+    ("betti --cpm 2 --k 6 --mode both --format text --degrees cohomological",
+     "613cec76f1d44ef3df4d7ca2f589691a4196d03e6e02118c49e1ae54174aac59"),
+    ("betti --cpm 2 --k 6 --mode both --format text --degrees homological",
+     "4fc1a7898b9784e3e937af288153937374ef4e5611e353916357310894ba2798"),
+    ("betti --cpm 2 --k 6 --mode both --format csv --degrees cohomological",
+     "2417cbd470d9301fb90d97ff385142605972f790e8b0e5a5fded5e31201db8b1"),
+    ("betti --cpm 2 --k 6 --mode both --format csv --degrees homological",
+     "2417cbd470d9301fb90d97ff385142605972f790e8b0e5a5fded5e31201db8b1"),
+    ("betti --cpm 2 --k 6 --mode both --format json --degrees cohomological",
+     "10fa22287e9bb7b39627f0c58d158b9adb3cf78e25800b358069524f3009fb85"),
+    ("betti --cpm 2 --k 6 --mode both --format json --degrees homological",
+     "3b89bf009a553cda6d32415d2322bec1e38dfe40d5959da24a3d71fd417f4665"),
+    ("betti --ring torus.json --k 8 --mode full --format text --degrees cohomological",
+     "b58f41709f66ef4c91b56da75c71a449e242950a5f065473d85e18c89e26b0e3"),
+    ("betti --ring torus.json --k 8 --mode full --format text --degrees homological",
+     "58c496e32d486df80a94bc1bae77c3071b7de7fd07323e911a088e4d4cb27a93"),
+    ("betti --ring torus.json --k 8 --mode full --format csv --degrees cohomological",
+     "980c3d873244ae2e536705b2cf535baa6cca218fbf5e17a365a528965371c7a6"),
+    ("betti --ring torus.json --k 8 --mode full --format csv --degrees homological",
+     "980c3d873244ae2e536705b2cf535baa6cca218fbf5e17a365a528965371c7a6"),
+    ("betti --ring torus.json --k 8 --mode full --format json --degrees cohomological",
+     "0067dd3cf34496945482cc5cf60be469b3a72b59bf97053126eee7fa1393c45c"),
+    ("betti --ring torus.json --k 8 --mode full --format json --degrees homological",
+     "01f7d3fb168ccac0e30cab03ea275989ead81d3e10f6c9c5bdeef09834578cf7"),
+    ("betti --ring torus.json --k 8 --mode both --format text --degrees cohomological",
+     "2b68da25e4eb68fd9ae75be65f286f2457abecd249b48485480701c4c52144d4"),
+    ("betti --ring torus.json --k 8 --mode both --format text --degrees homological",
+     "447a56aa603ed68769c8eaee871e0363ee319beba00c71b2310ceacfda7525ce"),
+    ("betti --ring torus.json --k 8 --mode both --format csv --degrees cohomological",
+     "980c3d873244ae2e536705b2cf535baa6cca218fbf5e17a365a528965371c7a6"),
+    ("betti --ring torus.json --k 8 --mode both --format csv --degrees homological",
+     "980c3d873244ae2e536705b2cf535baa6cca218fbf5e17a365a528965371c7a6"),
+    ("betti --ring torus.json --k 8 --mode both --format json --degrees cohomological",
+     "465e9a5127e6ed6f8df981345dce636e28cd9eb772241c2247d2a0d918cc75b8"),
+    ("betti --ring torus.json --k 8 --mode both --format json --degrees homological",
+     "4942408d27f9cb73c6e724adc585b277ccac4e69fcbc0722323440606d797fbd"),
+    ("ray --cpm 2 --i 0 --k-max 10 --format text",
+     "ebcfb3c5d558d20db0fccb1d3ee35b7db9dcc3f00bc65b0e40443bfc706b267f"),
+    ("ray --cpm 2 --i 0 --k-max 10 --format csv",
+     "40fd084f2133aab7064cf0ccbd133839f23f2612a468ea5f7c2b95ad84ceb36d"),
+    ("ray --cpm 2 --i 0 --k-max 10 --format json",
+     "1b07f47f8c4d8a7bdbf13a0600019098bd44e89bc64134c94b1d1b2cb215d4fa"),
+    ("ray --cpm 2 --i 1 --k-max 10 --format text",
+     "745e57933a4fa9ecc5a226d54de4d2d21b794f765cf0b5e98be607fe29d55268"),
+    ("ray --cpm 2 --i 1 --k-max 10 --format csv",
+     "9d15d56531b66298e7833b91fec41dedb1c88ceec3a00bc1874d0977f9cbf160"),
+    ("ray --cpm 2 --i 1 --k-max 10 --format json",
+     "40c28c374d807d74d3564affb0de8f10d6d4cd126c3b25ac9e9d41c9c105fa21"),
+    ("ray --cpm 3 --i 0 --k-max 10 --format text",
+     "9a3a2a69298ca74669aef6f985556668fcec380716e78f2eb8bc584a5b94fbc8"),
+    ("ray --cpm 3 --i 0 --k-max 10 --format csv",
+     "7aa2b14edc48a203c61ca748245849e65eb75d4f2433ddcadb71ff8f3f590b18"),
+    ("ray --cpm 3 --i 0 --k-max 10 --format json",
+     "1d109a046d03e549b5c802d67d29e3fba41a34f17288b0168095553d4420f75a"),
+    ("ray --cpm 3 --i 1 --k-max 10 --format text",
+     "799fde671d0b5e3b06d1e83c20845abf6a987691c53a15c46c8810c07d3a71fd"),
+    ("ray --cpm 3 --i 1 --k-max 10 --format csv",
+     "0ae6e19709caa3c7c9be5ade98b989b9caf30e2530edc55d8ac3149932abede3"),
+    ("ray --cpm 3 --i 1 --k-max 10 --format json",
+     "d5b722016ea1bdb6a1de0db8b46bfc4b297812c0a7b2edc2b7ec8ceaa21b9542"),
+    ("ray --cpm 3 --i 0 --k-max 7 --format text",
+     "bcf41625a0f618773e0b91e1e1ee5c16b464029c4d17d64cd8f665d862def23a"),
+    ("ray --cpm 3 --i 0 --k-max 7 --format csv",
+     "bec2769b04f1678e8a238b1bcb3f23db97924ada2eafb3a58b07362db6367ac2"),
+    ("ray --cpm 3 --i 0 --k-max 7 --format json",
+     "49e3a9ec4a3dc7878a995fe18168db6fbf7caa4d85e6b04b95b6fbba33d49879"),
+    ("verify --cpm 2 --k-max 8 --format text",
+     "0cd384356a80015fd89044b287655dc408a2b7ae583d08803dc71c14799b79da"),
+    ("verify --cpm 2 --k-max 8 --format json",
+     "9b9fda63c1e91aa8451e97cab5d622d92db830debb2060cba50f4f6c0a5f733b"),
+    ("ring-check --ring good.json --format text",
+     "98f5f6fdcdf5c5bdf1684e6b657346fa5ba69bdf567225a9f5be91469036cd47"),
+    ("ring-check --ring good.json --format json",
+     "ef4db157a36a111fefe8fcf130fe866e1ced182b44b9772b973ab1ebe332ebdb"),
+    ("ring-check --ring bad.json --format text",
+     "18268670151d939eff97fe4a0c4348d51598ee1eafe0baaf0257b5bf6b594249"),
+    ("ring-check --ring bad.json --format json",
+     "5c91d732c9557a6aa5869921ef2d4a79e5216b37e3a3a5b2da87a02a87fd992c"),
+)
+
+
+def test_frozen_cli_artifact_digests(tmp_path, monkeypatch, capsys):
+    _write_ring_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for argv, want in FROZEN_CLI_ARTIFACTS:
+        rc, out, err = run(capsys, *argv.split())
+        got = hashlib.sha256(b"%d\n%s\0%s" % (rc, out.encode(), err.encode())).hexdigest()
+        assert got == want, argv
+
+
 def test_output_file_and_jobs_determinism(tmp_path, capsys):
-    # --output writes the bytes stdout gets; ray takes no --jobs (verify's
+    # --output writes exactly the bytes stdout gets, for every subcommand
+    # and format, and stdout stays empty; ray takes no --jobs (verify's
     # output under every --jobs is criterion 10's)
-    ray = ["ray", "--cpm", "2", "--i", "1", "--k-max", "9", "--format", "json"]
-    rc, out, _ = run(capsys, *ray)
-    path = tmp_path / "ray.json"
-    assert rc == 0 == main(ray + ["--output", str(path)])
-    assert capsys.readouterr().out == ""
-    assert path.read_bytes() == out.encode()
+    _write_ring_files(tmp_path)
+    good, bad = str(tmp_path / "good.json"), str(tmp_path / "bad.json")
+    commands = [["betti", "--cpm", "2", "--k", "5", "--mode", mode, "--format", fmt]
+                for mode in ("full", "both") for fmt in ("text", "csv", "json")]
+    commands += [["ray", "--cpm", "2", "--i", "1", "--k-max", "9", "--format", fmt]
+                 for fmt in ("text", "csv", "json")]
+    commands += [["verify", "--cpm", "2", "--k-max", "8", "--format", fmt]
+                 for fmt in ("text", "json")]
+    commands += [["ring-check", "--ring", ring, "--format", fmt]
+                 for ring in (good, bad) for fmt in ("text", "json")]
+    for n, argv in enumerate(commands):
+        path = tmp_path / ("artifact-%d" % n)
+        rc, out, err = run(capsys, *argv)
+        assert out
+        assert run(capsys, *argv, "--output", str(path)) == (rc, "", err), argv
+        assert path.read_bytes() == out.encode(), argv
 
 
 def test_bad_arguments_exit_two():
