@@ -152,9 +152,11 @@ def hilbert_ray(m, i, k_min, k_max):
     _check_int(k_max, "k", 0)
     if k_min > k_max:
         raise ValueError("empty k range")
-    degrees = {k: _edge(G, k) + i for k in range(k_min, k_max + 1)}
-    samples = tuple((k, _build(G, k, "reduced", D).table.dim(D)) for k, D in degrees.items())
-    return HilbertRay(m=m, i=i, samples=samples)
+    samples = []
+    for k in range(k_min, k_max + 1):
+        D = _edge(G, k) + i
+        samples.append((k, _build(G, k, "reduced", D).table.dim(D)))
+    return HilbertRay(m=m, i=i, samples=tuple(samples))
 
 
 def _least_polynomial(points, bound):

@@ -27,10 +27,16 @@ column pairs with that column as a pivot, without arithmetic, and the
 column is removed, which may leave further rows held by one column.  A
 count of the live columns holding each row, and the XOR of their
 indices (which is the column itself when the count is 1), find these
-in O(nnz).  Then the columns left are eliminated fraction-free: the
-pivot column is cross-multiplied into the others and each result is
-re-normalized by its content (gcd), so entries stay small integers and
-no fraction or floating point is ever involved.  Pivots there are
+in O(nnz).  Rows are peeled lowest index first, from a heap.  Any order
+is a valid elimination, but the order chooses the pivot rows, and a
+caller that chains blocks (homology's chain pruning) skips exactly
+those rows as columns of the next block.  Lowest first leaves that
+block far more to peel than last-found-first: on CP^5 k=11, 1,735
+columns of the whole build reach the second stage against 4,532.
+Then the columns left are eliminated fraction-free: the pivot column
+is cross-multiplied into the others and each result is re-normalized
+by its content (gcd), so entries stay small integers and no fraction
+or floating point is ever involved.  Pivots there are
 chosen sparsity-first (the column with fewest entries, ties to the
 lowest column index, then that column's least-used row, Markowitz
 style), so repeated runs take identical paths.  A heap of live columns
@@ -198,6 +204,12 @@ def pivots(A, skip=()):
     in the earlier ones, so A[Y_elim, X_elim] is invertible too, and a
     column that reduces to zero is a combination of pivot columns.
     A[Y, X] is block triangular with these two blocks on its diagonal.
+
+    The peel takes the lowest row held by one live column each time.
+    Each step is valid in any order, so the order changes nothing
+    above, but it chooses Y, and the next block of a chain skips the
+    columns Y: lowest first leaves that block the most to peel of the
+    orders measured (module docstring).
     """
     start, row_index = A.col_start, A.row_index
     # count[r]: live columns holding row r; holder[r]: the XOR of their
@@ -214,9 +226,11 @@ def pivots(A, skip=()):
             count[r] += 1
             holder[r] ^= c
     prows, pcols = set(), set()
-    stack = [r for r, n in enumerate(count) if n == 1]
-    while stack:
-        r = stack.pop()
+    # rows held by one live column, popped lowest first; built in
+    # ascending order, so the list is a heap as it stands
+    singles = [r for r, n in enumerate(count) if n == 1]
+    while singles:
+        r = heapq.heappop(singles)
         if count[r] != 1:
             continue  # its one column was peeled through another row
         c = holder[r]
@@ -226,7 +240,7 @@ def pivots(A, skip=()):
             count[q] -= 1
             holder[q] ^= c
             if count[q] == 1:
-                stack.append(q)
+                heapq.heappush(singles, q)
     rest = [c for c in live if c not in pcols]
     cols = [None] * A.n_cols
     row_cols = {}

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,23 @@ def test_ray_guards():
             hilbert_ray(2, 1, 0, bad)
     with pytest.raises(ValueError):
         hilbert_ray(2, 1, 5, 2)
+
+
+def test_ray_computes_each_degree_when_it_reaches_its_k(monkeypatch):
+    # nothing per k is held before the first window is built, so a long
+    # k range costs no memory up front
+    def refuse(G, k, mode, least):
+        raise RuntimeError("build at k = %d" % k)
+
+    monkeypatch.setattr(extremal, "_build", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="build at k = 0$"):
+            hilbert_ray(1, 1, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_ray_full_vs_reduced_agree():

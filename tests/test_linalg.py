@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from configcohom import SparseExactMatrix, kernel_dim, make_cpm, rank
 from configcohom import linalg
 from configcohom.linalg import pivots
-from configcohom.homology import complex_data
+from configcohom.cecomplex import build_generators
+from configcohom.homology import _build, complex_data
 from oracles import dense_rank, kernel_basis
 
 
@@ -320,8 +321,10 @@ def test_pivots_contract(data):
     check_pivots(*data)
 
 
-def eliminated_columns(monkeypatch, A, skip=()):
-    """Pivot rows of A and the number of columns left after peeling."""
+def stage_two_sizes(monkeypatch):
+    """The list that records, per `pivots` call from now on, how many
+    columns are left to fraction-free elimination after peeling (the
+    size of the one heap it builds with heapify)."""
     sizes = []
     heapify = linalg.heapq.heapify
 
@@ -330,6 +333,12 @@ def eliminated_columns(monkeypatch, A, skip=()):
         heapify(heap)
 
     monkeypatch.setattr(linalg.heapq, "heapify", spy)
+    return sizes
+
+
+def eliminated_columns(monkeypatch, A, skip=()):
+    """Pivot rows of A and the number of columns left after peeling."""
+    sizes = stage_two_sizes(monkeypatch)
     Y = check_pivots(A, skip)
     monkeypatch.undo()
     return Y, sizes[0]
@@ -346,6 +355,9 @@ def test_pivot_rows_peels_a_triangular_matrix(monkeypatch):
     assert eliminated_columns(monkeypatch, A) == ({0, 1, 2, 3, 4}, 0)
     # skipping column 4 leaves row 4 empty and the rest peeling
     assert eliminated_columns(monkeypatch, A, {4}) == ({0, 1, 2, 3}, 0)
+    # rows 0 and 1 are both held by column 0 alone: the lowest is peeled
+    B = SparseExactMatrix.from_dense([[1], [1]])
+    assert eliminated_columns(monkeypatch, B) == ({0}, 0)
 
 
 def test_pivot_rows_without_structural_pivots(monkeypatch):
@@ -373,3 +385,17 @@ def test_pivot_rows_peels_then_eliminates(monkeypatch):
     # with column 4 skipped, what is left has rank 1
     Y, left = eliminated_columns(monkeypatch, A, {4})
     assert {0, 1} < Y and len(Y) == 3 and left == 2
+
+
+def test_peel_order_leaves_the_next_block_peelable(monkeypatch):
+    # peeling the lowest singleton row first picks pivot rows that, as
+    # the next block's skip set, leave it mostly peelable: on CP^4 at
+    # k = 10, 379 (full) and 220 (reduced) columns reach elimination in
+    # the whole build, where popping the last singleton row found left
+    # 641 and 429
+    G = build_generators(make_cpm(4))
+    sizes = stage_two_sizes(monkeypatch)
+    for mode, most in (("full", 379), ("reduced", 220)):
+        sizes.clear()
+        _build(G, 10, mode)
+        assert sum(sizes) <= most, mode
