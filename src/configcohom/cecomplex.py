@@ -256,8 +256,8 @@ def _coded_exponents(caps, degrees, powers, needs):
     caps[i] bounds the exponent of generator i (1 for an odd one).
     Maps each length n in needs to its vectors' (degree, partial code)
     of degree >= needs[n], in lexicographic order, over these generators
-    only.  Built from the last generator back, over the lengths that
-    generator and the later ones can hold, every tail is shared by the
+    only; a length with none is left out.  Built from the last generator
+    back, from the tail lengths kept so far, every tail is shared by the
     prefixes that extend it, and dropped once its points left, each at
     most the largest degree before it, cannot lift it to any need.
     """
@@ -265,16 +265,25 @@ def _coded_exponents(caps, degrees, powers, needs):
     tails = {0: [(0, 0)]}
     for i in reversed(range(len(caps))):
         cap, d, p, most = caps[i], degrees[i], powers[i], max(degrees[:i], default=0)
-        held, top = top, min(longest, top + cap)  # points i + 1, ... and i, ... can hold
+        top = min(longest, top + cap)  # the points i, i + 1, ... can hold
         # floors[r]: the least of needs[n] - (n - r) * most over the lengths n >= r
         low = accumulate((needs.get(n, inf) - n * most for n in range(top - 1, -1, -1)), min,
                          initial=min(f - n * most for n, f in needs.items() if n >= top))
         floors = needs if i == 0 else {r: f + r * most for r, f in zip(range(top, -1, -1), low)}
-        tails = {r: [(deg + e * d, code + e * p)
-                     for e in range(max(0, r - held), min(cap, r) + 1) for rest in [floor - e * d]
-                     for deg, code in tails[r - e] if deg >= rest]
-                 for r, floor in floors.items()}
+        kept = sorted(tails, reverse=True)  # so the exponent e = r - s ascends
+        tails = {r: got for r, floor in floors.items()
+                 if (got := [(deg + e * d, code + e * p)
+                             for s in kept for e in [r - s] if 0 <= e <= cap
+                             for rest in [floor - e * d] for deg, code in tails[s] if deg >= rest])}
     return tails
+
+
+def _reach(caps, degrees, n):
+    """The largest degree of n points under caps (each 0, 1 or >= n): highest degrees first."""
+    total = 0
+    for deg, cap in sorted(zip(degrees, caps), reverse=True):
+        total, n = total + min(cap, n) * deg, n - min(cap, n)
+    return total
 
 
 def enumerate_basis(G, k, mode="full", least=0):
@@ -293,16 +302,16 @@ def enumerate_basis(G, k, mode="full", least=0):
                                              _top_index(G) if mode == "reduced" else None)
     n_v = len(G.v_degrees)
     powers = [(k + 1) ** j for j in range(2 * n_v)]
-    v_most, w_most = max(G.v_degrees, default=0), max(G.w_degrees, default=0)
+    # a part is kept if the other part's points, under their caps, can lift it to least
     v_lists = _coded_exponents(v_caps, G.v_degrees, powers[:n_v],
-                               {k - 2 * w: least - w * w_most for w in weights})
+                               {k - 2 * w: least - _reach(w_caps, G.w_degrees, w) for w in weights})
     w_lists = _coded_exponents(w_caps, G.w_degrees, powers[n_v:],
-                               {w: least - (k - 2 * w) * v_most for w in weights})
+                               {w: least - _reach(v_caps, G.v_degrees, k - 2 * w) for w in weights})
     slices = {}
     for w in weights:
         by_degree = defaultdict(list)
-        for vdeg, vcode in v_lists[k - 2 * w]:
-            for wdeg, wcode in w_lists[w]:
+        for vdeg, vcode in v_lists.get(k - 2 * w, ()):
+            for wdeg, wcode in w_lists.get(w, ()):
                 if vdeg + wdeg >= least:
                     by_degree[vdeg + wdeg].append(vcode + wcode)
         for deg, codes in by_degree.items():

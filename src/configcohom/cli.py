@@ -190,8 +190,9 @@ def _run_ray(cfg):
     # each k enumerates only its window, yet the cap counts the whole reduced complex at
     # k_max: in closed form, so a huge --k-max is refused at once, and it bounds one k's
     # O(k) per-length part tables too, which a count of the window alone would not; and
-    # each k is one window build, so the k range counts against the cap too
+    # each k is one window build, so the k range, once k_min is checked, counts too
     _ring(cfg, cfg.k_max, "reduced")
+    _check_int(cfg.k_min, "k", 0)
     builds = cfg.k_max - cfg.k_min + 1
     if builds > cfg.max_monomials:
         raise _CapExceeded("ray builds %d windows, one per k = %d..%d, more than the cap of %d "

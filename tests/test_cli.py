@@ -3,8 +3,6 @@ import hashlib
 import json
 import os
 import re
-import subprocess
-import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import configcohom
 from configcohom import cli, extremal, homology, make_cpm
 from configcohom.cecomplex import AssemblyError
 from configcohom.cli import build_parser, main
@@ -149,10 +146,12 @@ def test_monomial_cap(capsys):
 
 
 def test_monomial_cap_stops_counting_early(capsys):
-    # the count stops once it passes the cap, so a huge k is refused at once
-    rc, _, err = run(capsys, "betti", "--cpm", "2", "--k", "1000000000")
-    assert rc == 3
-    assert "more than 2000000 monomials" in err
+    # the count stops once it passes the cap, so a huge k is refused at
+    # once, in either mode
+    for mode in ("full", "reduced"):
+        rc, _, err = run(capsys, "betti", "--cpm", "2", "--k", "1000000000", "--mode", mode)
+        assert rc == 3, mode
+        assert "more than 2000000 monomials" in err, mode
 
 
 def test_monomial_cap_counts_the_complex_built(capsys):
@@ -170,7 +169,7 @@ def test_monomial_cap_counts_the_complex_built(capsys):
     assert rc == 3 and "cap" in err
 
 
-def test_ray_k_range_counts_against_the_cap(capsys):
+def test_ray_k_range_counts_against_the_cap(capsys, fresh_python):
     # each k of a ray is one window build, so a ray over more k than the
     # cap is refused before any is built, although S^2's reduced complex
     # holds 4 monomials at every k; a cap of 8 admits k = 2..9 on CP^1
@@ -180,11 +179,8 @@ def test_ray_k_range_counts_against_the_cap(capsys):
     assert run(capsys, *ray, "--k-max", "10") == (
         3, "", "ray builds 9 windows, one per k = 2..10, more than the cap of 8 "
                "(raise --max-monomials to proceed)\n")
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "configcohom", "ray", "--cpm", "1", "--i", "1",
-                           "--k-max", "1000000000"],
-                          env=env, capture_output=True, text=True, timeout=10)
+    done = fresh_python("-m", "configcohom", "ray", "--cpm", "1", "--i", "1",
+                        "--k-max", "1000000000", timeout=10)
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == ("ray builds 999999999 windows, one per k = 2..1000000000, more than "
                            "the cap of 2000000 (raise --max-monomials to proceed)\n")
@@ -194,14 +190,11 @@ def test_ray_k_range_counts_against_the_cap(capsys):
     ("betti", "--cpm", "300", "--k", "2"),
     ("verify", "--cpm", "300", "--k-max", "8"),
 ], ids=["betti", "verify"])
-def test_cap_bounds_the_ring_check(argv):
+def test_cap_bounds_the_ring_check(fresh_python, argv):
     # CP^300 has 301^3 basis triples, more than the default cap: the run
     # is refused before the ring is built or validated
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "configcohom", *argv],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = fresh_python("-m", "configcohom", *argv)
     elapsed = time.perf_counter() - start
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == ("ring CP^300 has 27270901 basis triples to check, more than "
@@ -210,34 +203,28 @@ def test_cap_bounds_the_ring_check(argv):
 
 
 @pytest.mark.parametrize("name, top", [("S^2", 3), ("S^4", 7)])
-def test_sphere_far_out_in_a_fresh_process(tmp_path, name, top):
+def test_sphere_far_out_in_a_fresh_process(tmp_path, fresh_python, name, top):
     # C_k(S^2n) has Q in degrees 0 and 4n - 1 only, for k >= 3
     # (Randal-Williams); the reduced complex stops at weight 1, so its
-    # count and build take no time at k = 100,000
+    # count and build take no time at k = 10^9
     path = tmp_path / "s4.json"
     path.write_text(json.dumps(s4_ring().to_dict()))
     source = ("--cpm", "1") if name == "S^2" else ("--ring", str(path))
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "configcohom", "betti", *source,
-                           "--k", "100000", "--mode", "reduced"],
-                          env=env, capture_output=True, text=True, timeout=10)
+    done = fresh_python("-m", "configcohom", "betti", *source,
+                        "--k", "1000000000", "--mode", "reduced", timeout=10)
     assert done.returncode == 0 and done.stderr == ""
     dims = dict(map(int, line[2:].split(" = ")) for line in done.stdout.splitlines()
                 if line.startswith("H^"))
     assert {i: b for i, b in dims.items() if b} == {0: 1, top: 1}
 
 
-def test_cap_bounds_ring_check_on_a_wide_file(tmp_path):
+def test_cap_bounds_ring_check_on_a_wide_file(tmp_path, fresh_python):
     # ring-check refuses a 300-class file (27,000,000 triples) before it
     # validates it, with the message and exit code of its siblings
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(wide_ring_doc(300)))
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "configcohom", "ring-check", "--ring", str(path)],
-                          env=env, capture_output=True, text=True, timeout=60)
+    done = fresh_python("-m", "configcohom", "ring-check", "--ring", str(path))
     elapsed = time.perf_counter() - start
     assert done.returncode == 3 and done.stdout == ""
     assert done.stderr == ("ring %s has 27000000 basis triples to check, more than the cap "
@@ -274,6 +261,15 @@ def test_cap_on_ring_check_counts_triples(tmp_path, capsys):
                        "cap of 26 (raise --max-monomials to proceed)\n" % path)
     rc, out, _ = run(capsys, "ring-check", "--ring", str(good), "--max-monomials", "27")
     assert rc == 0 and out == "ring %s: valid\n" % good
+
+
+def test_ray_checks_k_min_before_counting_its_range(capsys):
+    # a negative --k-min is an input error under any cap, never a k range
+    # the cap refuses
+    for cap in ("8", "2000000"):
+        assert run(capsys, "ray", "--cpm", "1", "--i", "1", "--k-min", "-5", "--k-max", "10",
+                   "--max-monomials", cap) == (
+            2, "", "error: k must be a non-negative integer, got -5\n"), cap
 
 
 def test_ray_csv_certificate_on_stderr(capsys):
@@ -687,17 +683,15 @@ def test_internal_errors_exit_four(tmp_path, capsys, monkeypatch):
     assert err.startswith("internal error: BrokenProcessPool")
 
 
-def test_cli_import_leaves_the_process_pool_out():
+def test_cli_import_leaves_the_process_pool_out(fresh_python):
     # the pool (and multiprocessing) is imported only where one starts,
     # the extremal module only by ray and verify, and no record needs
     # the dataclasses machinery
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
     code = ("import sys, configcohom.cli; print(sorted(m for m in "
             "('multiprocessing', 'concurrent.futures.process', 'dataclasses', "
             "'inspect', 'configcohom.extremal') if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
 
@@ -707,19 +701,16 @@ def test_cli_import_leaves_the_process_pool_out():
     "from configcohom.cli import main; main(['betti', '--cpm', '2', '--k', '4', "
     "'--mode', 'both', '--format', 'json'])",
 ], ids=["package", "betti", "betti-both"])
-def test_package_and_betti_load_only_what_they_run(run_it):
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+def test_package_and_betti_load_only_what_they_run(fresh_python, run_it):
     code = ("import sys\n%s\nprint(sorted(m for m in ('multiprocessing', "
             "'concurrent.futures.process', 'dataclasses', 'inspect', "
             "'configcohom.extremal') if m in sys.modules), file=sys.stderr)" % run_it)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
+    done = fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
     assert done.stderr == "[]\n"
 
 
-def test_extremal_exports_resolve_on_first_use():
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
+def test_extremal_exports_resolve_on_first_use(fresh_python):
     code = "\n".join([
         "import sys, configcohom",
         "assert 'configcohom.extremal' not in sys.modules",
@@ -741,21 +732,62 @@ def test_extremal_exports_resolve_on_first_use():
         "    raise AssertionError('unknown attribute resolved')",
         "print('ok')",
     ])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    done = fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
 
 
-def test_python_dash_m_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(configcohom.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "configcohom", "betti",
-                           "--cpm", "1", "--k", "3", "--format", "csv"],
-                          env=env, capture_output=True, text=True)
+def test_python_dash_m_runs_the_cli(fresh_python):
+    done = fresh_python("-m", "configcohom", "betti", "--cpm", "1", "--k", "3", "--format", "csv")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "degree,dim\n0,1\n1,0\n2,0\n3,1\n4,0\n5,0\n6,0\n"
+
+
+# each command in its own interpreter, as a user runs it: the arguments
+# after the interpreter, a timeout in seconds, the exit code, and a line
+# that stdout or stderr holds (None: both stay empty)
+FRESH_PROCESS_ROWS = [
+    pytest.param(("-W", "error", "-c", "import configcohom, configcohom.cli, configcohom.extremal"),
+                 10, 0, None, id="imports-raise-no-warning"),
+    pytest.param(("-m", "configcohom", "betti", "--cpm", "6", "--k", "12", "--mode", "both"),
+                 60, 0, "consistent: yes", id="cp6-k12-both-modes"),
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "3", "--i", "1", "--k-max", "12"),
+                 10, 0, "certificate: period 1, onset 5, degree 0; class 0: 0", id="ray-cp3"),
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "7", "--i", "1", "--k-max", "14"),
+                 10, 0, "certificate: period 1, onset 5, degree 0; class 0: 0", id="ray-cp7"),
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "12", "--i", "1", "--k-max", "14",
+                  "--max-monomials", "1000000000"),
+                 10, 0, "certificate: period 1, onset 5, degree 0; class 0: 0", id="ray-cp12"),
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "1", "--i", "1", "--k-max", "5000"),
+                 10, 0, "certificate: period 1, onset 2, degree 0; class 0: 0", id="ray-s2-to-5000"),
+    # a window reads only the tail lengths it kept: O(k) per window on CP^6, not O(k^2)
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "6", "--i", "1", "--k-min", "6000",
+                  "--k-max", "6001", "--max-monomials", str(10 ** 30)),
+                 10, 0, "certificate: period 1, onset 6000, degree 0; class 0: 0",
+                 id="ray-cp6-at-k-6000"),
+    # the window floors read the caps: CP^20 does not walk all 2^20 W-subsets
+    pytest.param(("-m", "configcohom", "ray", "--cpm", "20", "--i", "1", "--k-min", "400",
+                  "--k-max", "401", "--max-monomials", str(10 ** 60)),
+                 10, 0, "certificate: period 1, onset 400, degree 0; class 0: 0",
+                 id="ray-cp20-at-k-400"),
+]
+
+
+@pytest.mark.parametrize("args, timeout, code, line", FRESH_PROCESS_ROWS)
+def test_command_in_a_fresh_process(fresh_python, args, timeout, code, line):
+    done = fresh_python(*args, timeout=timeout)
+    assert done.returncode == code, done.stderr
+    if line is None:
+        assert done.stdout == done.stderr == ""
+    else:
+        assert line in done.stdout.splitlines() + done.stderr.splitlines()
+
+
+def test_verify_prints_the_same_under_one_and_two_jobs_in_fresh_processes(fresh_python):
+    runs = [fresh_python("-m", "configcohom", "verify", "--cpm", "3", "--k-max", "9",
+                         "--jobs", jobs) for jobs in ("1", "2")]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout and "overall: pass" in runs[0].stdout
 
 
 def _readme_block(heading, fence):

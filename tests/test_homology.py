@@ -472,3 +472,22 @@ def test_ray_enumerates_only_its_windows(monkeypatch):
     samples = hilbert_ray(7, 1, 2, 14).samples
     assert len(counted) == 13 and sum(counted) <= 1000
     assert samples == tuple((k, 1 if k in (3, 4) else 0) for k in range(2, 15))
+
+
+def test_window_parts_are_floored_by_what_the_other_part_reaches(monkeypatch):
+    # a V-part of the window is kept only if the W-points can lift it to
+    # the floor under their caps (each odd W-generator at most once, w_top
+    # never in reduced mode), and a W-part likewise: the offset-1 window of
+    # CP^12 at k = 100 keeps a few parts of each, not 9,432 and all 4,096
+    real, sizes = cecomplex._coded_exponents, []
+
+    def spy(*args):
+        tails = real(*args)
+        sizes.append(sum(map(len, tails.values())))
+        return tails
+
+    monkeypatch.setattr(cecomplex, "_coded_exponents", spy)
+    G = build_generators(make_cpm(12))
+    D = 100 * 22 + 1
+    assert homology._build(G, 100, "reduced", D).table.dim(D) == 0
+    assert len(sizes) == 2 and max(sizes) <= 10
