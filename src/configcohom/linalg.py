@@ -21,31 +21,16 @@ answers whether A @ B vanishes on a set of columns of B (`kills`),
 stopping at the first column that does not and storing no product;
 the d o d = 0 check asks exactly that, on the pivot columns of B.
 
-Elimination runs over columns too (rank A = rank A^T), in two stages.
-First the structural pivots are peeled: a row held by exactly one live
-column pairs with that column as a pivot, without arithmetic, and the
-column is removed, which may leave further rows held by one column.  A
-count of the live columns holding each row, and the XOR of their
-indices (which is the column itself when the count is 1), find these
-in O(nnz).  Rows are peeled lowest index first, from a heap.  Any order
-is a valid elimination, but the order chooses the pivot rows, and a
-caller that chains blocks (homology's chain pruning) skips exactly
-those rows as columns of the next block.  Lowest first leaves that
-block far more to peel than last-found-first: on CP^5 k=11, 1,735
-columns of the whole build reach the second stage against 4,532.
-Then the columns left are eliminated fraction-free: the pivot column
-is cross-multiplied into the others and each result is re-normalized
-by its content (gcd), so entries stay small integers and no fraction
-or floating point is ever involved.  Pivots there are
-chosen sparsity-first (the column with fewest entries, ties to the
-lowest column index, then that column's least-used row, Markowitz
-style), so repeated runs take identical paths.  A heap of live columns
-by length and a row -> columns index make each step touch only the
-columns that hold the pivot row.  `pivots` returns both sides of the
-elimination, the pivot rows and the pivot columns.
+Elimination runs over columns too (rank A = rank A^T): `pivots` walks
+the columns from the highest down and reduces each, fraction-free,
+against the pivot that owns its lowest row, until it is zero or owns a
+row of its own.  Each reduced column is divided by its content (gcd),
+so entries stay small integers, and no fraction or floating point is
+ever involved.  It returns both sides, the pivot rows and the pivot
+columns: a caller that chains blocks (homology's chain pruning) skips
+the pivot rows as columns of the next block.
 """
 
-import heapq
 from itertools import chain
 from math import gcd
 from operator import le
@@ -187,124 +172,86 @@ class SparseExactMatrix:
         return "SparseExactMatrix(%d, %d, nnz=%d)" % (self.n_rows, self.n_cols, self.nnz)
 
 
+def _column(A, c):
+    """Column c of A as a row -> value dict, divided by its content (gcd)."""
+    a, b = A.col_start[c], A.col_start[c + 1]
+    vals = A.values[a:b]
+    g = gcd(*vals)
+    return dict(zip(A.row_index[a:b], [v // g for v in vals] if g != 1 else vals))
+
+
 def pivots(A, skip=()):
-    """Pivot rows Y and pivot columns X of a fraction-free elimination of A.
+    """Pivot rows Y and pivot columns X of a column reduction of A.
 
     Columns whose index is in skip are left out, so X and skip share no
     column.  |Y| = |X| = rank of the columns kept, the square submatrix
     A[Y, X] is invertible, and the columns X span the kept ones.
 
-    Why, for the two stages (module docstring): each peeled row was
-    held by no other live column when it was peeled, so A[Y_peel,
-    X_peel] is triangular in peel order with a non-zero diagonal, and
-    every column left is zero on Y_peel.  Hence rank A = |X_peel| +
-    rank(columns left).  In the elimination of those, each pivot
-    column, as reduced, is the original plus a combination of earlier
-    pivot columns, has a non-zero entry in its own pivot row and none
-    in the earlier ones, so A[Y_elim, X_elim] is invertible too, and a
-    column that reduces to zero is a combination of pivot columns.
-    A[Y, X] is block triangular with these two blocks on its diagonal.
-
-    The peel takes the lowest row held by one live column each time.
-    Each step is valid in any order, so the order changes nothing
-    above, but it chooses Y, and the next block of a chain skips the
-    columns Y: lowest first leaves that block the most to peel of the
-    orders measured (module docstring).
+    The kept columns are walked from the highest index down.  A column
+    whose lowest row no pivot owns yet becomes a pivot and owns it, held
+    as its index until a column is first reduced against it; any other
+    is reduced fraction-free against the owner of its lowest row until
+    it is zero or owns a row.  Why the contract holds: a pivot column x
+    as reduced, R[:, x], is a non-zero multiple of A[:, x] plus a
+    combination of earlier pivots as reduced, so R[:, X] = A[:, X] T
+    with T triangular in the order found and a non-zero diagonal.  The
+    pivots own distinct lowest rows, so R[Y, X] (each column at its own
+    row, Y sorted) is triangular with a non-zero diagonal, and
+    A[Y, X] = R[Y, X] T^-1 is invertible.  A column that reduces to
+    zero is, times a non-zero int, a combination of R[:, X], so X spans
+    the kept columns, and |X| is their rank.  Of the orders measured,
+    walking down and pivoting on the lowest row left the fewest columns
+    to reduce over a chained build, where Y is the next block's skip set.
     """
     start, row_index = A.col_start, A.row_index
-    # count[r]: live columns holding row r; holder[r]: the XOR of their
-    # indices, which is the one column itself when count[r] == 1
-    count = [0] * A.n_rows
-    holder = [0] * A.n_rows
-    live = []
-    for c in range(A.n_cols):
+    owner = {}  # pivot row -> the pivot column whose lowest row it is
+    reduced = {}  # pivot column -> its reduced column, once one was used
+    for c in range(A.n_cols - 1, -1, -1):
         a, b = start[c], start[c + 1]
         if a == b or c in skip:
             continue
-        live.append(c)
-        for r in row_index[a:b]:
-            count[r] += 1
-            holder[r] ^= c
-    prows, pcols = set(), set()
-    # rows held by one live column, popped lowest first; built in
-    # ascending order, so the list is a heap as it stands
-    singles = [r for r, n in enumerate(count) if n == 1]
-    while singles:
-        r = heapq.heappop(singles)
-        if count[r] != 1:
-            continue  # its one column was peeled through another row
-        c = holder[r]
-        prows.add(r)
-        pcols.add(c)
-        for q in row_index[start[c]:start[c + 1]]:
-            count[q] -= 1
-            holder[q] ^= c
-            if count[q] == 1:
-                heapq.heappush(singles, q)
-    rest = [c for c in live if c not in pcols]
-    cols = [None] * A.n_cols
-    row_cols = {}
-    for c in rest:
-        a, b = start[c], start[c + 1]
-        rows, vals = row_index[a:b], A.values[a:b]
-        g = gcd(*vals)
-        cols[c] = dict(zip(rows, [v // g for v in vals] if g != 1 else vals))
-        for r in rows:
-            row_cols.setdefault(r, set()).add(c)
-    # (length, index) of every live column; entries whose column has
-    # died or changed length since are stale and skipped when popped
-    heap = [(len(cols[j]), j) for j in rest]
-    heapq.heapify(heap)
-    # rows not yet pivot rows; fill-in stays inside row_cols, so once
-    # every row is a pivot row each column left reduces to zero
-    rows_left = len(row_cols)
-    while heap and rows_left:
-        n, pj = heapq.heappop(heap)
-        pcol = cols[pj]
-        if pcol is None or len(pcol) != n:
+        # assembly writes rows in term order, not sorted
+        low = min(row_index[a:b])
+        j = owner.get(low)
+        if j is None:
+            owner[low] = c
             continue
-        # Markowitz-flavored pivot: the shortest column (the heap breaks
-        # ties on column index), then its least-used row, ties broken on
-        # row index, so the path is deterministic.
-        pr = min(pcol, key=lambda r: (len(row_cols[r]), r))
-        p = pcol[pr]
-        cols[pj] = None
-        prows.add(pr)
-        pcols.add(pj)
-        rows_left -= 1
-        for r in pcol:
-            row_cols[r].discard(pj)
-        for j in tuple(row_cols[pr]):
-            col = cols[j]
-            a = col[pr]
-            g = gcd(p, a)
-            mp, ma = p // g, a // g
+        col = _column(A, c)
+        while j is not None:
+            piv = reduced.get(j)
+            if piv is None:
+                piv = reduced[j] = _column(A, j)
+            # mp * col - mq * piv clears row low, and every other row of
+            # both is higher, so col's lowest row climbs; g takes p's
+            # sign, so mp > 0 and mp = 1 scales nothing
+            p, q = piv[low], col[low]
+            g = gcd(p, q) if p > 0 else -gcd(p, q)
+            mp, mq = p // g, q // g
             if mp != 1:
                 for r in col:
                     col[r] *= mp
-            for r, v in pcol.items():
-                old = col.get(r)
-                new = (old or 0) - ma * v
+            for r, v in piv.items():
+                new = col.get(r, 0) - mq * v
                 if new:
-                    if old is None:
-                        row_cols[r].add(j)
                     col[r] = new
                 else:
                     del col[r]
-                    row_cols[r].discard(j)
-            if col:
-                g = gcd(*col.values())
-                if g != 1:
-                    for r in col:
-                        col[r] //= g
-                heapq.heappush(heap, (len(col), j))
-            else:
-                cols[j] = None
-    return prows, pcols
+            if not col:
+                break
+            g = gcd(*col.values())
+            if g != 1:
+                for r in col:
+                    col[r] //= g
+            low = min(col)
+            j = owner.get(low)
+        else:  # col reached a row no pivot owns
+            owner[low] = c
+            reduced[c] = col
+    return set(owner), set(owner.values())
 
 
 def rank(A):
-    """Rank of A, by fraction-free sparse Gaussian elimination."""
+    """Rank of A, by fraction-free column reduction."""
     return len(pivots(A)[0])
 
 

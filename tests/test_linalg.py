@@ -321,81 +321,174 @@ def test_pivots_contract(data):
     check_pivots(*data)
 
 
-def stage_two_sizes(monkeypatch):
-    """The list that records, per `pivots` call from now on, how many
-    columns are left to fraction-free elimination after peeling (the
-    size of the one heap it builds with heapify)."""
-    sizes = []
-    heapify = linalg.heapq.heapify
+@st.composite
+def larger_sparse_with_skip(draw, max_dim=20):
+    """Up to max_dim x max_dim at low density (at most 4 entries a
+    column), rows in any order, and a random set of columns to skip:
+    columns share lowest rows often enough that reductions run through
+    several owners."""
+    n_rows = draw(st.integers(min_value=2, max_value=max_dim))
+    n_cols = draw(st.integers(min_value=2, max_value=max_dim))
+    col_start, row_index, values = [0], [], []
+    for _ in range(n_cols):
+        rows = draw(st.lists(st.integers(0, n_rows - 1), unique=True,
+                             min_size=1, max_size=4))
+        row_index += rows
+        values += [draw(nonzero_ints) for _ in rows]
+        col_start.append(len(row_index))
+    skip = draw(st.sets(st.integers(0, n_cols - 1), max_size=n_cols // 4))
+    return SparseExactMatrix(n_rows, col_start, row_index, values), skip
 
-    def spy(heap):
-        sizes.append(len(heap))
-        heapify(heap)
 
-    monkeypatch.setattr(linalg.heapq, "heapify", spy)
-    return sizes
+@settings(max_examples=80, deadline=None)
+@given(larger_sparse_with_skip())
+def test_pivots_contract_on_larger_sparse_matrices(data):
+    check_pivots(*data)
 
 
-def eliminated_columns(monkeypatch, A, skip=()):
-    """Pivot rows of A and the number of columns left after peeling."""
-    sizes = stage_two_sizes(monkeypatch)
-    Y = check_pivots(A, skip)
+def built_columns(monkeypatch):
+    """The list of the (column index, dict as built, dict) triples of
+    every column whose dict `pivots` builds through `_column` from now on."""
+    built = []
+    column = linalg._column
+
+    def spy(A, c):
+        col = column(A, c)
+        built.append((c, dict(col), col))
+        return col
+
+    monkeypatch.setattr(linalg, "_column", spy)
+    return built
+
+
+def arithmetic_columns(built):
+    """How many of the columns built reached arithmetic.
+
+    `_column` builds a column walked just before its first reduction
+    step, and an owner the first time a column is reduced against it.
+    The first step clears a row of the column walked, in place, and an
+    owner's dict is only read: the columns that reached arithmetic are
+    those whose dict no longer matches what was built.
+    """
+    return sum(col != as_built for _, as_built, col in built)
+
+
+def reduced_columns(monkeypatch, A, skip=()):
+    """Pivot rows of A and the number of its columns that reach arithmetic."""
+    built = built_columns(monkeypatch)
+    Y, _ = pivots(A, skip)
     monkeypatch.undo()
-    return Y, sizes[0]
+    assert check_pivots(A, skip) == Y
+    return Y, arithmetic_columns(built)
 
 
-def test_pivot_rows_peels_a_triangular_matrix(monkeypatch):
-    # row i is held by columns i..4: row 4 by column 4 alone, then row 3
-    # by column 3 alone once column 4 is peeled, and so on
+def test_pivot_rows_of_a_triangular_matrix(monkeypatch):
+    # row 0 is in every column: column 4 owns it, and columns 3..0 each
+    # reduce against the pivots above them, to rows 1..4 in turn
     A = SparseExactMatrix.from_dense([[1, 2, -1, 3, 1],
                                       [0, 2, 1, 1, 1],
                                       [0, 0, 3, 2, 1],
                                       [0, 0, 0, -1, 2],
                                       [0, 0, 0, 0, 5]])
-    assert eliminated_columns(monkeypatch, A) == ({0, 1, 2, 3, 4}, 0)
-    # skipping column 4 leaves row 4 empty and the rest peeling
-    assert eliminated_columns(monkeypatch, A, {4}) == ({0, 1, 2, 3}, 0)
-    # rows 0 and 1 are both held by column 0 alone: the lowest is peeled
+    assert reduced_columns(monkeypatch, A) == ({0, 1, 2, 3, 4}, 4)
+    # skipping column 4 leaves row 4 empty; column 3 owns row 0
+    assert reduced_columns(monkeypatch, A, {4}) == ({0, 1, 2, 3}, 3)
+    # column 0's rows 0 and 1 are free: it owns the lowest, untouched
     B = SparseExactMatrix.from_dense([[1], [1]])
-    assert eliminated_columns(monkeypatch, B) == ({0}, 0)
+    assert reduced_columns(monkeypatch, B) == ({0}, 0)
 
 
 def test_pivot_rows_without_structural_pivots(monkeypatch):
-    # every row is held by at least two columns: all are eliminated
+    # every column holds row 0, so only the first walked owns a row
+    # without arithmetic
     A = SparseExactMatrix.from_dense([[1, 2, 3],
                                       [4, 5, 6],
                                       [7, 8, 10],
                                       [1, 1, 0]])
-    Y, left = eliminated_columns(monkeypatch, A)
-    assert len(Y) == 3 and left == 3
+    assert reduced_columns(monkeypatch, A) == ({0, 1, 2}, 2)
     B = SparseExactMatrix.from_dense([[1, 2, 3], [2, 4, 6], [1, 2, 2]])
-    Y, left = eliminated_columns(monkeypatch, B)
-    assert len(Y) == 2 and left == 3
+    assert reduced_columns(monkeypatch, B) == ({0, 2}, 2)
 
 
-def test_pivot_rows_peels_then_eliminates(monkeypatch):
-    # row 1 is held by column 1 alone; once it is peeled, row 0 is held
-    # by column 0 alone; columns 2..4 are left, of rank 2 (3 = 2 * 2)
+def test_pivot_rows_mix_free_and_reduced_columns(monkeypatch):
+    # column 4 owns row 2 and column 3 reduces to own row 3; column 2
+    # reduces to zero; column 1 owns row 0 untouched, and column 0
+    # reduces against it to own row 1
     A = SparseExactMatrix.from_dense([[1, 1, 0, 0, 0],
                                       [0, 2, 0, 0, 0],
                                       [1, 0, 1, 2, 1],
                                       [0, 0, 1, 2, -1]])
-    Y, left = eliminated_columns(monkeypatch, A)
-    assert Y == {0, 1, 2, 3} and left == 3
-    # with column 4 skipped, what is left has rank 1
-    Y, left = eliminated_columns(monkeypatch, A, {4})
-    assert {0, 1} < Y and len(Y) == 3 and left == 2
+    assert reduced_columns(monkeypatch, A) == ({0, 1, 2, 3}, 3)
+    # with column 4 skipped, column 3 owns row 2 and column 2 reduces
+    # to zero against it
+    assert reduced_columns(monkeypatch, A, {4}) == ({0, 1, 2}, 2)
 
 
-def test_peel_order_leaves_the_next_block_peelable(monkeypatch):
-    # peeling the lowest singleton row first picks pivot rows that, as
-    # the next block's skip set, leave it mostly peelable: on CP^4 at
-    # k = 10, 379 (full) and 220 (reduced) columns reach elimination in
-    # the whole build, where popping the last singleton row found left
-    # 641 and 429
+def test_pivots_reduce_a_column_through_two_owners(monkeypatch):
+    # column 2 owns row 0 and column 1 row 1, untouched; column 0
+    # reduces against column 2 (row 0 cleared), then against column 1
+    # (row 1 cleared), and owns row 2
+    A = SparseExactMatrix.from_dense([[1, 0, 2],
+                                      [1, 3, 0],
+                                      [1, 0, 0],
+                                      [0, 0, 1]])
+    built = built_columns(monkeypatch)
+    assert pivots(A) == ({0, 1, 2}, {0, 1, 2})
+    assert [c for c, _, _ in built] == [0, 2, 1]
+    monkeypatch.undo()
+    check_pivots(A, ())
+
+
+def test_pivots_build_an_owner_dict_once(monkeypatch):
+    # column 2 owns row 0 as an index; column 1 is the first reduced
+    # against it, which builds its dict, divided by its content 2, and
+    # column 0 reduces against the same dict
+    A = SparseExactMatrix.from_dense([[3, 1, 2],
+                                      [0, 0, 4],
+                                      [0, 1, 0]])
+    built = built_columns(monkeypatch)
+    assert pivots(A) == ({0, 1, 2}, {0, 1, 2})
+    assert [(c, as_built) for c, as_built, _ in built] == [
+        (1, {0: 1, 2: 1}), (2, {0: 1, 1: 2}), (0, {0: 1})]
+    monkeypatch.undo()
+    check_pivots(A, ())
+
+
+def test_pivots_leave_out_a_column_that_reduces_to_zero():
+    # column 0 = 2 * column 2 + column 1: it reduces against column 2,
+    # then against column 1, to zero, so it is no pivot column, and
+    # columns 1 and 2 still span all three
+    A = SparseExactMatrix.from_dense([[2, 0, 1],
+                                      [2, 0, 1],
+                                      [1, 1, 0]])
+    assert pivots(A) == ({0, 2}, {1, 2})
+    assert check_pivots(A, ()) == {0, 2}
+    # skipping column 2 leaves column 1 to own row 2 and column 0 to
+    # own row 0
+    assert check_pivots(A, {2}) == {0, 2}
+
+
+def test_pivots_take_the_lowest_of_rows_stored_out_of_order():
+    # rows (1, 0): the column owns row 0, its lowest, not row 1
+    A = SparseExactMatrix(2, [0, 2], [1, 0], [1, 1])
+    assert pivots(A) == ({0}, {0})
+    # two equal columns, one stored in order and one not: the second
+    # walked has the same lowest row and reduces to zero
+    B = SparseExactMatrix(2, [0, 2, 4], [1, 0, 0, 1], [1, 1, 1, 1])
+    assert pivots(B) == ({0}, {1})
+    check_pivots(B, ())
+
+
+def test_walk_order_leaves_the_next_block_little_to_reduce(monkeypatch):
+    # walking the columns down and pivoting on the lowest row picks
+    # pivot rows that, as the next block's skip set, leave it mostly
+    # free of arithmetic: on CP^4 at k = 10, 361 (full) and 193
+    # (reduced) columns reach arithmetic in the whole build, where
+    # walking upward reduces 482 and 232, and the two-stage elimination
+    # this replaced sent 379 and 220 to fraction-free elimination
     G = build_generators(make_cpm(4))
-    sizes = stage_two_sizes(monkeypatch)
+    built = built_columns(monkeypatch)
     for mode, most in (("full", 379), ("reduced", 220)):
-        sizes.clear()
+        built.clear()
         _build(G, 10, mode)
-        assert sum(sizes) <= most, mode
+        assert arithmetic_columns(built) <= most, mode
